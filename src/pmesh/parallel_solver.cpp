@@ -77,6 +77,13 @@ ParallelEulerSolver::ParallelEulerSolver(DistMesh* dm, rt::Engine* eng,
     }
   }
   exchange_setup();
+  // Volumes are global only after the exchange, so the active set is too.
+  // plum-scale: dist(P) -- the in-process harness keeps one solver state per simulated rank
+  active_.resize(static_cast<std::size_t>(P));
+  for (Rank r = 0; r < P; ++r) {
+    active_[static_cast<std::size_t>(r)] =
+        metrics_[static_cast<std::size_t>(r)].active_vertices();
+  }
 }
 
 void ParallelEulerSolver::exchange_setup() {
@@ -182,157 +189,148 @@ double ParallelEulerSolver::max_wave_speed(const State& s) const {
   return vel + std::sqrt(opt_.gamma * p / rho);
 }
 
-void ParallelEulerSolver::exchange_residuals(
-    std::vector<std::vector<State>>& res) {
-  const Rank P = dm_->nranks();
-  eng_->run([&](Rank r, const rt::Inbox& inbox, rt::Outbox& out) {
-    const auto& lm = dm_->local(r);
-    if (out.step() == 0) {
-      // plum-scale: dist(P) -- per-destination staging buckets for residual messages
-      std::vector<std::vector<ResidualMsg>> outgoing(
-          static_cast<std::size_t>(P));
-      for (const auto& [v, spl] : lm.shared_verts) {
-        for (const auto& c : spl) {
-          outgoing[static_cast<std::size_t>(c.rank)].push_back(
-              {c.remote_id,
-               res[static_cast<std::size_t>(r)][static_cast<std::size_t>(v)]});
-        }
-      }
-      for (Rank q = 0; q < P; ++q) {
-        if (!outgoing[static_cast<std::size_t>(q)].empty()) {
-          out.send_vec(q, kTagResidual, outgoing[static_cast<std::size_t>(q)]);
-        }
-      }
-      return true;
-    }
-    // Deterministic accumulation: sort contributions by (sender, id).
-    for (const auto* msg : inbox.with_tag(kTagResidual)) {
-      for (const auto& rec : rt::unpack<ResidualMsg>(*msg)) {
-        auto& acc =
-            res[static_cast<std::size_t>(r)][static_cast<std::size_t>(rec.local_id)];
-        for (int c = 0; c < solver::kNumVars; ++c) acc[c] += rec.partial[c];
-      }
-    }
-    return false;
-  });
-}
-
 ParallelEulerSolver::StepInfo ParallelEulerSolver::step() {
   const Rank P = dm_->nranks();
   StepInfo info;
   // plum-scale: host-only -- per-rank flux-eval counters for the step report
   info.edge_flux_evals.assign(static_cast<std::size_t>(P), 0);
+  // plum-scale: dist(P) -- one global-dt slot per simulated rank, written by that rank
+  std::vector<double> dt(static_cast<std::size_t>(P), 0.0);
+  // plum-scale: dist(P) -- the harness keeps one residual vector per simulated rank
+  std::vector<std::vector<State>> res(static_cast<std::size_t>(P));
+  // plum-scale: dist(P) -- the harness keeps one RK2 stage state per simulated rank
+  std::vector<std::vector<State>> u1(static_cast<std::size_t>(P));
 
-  // --- global CFL dt ---------------------------------------------------------
-  // plum-scale: host-only -- per-rank dt candidates reduced host-side to the global dt
-  std::vector<double> local_dt(static_cast<std::size_t>(P),
-                               std::numeric_limits<double>::max());
-  for (Rank r = 0; r < P; ++r) {
+  // Owner-computes flux loop over uu into rr, charged to rank r; then the
+  // partial residuals of shared vertices go to every copy.
+  auto flux_stage = [&](Rank r, const std::vector<State>& uu,
+                        std::vector<State>& rr, rt::Outbox& out) {
+    const auto& lm = dm_->local(r);
     const auto& m = metrics_[static_cast<std::size_t>(r)];
-    for (Index v : m.active_vertices()) {
-      const double h = m.min_edge_length[static_cast<std::size_t>(v)];
-      const double c =
-          max_wave_speed(u_[static_cast<std::size_t>(r)][static_cast<std::size_t>(v)]);
-      local_dt[static_cast<std::size_t>(r)] =
-          std::min(local_dt[static_cast<std::size_t>(r)],
-                   opt_.cfl * h / std::max(c, 1e-12));
+    const auto& owned = edge_owned_[static_cast<std::size_t>(r)];
+    rr.assign(uu.size(), State{});
+    std::int64_t evals = 0;
+    for (std::size_t k = 0; k < m.edges.size(); ++k) {
+      const Index e = m.edges[k];
+      if (!owned[static_cast<std::size_t>(e)]) continue;  // a peer computes it
+      const Index a = lm.mesh.edge(e).v0;
+      const Index b = lm.mesh.edge(e).v1;
+      const Vec3 n = m.edge_area[k];
+      const double area = norm(n);
+      if (area <= 0) continue;
+      const State& ua = uu[static_cast<std::size_t>(a)];
+      const State& ub = uu[static_cast<std::size_t>(b)];
+      const double pa = pressure(ua), pb = pressure(ub);
+      const Vec3 va{ua[1] / ua[0], ua[2] / ua[0], ua[3] / ua[0]};
+      const Vec3 vb{ub[1] / ub[0], ub[2] / ub[0], ub[3] / ub[0]};
+      const double vna = dot(va, n), vnb = dot(vb, n);
+      const State fa{ua[0] * vna, ua[1] * vna + pa * n.x,
+                     ua[2] * vna + pa * n.y, ua[3] * vna + pa * n.z,
+                     (ua[4] + pa) * vna};
+      const State fb{ub[0] * vnb, ub[1] * vnb + pb * n.x,
+                     ub[2] * vnb + pb * n.y, ub[3] * vnb + pb * n.z,
+                     (ub[4] + pb) * vnb};
+      const double lam =
+          std::max(max_wave_speed(ua), max_wave_speed(ub)) * area;
+      for (int c = 0; c < solver::kNumVars; ++c) {
+        const double f = 0.5 * (fa[c] + fb[c]) - 0.5 * lam * (ub[c] - ua[c]);
+        rr[static_cast<std::size_t>(a)][c] -= f;
+        rr[static_cast<std::size_t>(b)][c] += f;
+      }
+      ++evals;
     }
-  }
-  const double dt = rt::allreduce(
-      *eng_, local_dt, [](double a, double b) { return std::min(a, b); },
-      std::numeric_limits<double>::max());
-  info.dt = dt;
-
-  auto compute_residual = [&](const std::vector<std::vector<State>>& u,
-                              std::vector<std::vector<State>>& res) {
-    for (Rank r = 0; r < P; ++r) {
-      const auto& lm = dm_->local(r);
-      const auto& m = metrics_[static_cast<std::size_t>(r)];
-      auto& rr = res[static_cast<std::size_t>(r)];
-      rr.assign(u[static_cast<std::size_t>(r)].size(), State{});
-      const auto& uu = u[static_cast<std::size_t>(r)];
-
-      for (std::size_t k = 0; k < m.edges.size(); ++k) {
-        const Index e = m.edges[k];
-        if (!edge_owned_[static_cast<std::size_t>(r)][static_cast<std::size_t>(e)]) {
-          continue;  // a peer computes this flux
-        }
-        const Index a = lm.mesh.edge(e).v0;
-        const Index b = lm.mesh.edge(e).v1;
-        const Vec3 n = m.edge_area[static_cast<std::size_t>(k)];
-        const double area = norm(n);
-        if (area <= 0) continue;
-        const State& ua = uu[static_cast<std::size_t>(a)];
-        const State& ub = uu[static_cast<std::size_t>(b)];
-        const double pa = pressure(ua), pb = pressure(ub);
-        const Vec3 va{ua[1] / ua[0], ua[2] / ua[0], ua[3] / ua[0]};
-        const Vec3 vb{ub[1] / ub[0], ub[2] / ub[0], ub[3] / ub[0]};
-        const double vna = dot(va, n), vnb = dot(vb, n);
-        const State fa{ua[0] * vna, ua[1] * vna + pa * n.x,
-                       ua[2] * vna + pa * n.y, ua[3] * vna + pa * n.z,
-                       (ua[4] + pa) * vna};
-        const State fb{ub[0] * vnb, ub[1] * vnb + pb * n.x,
-                       ub[2] * vnb + pb * n.y, ub[3] * vnb + pb * n.z,
-                       (ub[4] + pb) * vnb};
-        const double lam =
-            std::max(max_wave_speed(ua), max_wave_speed(ub)) * area;
-        for (int c = 0; c < solver::kNumVars; ++c) {
-          const double f = 0.5 * (fa[c] + fb[c]) - 0.5 * lam * (ub[c] - ua[c]);
-          rr[static_cast<std::size_t>(a)][c] -= f;
-          rr[static_cast<std::size_t>(b)][c] += f;
-        }
-        ++info.edge_flux_evals[static_cast<std::size_t>(r)];
+    info.edge_flux_evals[static_cast<std::size_t>(r)] += evals;
+    out.charge(evals);
+    // plum-scale: dist(P) -- per-destination staging buckets for residual messages
+    std::vector<std::vector<ResidualMsg>> outgoing(static_cast<std::size_t>(P));
+    for (const auto& [v, spl] : lm.shared_verts) {
+      for (const auto& c : spl) {
+        outgoing[static_cast<std::size_t>(c.rank)].push_back(
+            {c.remote_id, rr[static_cast<std::size_t>(v)]});
       }
     }
-    // Sum partial residuals of shared vertices across copies.
-    exchange_residuals(res);
-    // Boundary closure after the exchange: every copy adds the same full
-    // term locally, so it is counted once in each copy's (identical) total.
-    for (Rank r = 0; r < P; ++r) {
-      const auto& m = metrics_[static_cast<std::size_t>(r)];
-      auto& rr = res[static_cast<std::size_t>(r)];
-      const auto& uu = u[static_cast<std::size_t>(r)];
-      for (std::size_t v = 0; v < rr.size(); ++v) {
-        const Vec3 nb = m.boundary_area[v];
-        if (nb.x == 0 && nb.y == 0 && nb.z == 0) continue;
-        const double p = pressure(uu[v]);
-        rr[v][1] -= p * nb.x;
-        rr[v][2] -= p * nb.y;
-        rr[v][3] -= p * nb.z;
+    for (Rank q = 0; q < P; ++q) {
+      if (!outgoing[static_cast<std::size_t>(q)].empty()) {
+        out.send_vec(q, kTagResidual, outgoing[static_cast<std::size_t>(q)]);
       }
     }
   };
 
-  // --- RK2 --------------------------------------------------------------------
-  // plum-scale: dist(P) -- the harness keeps one residual vector per simulated rank
-  std::vector<std::vector<State>> res(static_cast<std::size_t>(P));
-  compute_residual(u_, res);
-  std::vector<std::vector<State>> u1 = u_;
-  for (Rank r = 0; r < P; ++r) {
-    const auto& m = metrics_[static_cast<std::size_t>(r)];
-    for (Index v : m.active_vertices()) {
-      const double inv_vol = 1.0 / m.cell_volume[static_cast<std::size_t>(v)];
-      for (int c = 0; c < solver::kNumVars; ++c) {
-        u1[static_cast<std::size_t>(r)][static_cast<std::size_t>(v)][c] +=
-            0.5 * dt *
-            res[static_cast<std::size_t>(r)][static_cast<std::size_t>(v)][c] *
-            inv_vol;
+  // Sums the copies' partials in inbox (sender-rank) order, then adds the
+  // boundary closure: every copy adds the same full term locally, so it is
+  // counted once in each copy's (identical) total.
+  auto close_stage = [&](Rank r, const rt::Inbox& inbox,
+                         const std::vector<State>& uu, std::vector<State>& rr) {
+    for (const auto* msg : inbox.with_tag(kTagResidual)) {
+      for (const auto& rec : rt::unpack<ResidualMsg>(*msg)) {
+        auto& acc = rr[static_cast<std::size_t>(rec.local_id)];
+        for (int c = 0; c < solver::kNumVars; ++c) acc[c] += rec.partial[c];
       }
     }
-  }
-  compute_residual(u1, res);
-  for (Rank r = 0; r < P; ++r) {
     const auto& m = metrics_[static_cast<std::size_t>(r)];
-    for (Index v : m.active_vertices()) {
-      const double inv_vol = 1.0 / m.cell_volume[static_cast<std::size_t>(v)];
-      for (int c = 0; c < solver::kNumVars; ++c) {
-        u_[static_cast<std::size_t>(r)][static_cast<std::size_t>(v)][c] +=
-            dt *
-            res[static_cast<std::size_t>(r)][static_cast<std::size_t>(v)][c] *
-            inv_vol;
-      }
+    for (std::size_t v = 0; v < rr.size(); ++v) {
+      const Vec3 nb = m.boundary_area[v];
+      if (nb.x == 0 && nb.y == 0 && nb.z == 0) continue;
+      const double p = pressure(uu[v]);
+      rr[v][1] -= p * nb.x;
+      rr[v][2] -= p * nb.y;
+      rr[v][3] -= p * nb.z;
     }
-  }
+  };
+
+  eng_->run([&](Rank r, const rt::Inbox& inbox, rt::Outbox& out) {
+    const auto& m = metrics_[static_cast<std::size_t>(r)];
+    const auto& active = active_[static_cast<std::size_t>(r)];
+    auto& u = u_[static_cast<std::size_t>(r)];
+    auto& stage = u1[static_cast<std::size_t>(r)];
+    auto& rr = res[static_cast<std::size_t>(r)];
+    double& my_dt = dt[static_cast<std::size_t>(r)];
+    switch (out.step()) {
+      case 0: {  // local CFL limit to every rank: an allreduce's traffic
+        double local = std::numeric_limits<double>::max();
+        for (Index v : active) {
+          const double h = m.min_edge_length[static_cast<std::size_t>(v)];
+          const double c = max_wave_speed(u[static_cast<std::size_t>(v)]);
+          local = std::min(local, opt_.cfl * h / std::max(c, 1e-12));
+        }
+        const std::vector<double> mine{local};
+        for (Rank q = 0; q < P; ++q) {
+          out.send_vec(q, rt::detail::kCollectiveTag, mine);
+        }
+        return true;
+      }
+      case 1:  // global dt, stage-1 residual R(u)
+        my_dt = std::numeric_limits<double>::max();
+        for (const auto* msg : inbox.with_tag(rt::detail::kCollectiveTag)) {
+          my_dt = std::min(my_dt, rt::unpack<double>(*msg)[0]);
+        }
+        flux_stage(r, u, rr, out);
+        return true;
+      case 2:  // u1 = u + dt/2 * R(u) / vol, stage-2 residual R(u1)
+        close_stage(r, inbox, u, rr);
+        stage = u;
+        for (Index v : active) {
+          const auto i = static_cast<std::size_t>(v);
+          const double inv_vol = 1.0 / m.cell_volume[i];
+          for (int c = 0; c < solver::kNumVars; ++c) {
+            stage[i][c] += 0.5 * my_dt * rr[i][c] * inv_vol;
+          }
+        }
+        flux_stage(r, stage, rr, out);
+        return true;
+      default:  // u += dt * R(u1) / vol
+        close_stage(r, inbox, stage, rr);
+        for (Index v : active) {
+          const auto i = static_cast<std::size_t>(v);
+          const double inv_vol = 1.0 / m.cell_volume[i];
+          for (int c = 0; c < solver::kNumVars; ++c) {
+            u[i][c] += my_dt * rr[i][c] * inv_vol;
+          }
+        }
+        return false;
+    }
+  });
+  info.dt = dt[0];
   return info;
 }
 

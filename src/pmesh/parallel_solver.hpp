@@ -8,14 +8,22 @@
 //   setup:  every copy of a shared edge/vertex assembles the *global*
 //           metric quantities (dual-face areas, cell volumes, boundary
 //           closure, CFL lengths) by exchanging partial sums over the SPLs;
-//   step:   each edge's flux is computed by its owner rank only; partial
-//           residuals of shared vertices are summed across copies (one
-//           exchange per residual evaluation, two per RK2 step); the time
-//           update then runs redundantly on every copy, which keeps shared
-//           vertex states bit-replicated without a broadcast.
+//   step:   one BSP program of four supersteps, all rank work inside them:
+//             0  local CFL limit over the active vertices, sent to every
+//                rank (the traffic of an allreduce);
+//             1  global dt = min of the inbox; stage-1 flux loop; send the
+//                shared-vertex partial residuals to every copy;
+//             2  sum the partials in sender-rank order, boundary closure,
+//                u1 = u + dt/2 * R(u)/vol; stage-2 flux loop; send partials;
+//             3  sum the partials, boundary closure, u += dt * R(u1)/vol.
+//           Each edge's flux is computed by its owner rank only and charged
+//           to it (Outbox::charge), so the counter critical path sees the
+//           solve. The time update runs redundantly on every copy, which
+//           keeps shared vertex states bit-replicated without a broadcast.
 //
 // The result matches the serial solver on the gathered mesh up to
-// floating-point summation order.
+// floating-point summation order, and is bit-identical across engines and
+// thread counts.
 
 #include "pmesh/dist_mesh.hpp"
 #include "solver/dual_metrics.hpp"
@@ -56,7 +64,6 @@ class ParallelEulerSolver {
 
  private:
   void exchange_setup();
-  void exchange_residuals(std::vector<std::vector<solver::State>>& res);
 
   DistMesh* dm_;
   rt::Engine* eng_;
@@ -66,6 +73,7 @@ class ParallelEulerSolver {
   std::vector<solver::DualMetrics> metrics_;   ///< globalized quantities
   std::vector<std::vector<char>> edge_owned_;  ///< flux responsibility
   std::vector<std::vector<char>> vert_owned_;  ///< for global reductions
+  std::vector<std::vector<Index>> active_;     ///< vertices with volume > 0
   std::vector<std::vector<solver::State>> u_;
 
   [[nodiscard]] double pressure(const solver::State& s) const;

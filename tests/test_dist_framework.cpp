@@ -16,6 +16,7 @@
 
 #include "core/dist_framework.hpp"
 #include "mesh/box_mesh.hpp"
+#include "obs/critical_path.hpp"
 #include "obs/gate_audit.hpp"
 #include "obs/scope.hpp"
 #include "runtime/engine.hpp"
@@ -143,6 +144,37 @@ TEST(DistFramework, TwoCyclesWithMigrationKeepSolutionPhysical) {
   }
   // With the aggressive trigger the blast case must remap at least once.
   EXPECT_GE(accepted, 1);
+}
+
+// The solve phase runs inside rank supersteps that charge their flux work,
+// so the deterministic (counter-sourced) critical path sees it.
+TEST(DistFramework, SolvePhaseIsChargedAndOnTheCounterCriticalPath) {
+  FrameworkOptions opt;
+  opt.nranks = 4;
+  opt.refine_fraction = 0.05;
+  opt.solver_steps_per_cycle = 3;
+  auto fw = make_dist(opt, 4);
+  fw.cycle();
+
+  int solve_steps = 0;
+  std::int64_t solve_units = 0;
+  for (const auto& st : fw.trace().supersteps()) {
+    if (st.phase != "solve") continue;
+    ++solve_steps;
+    for (const auto& c : st.counters) solve_units += c.compute_units;
+  }
+  EXPECT_EQ(solve_steps, 4 * opt.solver_steps_per_cycle);
+  EXPECT_GT(solve_units, 0);
+
+  const auto cp =
+      obs::analyze_critical_path(fw.trace(), obs::PathSource::kCounters);
+  const obs::PhasePath* solve = nullptr;
+  for (const auto& ph : cp.phases) {
+    if (ph.name == "solve") solve = &ph;
+  }
+  ASSERT_NE(solve, nullptr);
+  EXPECT_EQ(solve->busy, static_cast<double>(solve_units));
+  EXPECT_GT(solve->critical, 0.0);
 }
 
 // plum-meter acceptance: a >= 4-rank run produces a P x P comm matrix that

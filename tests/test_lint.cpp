@@ -103,6 +103,14 @@ TEST(LintFixtures, NestedLambdaScopesAreTracked) {
   EXPECT_EQ(r.unsuppressed_count(), 3) << plumlint::to_json(r);
 }
 
+TEST(LintFixtures, MultiDeclaratorLocalsAreTracked) {
+  const LintResult r = lint_fixture("multi_declarator.cpp");
+  // Every declarator of `double pa = f(a), pb = f(b);` (and of a for
+  // header) is local: only the genuine captured write is flagged.
+  EXPECT_EQ(r.count_of("shared-accumulator"), 1) << plumlint::to_json(r);
+  EXPECT_EQ(r.unsuppressed_count(), 1) << plumlint::to_json(r);
+}
+
 TEST(LintFixtures, CleanSuperstepHasNoDiagnostics) {
   const LintResult r = lint_fixture("clean_superstep.cpp");
   EXPECT_EQ(r.unsuppressed_count(), 0) << plumlint::to_json(r);
@@ -140,7 +148,7 @@ TEST(LintFixtures, WholeDirectoryLintsWithSameTotals) {
         "bad_wallclock_in_superstep.cpp",
         "bad_raw_fd_in_superstep.cpp", "clean_superstep.cpp",
         "suppressed.cpp", "bad_suppression.cpp", "raw_strings.cpp",
-        "nested_lambdas.cpp"}) {
+        "nested_lambdas.cpp", "multi_declarator.cpp"}) {
     std::ifstream in(fixture_path(name));
     ASSERT_TRUE(in.is_open()) << name;
     std::ostringstream ss;
@@ -151,13 +159,13 @@ TEST(LintFixtures, WholeDirectoryLintsWithSameTotals) {
   EXPECT_EQ(r.count_of("rank-guard-mutation"), 3);  // 2 + raw_strings
   EXPECT_EQ(r.count_of("unordered-iteration"), 3);
   // 3 writes + 3 metric calls + 3 record_event calls + 3 raw_strings +
-  // 3 nested_lambdas.
-  EXPECT_EQ(r.count_of("shared-accumulator"), 15);
+  // 3 nested_lambdas + 1 multi_declarator.
+  EXPECT_EQ(r.count_of("shared-accumulator"), 16);
   EXPECT_EQ(r.count_of("nondeterminism-source"), 5);  // 4 + rand() above
   EXPECT_EQ(r.count_of("wall-clock-in-superstep"), 2);
   EXPECT_EQ(r.count_of("raw-fd-in-superstep"), 3);
   EXPECT_EQ(r.suppressed_count(), 3);
-  EXPECT_EQ(r.files_scanned, 13);
+  EXPECT_EQ(r.files_scanned, 14);
 }
 
 // --- API-level cases ---------------------------------------------------------

@@ -230,8 +230,8 @@ pmesh::DistMesh make_dist_mesh(int boxn, Rank p) {
 }
 
 TEST(CrossEngine, SolverSweepBitIdentical) {
-  const Rank p = 6;
   auto sweep = [&](Engine& eng) {
+    const Rank p = eng.nranks();
     auto dm = make_dist_mesh(6, p);
     pmesh::ParallelEulerSolver solver(&dm, &eng);
     solver::BlastSpec blast;
@@ -239,23 +239,36 @@ TEST(CrossEngine, SolverSweepBitIdentical) {
     for (Rank r = 0; r < p; ++r) {
       solver::init_blast(dm.local(r).mesh, solver.solution(r), blast);
     }
-    solver.run(5);
+    std::vector<std::pair<double, std::vector<std::int64_t>>> infos;
+    for (int s = 0; s < 5; ++s) {
+      auto info = solver.step();
+      infos.emplace_back(info.dt, std::move(info.edge_flux_evals));
+    }
     solver.validate_replication();
     std::vector<std::vector<double>> rho(static_cast<std::size_t>(p));
     for (Rank r = 0; r < p; ++r) rho[static_cast<std::size_t>(r)] = solver.density_field(r);
-    return std::make_tuple(solver.totals(), std::move(rho), eng.ledger());
+    return std::make_tuple(solver.totals(), std::move(rho), std::move(infos),
+                           eng.ledger());
   };
 
-  Engine seq(p);
-  ParallelEngine par(p, 4);
-  const auto [t_seq, rho_seq, led_seq] = sweep(seq);
-  const auto [t_par, rho_par, led_par] = sweep(par);
+  // P=6 on 4 threads, and P=8 on 2/3/4 threads: more ranks than workers
+  // and an uneven rank-to-thread split.
+  const std::pair<Rank, int> configs[] = {{6, 4}, {8, 2}, {8, 3}, {8, 4}};
+  for (const auto& [p, threads] : configs) {
+    Engine seq(p);
+    ParallelEngine par(p, threads);
+    const auto [t_seq, rho_seq, info_seq, led_seq] = sweep(seq);
+    const auto [t_par, rho_par, info_par, led_par] = sweep(par);
 
-  // Bit-identical floating point: accumulation order is fixed by the
-  // sender-ordered delivery contract, so == (not near) is correct.
-  for (int c = 0; c < solver::kNumVars; ++c) EXPECT_EQ(t_par[c], t_seq[c]);
-  EXPECT_EQ(rho_par, rho_seq);
-  EXPECT_EQ(led_par, led_seq);
+    // Bit-identical floating point: accumulation order is fixed by the
+    // sender-ordered delivery contract, so == (not near) is correct.
+    for (int c = 0; c < solver::kNumVars; ++c) {
+      EXPECT_EQ(t_par[c], t_seq[c]) << "P=" << p << " threads=" << threads;
+    }
+    EXPECT_EQ(rho_par, rho_seq) << "P=" << p << " threads=" << threads;
+    EXPECT_EQ(info_par, info_seq) << "P=" << p << " threads=" << threads;
+    EXPECT_EQ(led_par, led_seq) << "P=" << p << " threads=" << threads;
+  }
 }
 
 TEST(CrossEngine, ParallelMarkAndRefineIdentical) {

@@ -162,5 +162,31 @@ TEST(ParallelSolver, FluxWorkIsDisjointAcrossRanks) {
   EXPECT_EQ(total, 2 * global.num_active_edges());
 }
 
+TEST(ParallelSolver, StepIsOneFourSuperstepProgramChargingItsFluxWork) {
+  // One step = CFL min, stage-1 flux, stage-1 update + stage-2 flux, final
+  // update; the flux supersteps charge exactly the edges they evaluate.
+  const Rank P = 4;
+  auto global = mesh::make_box_mesh(mesh::small_box(3));
+  const auto part = partition_roots(global, P);
+  DistMesh dm(global, part, P);
+  rt::Engine eng(P);
+  ParallelEulerSolver par(&dm, &eng);
+  for (int s = 0; s < 2; ++s) {
+    const std::size_t lo = eng.ledger().steps.size();
+    const auto info = par.step();
+    const auto& steps = eng.ledger().steps;
+    ASSERT_EQ(steps.size(), lo + 4);
+    for (Rank r = 0; r < P; ++r) {
+      std::int64_t units = 0;
+      for (std::size_t k = lo; k < steps.size(); ++k) {
+        units += steps[k][static_cast<std::size_t>(r)].compute_units;
+      }
+      EXPECT_GT(units, 0) << "rank " << r;
+      EXPECT_EQ(units, info.edge_flux_evals[static_cast<std::size_t>(r)])
+          << "rank " << r;
+    }
+  }
+}
+
 }  // namespace
 }  // namespace plum::pmesh

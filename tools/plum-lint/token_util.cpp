@@ -1,5 +1,7 @@
 #include "token_util.hpp"
 
+#include <algorithm>
+
 namespace plumlint {
 
 const std::set<std::string>& type_keywords() {
@@ -109,6 +111,31 @@ DeclNames try_parse_decl(const Tokens& t, std::size_t i) {
       nx == ",") {
     out.names.push_back(t[j].text);
     out.matched = true;
+  }
+  if (!out.matched || nx == ":") return out;  // range-for / bit-field
+  // Further declarators: `const double pa = f(a), pb = f(b);`. Skip each
+  // initializer (balanced ()/{}/[]/<> groups) to the next top-level comma.
+  for (std::size_t k = j + 1; t[k].kind != Tok::End;) {
+    const std::string& x = t[k].text;
+    if (x == ";" || x == ")" || x == "}" || x == "]") break;
+    if (x == "(" || x == "{" || x == "[") {
+      const char* close = x == "(" ? ")" : x == "{" ? "}" : "]";
+      k = std::min(match_forward(t, k, x.c_str(), close) + 1, t.size() - 1);
+      continue;
+    }
+    if (x == "<" && t[k - 1].kind == Tok::Ident) {
+      k = skip_template(t, k);
+      continue;
+    }
+    ++k;
+    if (x != ",") continue;
+    while (is(t[k], "&") || is(t[k], "*") || is(t[k], "const")) ++k;
+    const std::string& after = t[k + 1].text;
+    if (t[k].kind == Tok::Ident &&
+        (after == "=" || after == "(" || after == "{" || after == ";" ||
+         after == ",")) {
+      out.names.push_back(t[k].text);
+    }
   }
   return out;
 }

@@ -49,8 +49,9 @@ struct DeclNames {
 
 /// Tries to parse a declaration starting at `i` (statement start). Handles
 /// `const T& x = ...`, `std::vector<T> x(...)`, `auto it = ...`,
-/// structured bindings `const auto& [a, b] : ...`, and multi-keyword
-/// fundamentals. Does not need to be complete — misses only make the
+/// structured bindings `const auto& [a, b] : ...`, multi-keyword
+/// fundamentals, and every top-level declarator of `T a = f(x), b = g(y);`
+/// (initializers are skipped as balanced groups). Does not need to be complete — misses only make the
 /// mutation checks slightly stricter, never looser.
 DeclNames try_parse_decl(const Tokens& t, std::size_t i);
 
