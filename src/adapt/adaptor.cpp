@@ -12,7 +12,8 @@ const MarkingResult& MeshAdaptor::mark(const std::vector<char>& seed_marks) {
 
 const MarkingResult& MeshAdaptor::mark_fraction(const std::vector<double>& err,
                                                 double fraction) {
-  return mark(mark_top_fraction(*mesh_, err, fraction));
+  return mark(mark_above(
+      *mesh_, err, refine_threshold(active_values(*mesh_, err), fraction)));
 }
 
 PredictedWeights MeshAdaptor::predicted_weights() const {

@@ -32,7 +32,8 @@ class MeshAdaptor {
   /// result for the subsequent refine() and weight prediction.
   const MarkingResult& mark(const std::vector<char>& seed_marks);
 
-  /// Convenience: marks the top `fraction` of active edges by `err`.
+  /// Convenience: marks at most `fraction` of the active edges, the
+  /// highest-error ones, by the shared refine_threshold rule.
   const MarkingResult& mark_fraction(const std::vector<double>& err,
                                      double fraction);
 

@@ -168,22 +168,24 @@ CoarsenStats coarsen_mesh(
   // --- 4. Re-refine: reinstated parents whose edges are still bisected get
   //        subdivided again ("the refinement routine is then invoked to
   //        generate a valid mesh from the vertices left after coarsening").
-  std::vector<char> remark(static_cast<std::size_t>(mesh.num_edges()), 0);
-  bool any = false;
-  for (Index t = 0; t < mesh.num_elements(); ++t) {
-    const auto& el = mesh.element(t);
-    if (!el.alive || !el.is_leaf()) continue;
-    for (Index e : el.edges) {
-      if (!mesh.edge(e).is_leaf()) {
-        remark[static_cast<std::size_t>(e)] = 1;
-        any = true;
+  //        A re-refined parent's children can in turn hold an edge that a
+  //        neighbor bisected deeper, so repeat until no leaf holds one.
+  for (;;) {
+    std::vector<char> remark(static_cast<std::size_t>(mesh.num_edges()), 0);
+    bool any = false;
+    for (Index t = 0; t < mesh.num_elements(); ++t) {
+      const auto& el = mesh.element(t);
+      if (!el.alive || !el.is_leaf()) continue;
+      for (Index e : el.edges) {
+        if (!mesh.edge(e).is_leaf()) {
+          remark[static_cast<std::size_t>(e)] = 1;
+          any = true;
+        }
       }
     }
-  }
-  if (any) {
+    if (!any) break;
     const MarkingResult marks2 = propagate_marks(mesh, remark);
-    const RefineStats rs = refine_mesh(mesh, marks2);
-    stats.resubdivided_children = rs.children_created;
+    stats.resubdivided_children += refine_mesh(mesh, marks2).children_created;
   }
   return stats;
 }

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <functional>
+#include <limits>
 #include <numeric>
 
 #include "util/assert.hpp"
@@ -72,6 +74,52 @@ std::vector<char> mark_top_fraction(const mesh::TetMesh& mesh,
     marks[static_cast<std::size_t>(active[i])] = 1;
   }
   return marks;
+}
+
+std::vector<double> active_values(const mesh::TetMesh& mesh,
+                                  const std::vector<double>& err) {
+  std::vector<double> values;
+  for (Index e = 0; e < mesh.num_edges(); ++e) {
+    if (!mesh.edge_elements(e).empty()) {
+      values.push_back(err[static_cast<std::size_t>(e)]);
+    }
+  }
+  return values;
+}
+
+namespace {
+
+/// The k-th value (0-based) in `before` order; values must be non-empty.
+template <class Before>
+double order_statistic(std::vector<double> values, std::size_t k,
+                       Before before) {
+  k = std::min(k, values.size() - 1);
+  const auto kth = values.begin() + static_cast<std::ptrdiff_t>(k);
+  std::nth_element(values.begin(), kth, values.end(), before);
+  return *kth;
+}
+
+std::size_t fraction_count(std::size_t n, double fraction) {
+  PLUM_ASSERT(fraction >= 0.0 && fraction <= 1.0);
+  return static_cast<std::size_t>(fraction * static_cast<double>(n));
+}
+
+}  // namespace
+
+double refine_threshold(std::vector<double> values, double fraction) {
+  const std::size_t want = fraction_count(values.size(), fraction);
+  if (want == 0) return std::numeric_limits<double>::max();
+  return order_statistic(std::move(values), want, std::greater<>());
+}
+
+double coarsen_threshold(std::vector<double> values, double fraction) {
+  const std::size_t want = fraction_count(values.size(), fraction);
+  if (want == 0) return std::numeric_limits<double>::lowest();
+  // Just above the want-th lowest value: strictly below it are that value
+  // and everything lower.
+  return std::nextafter(
+      order_statistic(std::move(values), want - 1, std::less<>()),
+      std::numeric_limits<double>::max());
 }
 
 }  // namespace plum::adapt

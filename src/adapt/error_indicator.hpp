@@ -32,4 +32,24 @@ std::vector<char> mark_top_fraction(const mesh::TetMesh& mesh,
                                     const std::vector<double>& err,
                                     double fraction);
 
+/// err restricted to the active edges, in edge order.
+std::vector<double> active_values(const mesh::TetMesh& mesh,
+                                  const std::vector<double>& err);
+
+/// The marking rule both framework drivers share. `values` holds the error
+/// of every active edge exactly once; mark_above(refine_threshold(...))
+/// targets the edges strictly above the (floor(fraction * n) + 1)-th
+/// largest value, i.e. at most floor(fraction * n) edges, leaving ties at
+/// the cut unmarked. The cut depends on the values only, never on edge
+/// numbering, so a distributed run (each rank contributing the edges it
+/// owns) marks exactly the edges a single-address-space run marks. Returns
+/// +max when the fraction selects no edge.
+double refine_threshold(std::vector<double> values, double fraction);
+
+/// The rule for coarsening: mark_below(coarsen_threshold(...)) targets the
+/// floor(fraction * n) lowest-error edges plus every edge tied with the
+/// last of them, so a quiet region of equal (e.g. zero) error coarsens as
+/// a whole. Returns lowest() when the fraction selects no edge.
+double coarsen_threshold(std::vector<double> values, double fraction);
+
 }  // namespace plum::adapt

@@ -1,116 +1,46 @@
 #include "core/framework.hpp"
 
-#include <algorithm>
 #include <cmath>
+#include <limits>
 #include <set>
 #include <utility>
 
-#include "obs/critical_path.hpp"
-#include "partition/quality.hpp"
-#include "util/assert.hpp"
 #include "util/stats.hpp"
+#include "util/timer.hpp"
 
 namespace plum::core {
 
-namespace {
-
-/// Per-processor sums of `weights` under `part` composed with an optional
-/// partition->processor map.
-std::vector<Weight> proc_sums(const partition::PartVec& part,
-                              const std::vector<Weight>& weights,
-                              Rank nprocs,
-                              const std::vector<Rank>* part_to_proc) {
-  // plum-scale: host-only -- sequential PLUM driver load table
-  std::vector<Weight> loads(static_cast<std::size_t>(nprocs), 0);
-  for (std::size_t v = 0; v < part.size(); ++v) {
-    const Rank p = part_to_proc
-                       ? (*part_to_proc)[static_cast<std::size_t>(part[v])]
-                       : part[v];
-    loads[static_cast<std::size_t>(p)] += weights[v];
-  }
-  return loads;
-}
-
-remap::Assignment run_mapper(MapperKind kind,
-                             const remap::SimilarityMatrix& S, double alpha,
-                             double beta) {
-  switch (kind) {
-    case MapperKind::kHeuristicGreedy: return remap::map_heuristic_greedy(S);
-    case MapperKind::kOptimalMwbg: return remap::map_optimal_mwbg(S);
-    case MapperKind::kOptimalBmcm:
-      return remap::map_optimal_bmcm(S, alpha, beta);
-  }
-  PLUM_ASSERT(false);
-  return {};
-}
-
-}  // namespace
-
 Framework::Framework(mesh::TetMesh mesh, FrameworkOptions opt)
-    : opt_(opt),
-      mesh_(std::make_unique<mesh::TetMesh>(std::move(mesh))),
-      mem_(opt.nranks, opt.arena_chunk_bytes) {
-  PLUM_ASSERT(opt_.nranks >= 1);
-  PLUM_ASSERT(opt_.partitions_per_proc >= 1);
-  // Phase stamps follow the trace scopes; the heap section joins
-  // trace().to_json().
-  trace_.set_memory_tracker(&mem_);
-  if (!opt_.replay_path.empty()) {
-    std::string err;
-    const bool loaded =
-        sim::ReplayBook::load(opt_.replay_path, &replay_book_, &err);
-    PLUM_ASSERT_MSG(loaded, "replay book failed to load");
-    replay_ = true;
-    opt_.calibration.enabled = true;
-  }
-  calib_ = sim::Calibration(opt_.machine, opt_.calibration);
-
+    : Driver(mesh, std::move(opt)),
+      mesh_(std::make_unique<mesh::TetMesh>(std::move(mesh))) {
   solver_ = std::make_unique<solver::EulerSolver>(mesh_.get());
   adaptor_ = std::make_unique<adapt::MeshAdaptor>(mesh_.get());
   mesh_->on_bisect = [this](Index e, Index mid) {
     solver_->interpolate_midpoint(e, mid);
   };
-
-  dual_ = mesh_->build_initial_dual();
-  const auto w = mesh_->root_weights();
-  dual_.set_weights(w.wcomp, w.wremap);
-
-  partition::MultilevelOptions popt;
-  popt.nparts = opt_.nranks;  // initial mapping: one partition per processor
-  popt.seed = opt_.seed;
-  popt.scratch = mem_.host_scratch();  // serial phase: host row
-  root_part_ = partition::partition(dual_, popt).part;
-  mem_.reset_arenas();  // constructor scratch dies here
 }
 
 std::vector<Weight> Framework::processor_loads() const {
-  const auto w = mesh_->root_weights();
-  return proc_sums(root_part_, w.wcomp, opt_.nranks, nullptr);
+  return proc_sums(balancer_.owner(), mesh_->root_weights().wcomp,
+                   opt_.nranks);
 }
 
 CycleReport Framework::cycle() {
+  const Timer cycle_timer;  // wall_s of the plum-scope stream record
+  const sim::MachineParams mp = begin_cycle();
   CycleReport rep;
-  // Scratch-memory contract: phase scratch never outlives the cycle, so
-  // rewinding here makes steady-state cycles reuse-only (zero chunk traffic).
-  mem_.reset_arenas();
   rep.elements_before = mesh_->num_active_elements();
-  const int this_cycle = cycle_index_;
-  // Price this cycle with the calibrated constants; while calibration is
-  // disabled the model equals the static opt_.machine, so nothing changes.
-  const sim::CostModel cm = calib_.model();
-  const sim::MachineParams& mp = cm.params();
 
   // --- 1. flow solver -------------------------------------------------------
-  Weight solve_wmax = 0;
-  const std::size_t solve_phase = trace_.phases().size();
+  std::vector<Weight> solve_loads;
   {
     obs::PhaseScope ph(trace_, "solve");
     rep.solver_work = solver_->run(opt_.solver_steps_per_cycle);
+    solve_loads = processor_loads();
     // Modeled SP2 time: iterations on the bottleneck processor.
-    solve_wmax = vec_max(processor_loads());
     ph.set_modeled_seconds(mp.t_iter *
                            static_cast<double>(opt_.solver_steps_per_cycle) *
-                           static_cast<double>(solve_wmax));
+                           static_cast<double>(vec_max(solve_loads)));
   }
 
   // --- 1b. coarsening phase (Fig. 1: the old mesh shrinks before the
@@ -118,19 +48,18 @@ CycleReport Framework::cycle() {
   //         solver state follows the vertex map) -----------------------------
   if (opt_.coarsen_fraction > 0) {
     obs::PhaseScope ph(trace_, "coarsen");
-    const auto cerr_field =
-        adapt::edge_error(*mesh_, solver_->density_field(), 1.0);
-    // Lowest-error fraction: invert the ranking used for refinement.
-    std::vector<double> neg(cerr_field.size());
-    for (std::size_t e = 0; e < neg.size(); ++e) neg[e] = -cerr_field[e];
-    const auto cmarks =
-        adapt::mark_top_fraction(*mesh_, neg, opt_.coarsen_fraction);
-    const Index before = mesh_->num_active_elements();
-    adaptor_->coarsen(cmarks, [this](const std::vector<Index>& map) {
-      solver_->remap_solution(map);
-    });
-    solver_->rebuild();
-    rep.elements_coarsened = before - mesh_->num_active_elements();
+    const auto err = adapt::edge_error(*mesh_, solver_->density_field(), 1.0);
+    const double low = adapt::coarsen_threshold(
+        adapt::active_values(*mesh_, err), opt_.coarsen_fraction);
+    if (low > std::numeric_limits<double>::lowest()) {
+      adaptor_->coarsen(adapt::mark_below(*mesh_, err, low),
+                        [this](const std::vector<Index>& map) {
+                          solver_->remap_solution(map);
+                        });
+      solver_->rebuild();
+      rep.elements_coarsened =
+          rep.elements_before - mesh_->num_active_elements();
+    }
   }
 
   // --- 2. edge marking from the flow solution -------------------------------
@@ -138,245 +67,68 @@ CycleReport Framework::cycle() {
     obs::PhaseScope ph(trace_, "mark");
     const auto err = adapt::edge_error(*mesh_, solver_->density_field(), 1.0);
     const auto& marks = adaptor_->mark_fraction(err, opt_.refine_fraction);
-    rep.mark_propagation_rounds = marks.propagation_rounds;
+    rep.mark_rounds = marks.propagation_rounds;
     // One marking sweep plus one per propagation round.
     ph.set_modeled_seconds(
         mp.t_mark * static_cast<double>(mesh_->num_active_elements()) *
         static_cast<double>(1 + marks.propagation_rounds));
   }
 
-  // --- 3. balance evaluation on the *predicted* weights ----------------------
-  const auto current = mesh_->root_weights();
-  const auto predicted = adaptor_->predicted_weights();
-  // Optional calibration feedback: scale each owner's predicted Wcomp by
-  // its measured per-element solve seconds (no-op unless
-  // calibration.blend_measured_weights has observed per-rank data).
-  auto wcomp_bal = predicted.wcomp;
-  sim::blend_weights(wcomp_bal, root_part_, calib_.rank_weight_scale());
-  // Predicted weights drive both the repartitioner (below) and the
-  // end-of-cycle quality gauges, so install them unconditionally.
-  dual_.set_weights(wcomp_bal, predicted.wremap);
-  const auto loads_old = proc_sums(root_part_, wcomp_bal, opt_.nranks, nullptr);
-  rep.imbalance_old = imbalance(loads_old);
-  rep.wmax_old = vec_max(loads_old);
-
-  obs::GateRecord gate_rec;
-  gate_rec.cycle = this_cycle;
-  gate_rec.metric = sim::cost_metric_name(opt_.metric);
-  gate_rec.imbalance_old = rep.imbalance_old;
-
-  std::size_t remap_phase = 0;
-  bool have_remap_phase = false;
-  if (rep.imbalance_old > opt_.imbalance_trigger) {
-    rep.evaluated_repartition = true;
-    obs::PhaseScope gate(trace_, "gate");
-
-    // --- 4. repartition the dual graph (warm start, paper §4.2) ------------
-    partition::MultilevelOptions popt;
-    popt.nparts = opt_.nranks * opt_.partitions_per_proc;
-    popt.seed = opt_.seed;
-    popt.scratch = mem_.host_scratch();  // serial phase: host row
-    partition::MultilevelResult repart;
-    {
-      obs::PhaseScope ph(trace_, "repartition");
-      // Warm start only applies when partition count matches the current
-      // mapping's granularity (F = 1); otherwise partition from scratch.
-      repart = opt_.partitions_per_proc == 1
-                   ? partition::repartition(dual_, root_part_, popt)
-                   : partition::partition(dual_, popt);
-      ph.set_modeled_seconds(cm.partition_seconds(
-          dual_.num_vertices(), static_cast<int>(repart.levels.size()),
-          opt_.nranks));
-    }
-    rep.used_previous_partition = repart.used_previous;
-
-    // --- 5. processor reassignment (similarity matrix + mapper) ------------
-    // Remap-before moves the current (small) trees; remap-after would move
-    // the post-subdivision trees.
-    const auto& move_w =
-        opt_.remap_before_subdivision ? current.wremap : predicted.wremap;
-    const auto S = remap::SimilarityMatrix::build(
-        root_part_, repart.part, move_w, opt_.nranks, popt.nparts);
-    remap::Assignment assign;
-    {
-      obs::PhaseScope ph(trace_, "reassign");
-      assign = run_mapper(opt_.mapper, S, opt_.machine.alpha,
-                          opt_.machine.beta);
-    }
-    rep.mapper_seconds = assign.solve_seconds;
-    rep.volume = remap::evaluate_assignment(S, assign, opt_.machine.alpha,
-                                            opt_.machine.beta);
-
-    // --- 6. gain vs cost gate (paper §4.5 / §4.6) ---------------------------
-    const auto loads_new =
-        proc_sums(repart.part, wcomp_bal, opt_.nranks, &assign.part_to_proc);
-    rep.imbalance_new = imbalance(loads_new);
-    rep.wmax_new = vec_max(loads_new);
-
-    // Subdivision work per processor = predicted growth of the trees.
-    std::vector<Weight> growth(current.wremap.size());
-    for (std::size_t v = 0; v < growth.size(); ++v) {
-      growth[v] = predicted.wremap[v] - current.wremap[v];
-    }
-    const Weight ref_old =
-        vec_max(proc_sums(root_part_, growth, opt_.nranks, nullptr));
-    const Weight ref_new = vec_max(
-        proc_sums(repart.part, growth, opt_.nranks, &assign.part_to_proc));
-
-    rep.gain_seconds =
-        cm.computational_gain(rep.wmax_old, rep.wmax_new, ref_old, ref_new);
-    rep.cost_seconds = cm.redistribution_cost(rep.volume, opt_.metric);
-
-    gate_rec.evaluated = true;
-    gate_rec.imbalance_new = rep.imbalance_new;
-    gate_rec.gain_s = rep.gain_seconds;
-    gate_rec.cost_s = rep.cost_seconds;
-    gate_rec.moved_elems = opt_.metric == sim::CostMetric::kTotalV
-                               ? rep.volume.total_elems
-                               : rep.volume.bottleneck_elems;
-    gate_rec.moved_sets = opt_.metric == sim::CostMetric::kTotalV
-                              ? rep.volume.total_sets
-                              : rep.volume.bottleneck_sets;
-    gate_rec.predicted_move_bytes =
-        cm.predicted_move_bytes(rep.volume, opt_.metric);
-
-    if (cm.accept_remap(rep.gain_seconds, rep.cost_seconds)) {
-      rep.accepted = true;
-      // --- 7. remap: install the new element->processor ownership ---------
-      remap_phase = trace_.phases().size();
-      have_remap_phase = true;
-      obs::PhaseScope ph(trace_, "remap");
-      ph.set_modeled_seconds(rep.cost_seconds);
-      // Measured data movement: this framework keeps everything in one
-      // address space, so "moved" is the remap weight of every root whose
-      // owner changed plus one framing header per (old, new) owner pair, in
-      // the same bytes the *static* machine constants price — the ground
-      // truth a calibrated prediction is judged against (matches the
-      // prediction exactly under TotalV while uncalibrated; diverges under
-      // MaxV, which prices only the bottleneck processor).
-      Weight moved_w = 0;
-      std::set<std::pair<Rank, Rank>> moved_pairs;
-      for (std::size_t v = 0; v < root_part_.size(); ++v) {
-        const Rank owner =
-            assign.part_to_proc[static_cast<std::size_t>(repart.part[v])];
-        if (owner != root_part_[v]) {
-          moved_w += move_w[v];
-          moved_pairs.insert({root_part_[v], owner});
+  // --- 3-7. balance on the *predicted* weights; an accepted remap installs
+  //          the new ownership --------------------------------------------
+  auto predicted = adaptor_->predicted_weights();
+  const RootLoads w{std::move(predicted.wcomp), std::move(predicted.wremap),
+                    mesh_->root_weights().wremap};
+  // Ownership during subdivision: the new one when the remap precedes it.
+  partition::PartVec refine_owner = balancer_.owner();
+  const obs::GateRecord gate = balancer_.run(
+      opt_, log_, w, trace_, mem_, rep,
+      [&](const partition::PartVec& new_owner,
+          const std::vector<Weight>& move_w) -> std::int64_t {
+        obs::PhaseScope ph(trace_, "remap");
+        ph.set_modeled_seconds(rep.cost_seconds);
+        if (opt_.remap_before_subdivision) refine_owner = new_owner;
+        // Measured data movement: this driver keeps everything in one
+        // address space, so "moved" is the remap weight of every root whose
+        // owner changed plus one framing header per (old, new) owner pair,
+        // in the bytes the *static* machine constants price — the ground
+        // truth a calibrated prediction is judged against (equal to the
+        // prediction under TotalV while uncalibrated; MaxV prices only the
+        // bottleneck processor).
+        const auto& owner = balancer_.owner();
+        std::set<std::pair<Rank, Rank>> pairs;
+        for (std::size_t v = 0; v < owner.size(); ++v) {
+          if (new_owner[v] == owner[v]) continue;
+          rep.elements_migrated += move_w[v];
+          pairs.insert({owner[v], new_owner[v]});
         }
-        root_part_[v] = owner;
-      }
-      gate_rec.accepted = true;
-      gate_rec.measured_move_bytes =
-          static_cast<std::int64_t>(opt_.machine.words_per_element) * moved_w *
-              8 +
-          std::llround(opt_.machine.bytes_per_set *
-                       static_cast<double>(moved_pairs.size()));
-      gate_rec.drift = obs::gate_drift(gate_rec.predicted_move_bytes,
-                                       gate_rec.measured_move_bytes);
-    }
-  }
-  trace_.add_gate_record(gate_rec);
-
-  // --- live paper-metric gauges (one sample per series per cycle) -----------
-  {
-    const auto q = partition::evaluate_quality(dual_, root_part_, opt_.nranks);
-    metrics_.add_sample("imbalance", q.imbalance);
-    metrics_.add_sample_int("edge_cut", q.edge_cut);
-    for (const auto& [name, value] : remap::volume_fields(rep.volume)) {
-      metrics_.add_sample_int(name, value);
-    }
-  }
-  ++cycle_index_;
+        return static_cast<std::int64_t>(opt_.machine.words_per_element) *
+                   rep.elements_migrated * 8 +
+               std::llround(opt_.machine.bytes_per_set *
+                            static_cast<double>(pairs.size()));
+      });
+  log_.gauges(balancer_.dual(), balancer_.owner(), rep.volume);
 
   // --- 8. subdivision ---------------------------------------------------------
-  Weight refine_bottleneck = 0;
-  const std::size_t subdivide_phase = trace_.phases().size();
   {
     obs::PhaseScope ph(trace_, "subdivide");
     adaptor_->refine(mem_.host_scratch());
     solver_->rebuild();
-    // Modeled SP2 time: bottleneck processor's tree growth under the final
-    // ownership (matches the gate's ref_old/ref_new arithmetic).
-    std::vector<Weight> growth(current.wremap.size());
+    // Subdivision work per processor: its trees' growth under the
+    // ownership in force while subdividing (the gate's refine-work
+    // arithmetic).
+    std::vector<Weight> growth(w.wremap_cur.size());
     for (std::size_t v = 0; v < growth.size(); ++v) {
-      growth[v] = predicted.wremap[v] - current.wremap[v];
+      growth[v] = w.wremap_pred[v] - w.wremap_cur[v];
     }
-    refine_bottleneck =
-        vec_max(proc_sums(root_part_, growth, opt_.nranks, nullptr));
-    ph.set_modeled_seconds(mp.t_refine *
-                           static_cast<double>(refine_bottleneck));
+    rep.refine_work_per_rank = proc_sums(refine_owner, growth, opt_.nranks);
+    ph.set_modeled_seconds(
+        mp.t_refine * static_cast<double>(vec_max(rep.refine_work_per_rank)));
   }
   rep.elements_after = mesh_->num_active_elements();
 
-  // --- close the loop: feed this cycle's telemetry to the calibrator --------
-  // Seconds come from the replay book (deterministic) or the wall clock
-  // (live); the work and byte terms are deterministic counters either way.
-  const double solve_wall_s = trace_.phases()[solve_phase].wall_s;
-  const double remap_wall_s =
-      have_remap_phase ? trace_.phases()[remap_phase].wall_s : 0.0;
-  const double subdivide_wall_s = trace_.phases()[subdivide_phase].wall_s;
-  if (opt_.calibration.enabled) {
-    sim::CalibrationSample cs;
-    cs.cycle = this_cycle;
-    cs.solve_work = static_cast<std::int64_t>(opt_.solver_steps_per_cycle) *
-                    solve_wmax;
-    cs.refine_children = refine_bottleneck;
-    if (replay_) {
-      if (static_cast<std::size_t>(this_cycle) < replay_book_.cycles.size()) {
-        const sim::ReplayCycle& bc =
-            replay_book_.cycles[static_cast<std::size_t>(this_cycle)];
-        cs.solve_seconds = bc.solve_seconds;
-        cs.remap_seconds = bc.remap_seconds;
-        cs.subdivide_seconds = bc.subdivide_seconds;
-        cs.rank_solve_seconds = bc.rank_solve_seconds;
-      }
-      // Past the end of the book: no timing evidence this cycle; the byte
-      // fit below still runs (it is counter-sourced).
-    } else {
-      cs.solve_seconds = solve_wall_s;
-      cs.remap_seconds = remap_wall_s;
-      cs.subdivide_seconds = subdivide_wall_s;
-    }
-    if (rep.accepted) {
-      cs.remap_executed = true;
-      cs.moved_elems = gate_rec.moved_elems;
-      cs.moved_sets = gate_rec.moved_sets;
-      cs.predicted_move_bytes = gate_rec.predicted_move_bytes;
-      cs.measured_move_bytes = gate_rec.measured_move_bytes;
-    }
-    calib_.observe(cs);
-    // The calibration document joins the trace; under replay it is a pure
-    // function of deterministic inputs, so it may enter the deterministic
-    // view (and the per-constant gauges below) without breaking the
-    // cross-engine byte-identity contract.
-    trace_.set_calibration(calib_.to_json(), /*deterministic=*/replay_);
-    if (replay_) {
-      const sim::MachineParams& cp = calib_.params();
-      metrics_.add_sample("calib_t_iter", cp.t_iter);
-      metrics_.add_sample("calib_t_refine", cp.t_refine);
-      metrics_.add_sample("calib_t_lat", cp.t_lat);
-      metrics_.add_sample("calib_t_setup", cp.t_setup);
-      metrics_.add_sample("calib_bytes_per_element",
-                          calib_.model().move_bytes_per_element());
-      metrics_.add_sample("calib_bytes_per_set", cp.bytes_per_set);
-      metrics_.add_sample("calib_gate_margin", cp.gate_margin);
-      metrics_.add_sample("calib_mean_abs_drift", calib_.mean_abs_drift());
-    }
-  }
-  // Record this cycle into the replay log regardless: any instrumented run
-  // can hand its measured book to a later deterministic replay.
-  {
-    sim::ReplayCycle rc;
-    rc.solve_seconds = solve_wall_s;
-    rc.remap_seconds = remap_wall_s;
-    rc.subdivide_seconds = subdivide_wall_s;
-    replay_log_.cycles.push_back(std::move(rc));
-  }
-
-  // Per-cycle fixed-bound histogram: wall seconds of every phase closed
-  // this cycle (this framework runs in one address space, so there are no
-  // per-rank superstep records to decompose — DistFramework adds those).
-  obs::record_phase_histograms(metrics_, trace_, &hist_phase_cursor_);
+  log_.end(rep, gate, {solve_loads.begin(), solve_loads.end()}, trace_, mem_,
+           {}, cycle_timer.seconds());
   return rep;
 }
 

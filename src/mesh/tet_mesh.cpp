@@ -480,6 +480,8 @@ void TetMesh::validate() const {
   for (Index e = 0; e < num_edges(); ++e) {
     PLUM_ASSERT_MSG(static_cast<Index>(e2elem_[e].size()) == expect[e],
                     "stale edge->element list");
+    PLUM_ASSERT_MSG(expect[e] == 0 || edges_[e].is_leaf(),
+                    "leaf element holds a bisected edge (hanging node)");
     for (Index t : e2elem_[e]) {
       PLUM_ASSERT(elements_[t].alive && elements_[t].is_leaf());
     }

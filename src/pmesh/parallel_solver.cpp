@@ -334,8 +334,12 @@ ParallelEulerSolver::StepInfo ParallelEulerSolver::step() {
   return info;
 }
 
-void ParallelEulerSolver::run(int nsteps) {
-  for (int i = 0; i < nsteps; ++i) step();
+std::int64_t ParallelEulerSolver::run(int nsteps) {
+  std::int64_t work = 0;
+  for (int i = 0; i < nsteps; ++i) {
+    for (const std::int64_t w : step().edge_flux_evals) work += w;
+  }
+  return work;
 }
 
 State ParallelEulerSolver::totals() const {

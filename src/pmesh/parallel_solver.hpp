@@ -43,7 +43,8 @@ class ParallelEulerSolver {
   };
   StepInfo step();
 
-  void run(int nsteps);
+  /// Runs n steps; returns the edge flux evaluations summed over ranks.
+  std::int64_t run(int nsteps);
 
   /// Per-rank conserved states (indexed by local vertex id).
   [[nodiscard]] const std::vector<solver::State>& solution(Rank r) const {

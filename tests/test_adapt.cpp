@@ -4,7 +4,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <limits>
 
 #include "adapt/adaptor.hpp"
 #include "adapt/geometry_marking.hpp"
@@ -363,6 +365,89 @@ TEST(ErrorIndicator, ThresholdMarking) {
   const auto below = mark_below(m, err, 0.05);
   EXPECT_TRUE(below[m.find_edge(0, 3)]);
   EXPECT_FALSE(below[m.find_edge(0, 2)]);
+}
+
+// The drivers' shared marking rule: a cut on the values alone, so any
+// order (or split) of the same values marks the same edges.
+TEST(ErrorIndicator, FractionThresholdsDependOnValuesOnly) {
+  const std::vector<double> v = {5, 1, 3, 3, 9, 0, 0, 0, 7, 3};
+  // floor(0.3 * 10) = 3 edges (9, 7, 5): strictly above the 4th largest.
+  EXPECT_EQ(refine_threshold(v, 0.3), 3.0);
+  // Ties at the cut stay unmarked: the 4th and 5th largest are both 3.
+  EXPECT_EQ(refine_threshold({3, 3, 3, 1}, 0.5), 3.0);
+  // Coarsening takes the 2 lowest plus their ties: every 0.
+  const double low = coarsen_threshold(v, 0.2);
+  EXPECT_EQ(std::count_if(v.begin(), v.end(), [&](double x) { return x < low; }),
+            3);
+  EXPECT_LT(0.0, low);
+  EXPECT_LT(low, 1.0);
+  // A fraction that selects no edge marks nothing.
+  EXPECT_EQ(refine_threshold(v, 0.05), std::numeric_limits<double>::max());
+  EXPECT_EQ(coarsen_threshold(v, 0.05), std::numeric_limits<double>::lowest());
+  EXPECT_EQ(refine_threshold({}, 0.5), std::numeric_limits<double>::max());
+  auto reversed = v;
+  std::reverse(reversed.begin(), reversed.end());
+  EXPECT_EQ(refine_threshold(reversed, 0.3), refine_threshold(v, 0.3));
+  EXPECT_EQ(coarsen_threshold(reversed, 0.2), coarsen_threshold(v, 0.2));
+}
+
+TEST(MeshAdaptor, MarkFractionUsesTheSharedThreshold) {
+  auto m = make_box_mesh(mesh::small_box(3));
+  std::vector<double> u(static_cast<std::size_t>(m.num_vertices()));
+  for (Index v = 0; v < m.num_vertices(); ++v) {
+    const auto& p = m.vertex(v).pos;
+    u[v] = p.x * p.x + 0.3 * p.y;
+  }
+  const auto err = edge_error(m, u);
+  const auto seeds =
+      mark_above(m, err, refine_threshold(active_values(m, err), 0.1));
+  MeshAdaptor adaptor(&m);
+  const auto& marks = adaptor.mark_fraction(err, 0.1);
+  EXPECT_EQ(marks.edge_marked, propagate_marks(m, seeds).edge_marked);
+  Index seeded = 0;
+  for (char c : seeds) seeded += c;
+  EXPECT_GT(seeded, 0);
+  EXPECT_LE(seeded, static_cast<Index>(0.1 * m.num_active_edges()));
+}
+
+// Coarsening re-refines reinstated parents whose edges stay bisected; a
+// re-refined parent's children can hold an edge bisected deeper still, so
+// the re-refinement must repeat until the mesh is conforming again.
+TEST(Coarsen, RepeatedCyclesLeaveNoHangingEdges) {
+  auto m = make_box_mesh(mesh::small_box(4));
+  std::vector<double> rho;
+  for (Index v = 0; v < m.num_vertices(); ++v) {
+    const auto d = m.vertex(v).pos - mesh::Vec3{0.3, 0.45, 0.55};
+    rho.push_back(1.0 + 0.3 * std::exp(-dot(d, d) / 0.125));
+  }
+  m.on_bisect = [&](Index e, Index mid) {
+    rho.resize(std::max(rho.size(), static_cast<std::size_t>(mid) + 1));
+    rho[mid] = 0.5 * (rho[m.edge(e).v0] + rho[m.edge(e).v1]);
+  };
+  MeshAdaptor ad(&m);
+  for (int cycle = 0; cycle < 3; ++cycle) {
+    const auto err = edge_error(m, rho);
+    ad.coarsen(mark_below(m, err,
+                          coarsen_threshold(active_values(m, err), 0.3)),
+               [&](const std::vector<Index>& map) {
+                 std::vector<double> kept(map.size());
+                 for (std::size_t v = 0; v < map.size(); ++v) {
+                   kept[v] = rho[static_cast<std::size_t>(map[v])];
+                 }
+                 rho = std::move(kept);
+               });
+    int hanging = 0;
+    for (Index t = 0; t < m.num_elements(); ++t) {
+      const auto& el = m.element(t);
+      if (!el.alive || !el.is_leaf()) continue;
+      for (Index e : el.edges) hanging += !m.edge(e).is_leaf();
+    }
+    EXPECT_EQ(hanging, 0) << "cycle " << cycle;
+    m.validate();
+    ad.mark_fraction(edge_error(m, rho), 0.1);
+    ad.refine();
+    m.validate();
+  }
 }
 
 // --- geometric marking ---------------------------------------------------------

@@ -5,6 +5,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <fstream>
+#include <string>
+
 #include "core/framework.hpp"
 #include "mesh/box_mesh.hpp"
 #include "solver/init_conditions.hpp"
@@ -146,6 +150,39 @@ TEST(Framework, SolutionInterpolatedAcrossCycles) {
   for (const auto& s : fw.solver().solution()) {
     EXPECT_GT(s[0], 0.0);  // density positive
   }
+}
+
+// FrameworkOptions::scope_stream means the same in both drivers: one
+// validating plum-scope/1 record per cycle (this driver runs no engine
+// supersteps, so its ranks report zero busy/wait units).
+TEST(Framework, ScopeStreamWritesOneRecordPerCycle) {
+  const std::string stream =
+      ::testing::TempDir() + "serial_scope_stream.ndjson";
+  std::remove(stream.c_str());
+  FrameworkOptions opt;
+  opt.nranks = 3;
+  opt.refine_fraction = 0.08;
+  opt.scope_name = "serial_unit";
+  opt.scope_stream = stream;
+  {
+    auto fw = make_framework(opt);
+    fw.run(2);
+  }
+  std::ifstream in(stream);
+  std::string line;
+  int n = 0;
+  while (std::getline(in, line)) {
+    obs::Json rec;
+    std::string err;
+    ASSERT_TRUE(obs::Json::parse(line, &rec, &err)) << err;
+    ASSERT_EQ(obs::validate_scope_record(rec), "") << line;
+    EXPECT_EQ(rec.find("name")->as_string(), "serial_unit");
+    EXPECT_EQ(rec.find("cycle")->as_int(), n);
+    EXPECT_EQ(rec.find("ranks")->size(), 3u);
+    ++n;
+  }
+  EXPECT_EQ(n, 2);
+  std::remove(stream.c_str());
 }
 
 TEST(Framework, CoarseningPhaseShrinksQuietRegions) {

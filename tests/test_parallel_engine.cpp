@@ -374,7 +374,7 @@ TEST(CrossEngine, DistFrameworkCyclesIdentical) {
       solver::init_blast(fw.dist_mesh().local(r).mesh, fw.solver().solution(r),
                          blast);
     }
-    std::vector<core::DistCycleReport> reps;
+    std::vector<core::CycleReport> reps;
     for (int i = 0; i < 2; ++i) reps.push_back(fw.cycle());
     fw.dist_mesh().validate();
 
@@ -402,7 +402,7 @@ TEST(CrossEngine, DistFrameworkCyclesIdentical) {
   for (std::size_t i = 0; i < rs.size(); ++i) {
     EXPECT_EQ(rp[i].elements_before, rs[i].elements_before);
     EXPECT_EQ(rp[i].elements_after, rs[i].elements_after);
-    EXPECT_EQ(rp[i].mark_comm_rounds, rs[i].mark_comm_rounds);
+    EXPECT_EQ(rp[i].mark_rounds, rs[i].mark_rounds);
     EXPECT_EQ(rp[i].evaluated_repartition, rs[i].evaluated_repartition);
     EXPECT_EQ(rp[i].accepted, rs[i].accepted);
     EXPECT_EQ(rp[i].imbalance_old, rs[i].imbalance_old);
