@@ -379,8 +379,8 @@ std::string write_mem_report() {
   }
 
   // Remap pack staging: rotate every root one rank forward and migrate.
-  // The measuring pass lands on the host row, the per-destination staging
-  // on each rank's row — all attributed to this phase.
+  // Each rank's pack and unpack tables land on its own row — all
+  // attributed to this phase.
   auto global = mesh::make_box_mesh(mesh::small_box(8));
   const auto gdual = global.build_initial_dual();
   partition::MultilevelOptions gpopt;

@@ -111,7 +111,16 @@ TetMesh TetMesh::assemble(std::vector<Vertex> vertices,
   for (Index e = 0; e < m.num_edges(); ++e) {
     m.edge_map_.emplace(edge_key(m.edges_[e].v0, m.edges_[e].v1), e);
   }
-  m.e2elem_.assign(m.edges_.size(), {});
+  // Size every edge's leaf list exactly before filling it.
+  std::vector<Index> leaves(m.edges_.size(), 0);
+  for (const Element& el : m.elements_) {
+    if (!el.alive || !el.is_leaf()) continue;
+    for (Index e : el.edges) ++leaves[static_cast<std::size_t>(e)];
+  }
+  m.e2elem_.resize(m.edges_.size());
+  for (std::size_t e = 0; e < leaves.size(); ++e) {
+    m.e2elem_[e].reserve(static_cast<std::size_t>(leaves[e]));
+  }
   for (Index t = 0; t < m.num_elements(); ++t) {
     const Element& el = m.elements_[t];
     if (el.alive && el.is_leaf()) m.add_to_leaf_lists(t);

@@ -10,13 +10,15 @@ namespace plum::obs {
 
 std::string tag_class_name(int tag) {
   // Keep in sync with the tag conventions of the sending subsystems:
-  // pmesh/migrate.cpp + pmesh/finalize.cpp use tag 0 for bulk payloads,
-  // pmesh/parallel_adapt.cpp uses 1..3, solver/parallel_solver.cpp 11/12
-  // and 111 (metric reply).
+  // pmesh/migrate.cpp (packs) + pmesh/finalize.cpp use tag 0 for bulk
+  // payloads, pmesh/parallel_adapt.cpp uses 1..3,
+  // solver/parallel_solver.cpp 11/12 and 111 (metric reply), and
+  // pmesh/migrate.cpp's SPL directory 21/22.
   if (tag == rt::detail::kCollectiveTag) return "collective";
   if (tag == 0) return "bulk";
   if (tag >= 1 && tag <= 3) return "adapt";
   if (tag == 11 || tag == 12 || tag == 111) return "solver";
+  if (tag == 21 || tag == 22) return "directory";
   return "tag" + std::to_string(tag);
 }
 

@@ -51,10 +51,11 @@ struct CommTotals {
 
 /// Maps a message tag to its subsystem class for reporting. The values
 /// mirror the senders' conventions: rt::detail::kCollectiveTag for
-/// collectives, tag 0 for bulk element/ghost payloads (pmesh migrate +
-/// finalize), 1-3 for the parallel adaption handshakes, 11/12/111 for the
-/// solver halo exchange. Unknown tags render as "tag<N>" rather than
-/// asserting, so traces from future subsystems stay loadable.
+/// collectives, tag 0 for bulk element/ghost payloads (pmesh migrate packs
+/// + finalize), 1-3 for the parallel adaption handshakes, 11/12/111 for the
+/// solver halo exchange, 21/22 for the migration's SPL directory. Unknown
+/// tags render as "tag<N>" rather than asserting, so traces from future
+/// subsystems stay loadable.
 [[nodiscard]] std::string tag_class_name(int tag);
 
 /// {"nranks": P, "msgs": [[...],...], "bytes": [[...],...]} — row-major

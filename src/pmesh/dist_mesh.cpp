@@ -8,30 +8,16 @@ namespace plum::pmesh {
 
 using mesh::TetMesh;
 
-DistMesh::DistMesh(const TetMesh& global, const partition::PartVec& root_part,
-                   Rank nranks) {
-  PLUM_ASSERT(static_cast<Index>(root_part.size()) ==
-              global.num_initial_elements());
-  // plum-scale: dist(P) -- the in-process harness hosts one LocalMesh per simulated rank
-  locals_.resize(static_cast<std::size_t>(nranks));
-
-  // Rank of every element = rank of its root; of every boundary face = rank
-  // of its adjacent element tree.
-  const Index nt = global.num_elements();
-  std::vector<Rank> elem_rank(static_cast<std::size_t>(nt), kNoRank);
-  for (Index t = 0; t < nt; ++t) {
-    const auto& el = global.element(t);
-    if (el.alive) elem_rank[static_cast<std::size_t>(t)] = root_part[el.root];
-  }
-  std::vector<Rank> bface_rank(static_cast<std::size_t>(global.num_bfaces()),
-                               kNoRank);
-  for (Index f = 0; f < global.num_bfaces(); ++f) {
-    const auto& bf = global.bface(f);
+std::vector<Index> bface_roots(const TetMesh& m) {
+  std::vector<Index> root(static_cast<std::size_t>(m.num_bfaces()),
+                          kInvalidIndex);
+  for (Index f = 0; f < m.num_bfaces(); ++f) {
+    const auto& bf = m.bface(f);
     if (!bf.alive || !bf.is_leaf()) continue;
     // Owner: the leaf element containing all three face vertices.
     Index owner = kInvalidIndex;
-    for (Index t : global.edge_elements(bf.edges[0])) {
-      const auto& vs = global.element(t).verts;
+    for (Index t : m.edge_elements(bf.edges[0])) {
+      const auto& vs = m.element(t).verts;
       int hits = 0;
       for (Index fv : bf.verts) {
         for (Index tv : vs) hits += (tv == fv);
@@ -42,17 +28,41 @@ DistMesh::DistMesh(const TetMesh& global, const partition::PartVec& root_part,
       }
     }
     PLUM_ASSERT(owner != kInvalidIndex);
-    bface_rank[static_cast<std::size_t>(f)] =
-        elem_rank[static_cast<std::size_t>(owner)];
+    root[static_cast<std::size_t>(f)] = m.element(owner).root;
   }
-  // Interior bface-tree nodes inherit from any child (children are deeper
+  // Interior face-tree nodes inherit from any child (children are deeper
   // ids, so a reverse sweep sees children first).
-  for (Index f = global.num_bfaces() - 1; f >= 0; --f) {
-    const auto& bf = global.bface(f);
+  for (Index f = m.num_bfaces() - 1; f >= 0; --f) {
+    const auto& bf = m.bface(f);
     if (!bf.alive || bf.is_leaf()) continue;
     PLUM_ASSERT(bf.child[0] != kInvalidIndex);
-    bface_rank[static_cast<std::size_t>(f)] =
-        bface_rank[static_cast<std::size_t>(bf.child[0])];
+    root[static_cast<std::size_t>(f)] =
+        root[static_cast<std::size_t>(bf.child[0])];
+  }
+  return root;
+}
+
+DistMesh::DistMesh(const TetMesh& global, const partition::PartVec& root_part,
+                   Rank nranks) {
+  PLUM_ASSERT(static_cast<Index>(root_part.size()) ==
+              global.num_initial_elements());
+  // plum-scale: dist(P) -- the in-process harness hosts one LocalMesh per simulated rank
+  locals_.resize(static_cast<std::size_t>(nranks));
+
+  // Rank of every element = rank of its root; of every boundary face = rank
+  // of its face tree's root.
+  const Index nt = global.num_elements();
+  std::vector<Rank> elem_rank(static_cast<std::size_t>(nt), kNoRank);
+  for (Index t = 0; t < nt; ++t) {
+    const auto& el = global.element(t);
+    if (el.alive) elem_rank[static_cast<std::size_t>(t)] = root_part[el.root];
+  }
+  const std::vector<Index> face_root = bface_roots(global);
+  std::vector<Rank> bface_rank(face_root.size(), kNoRank);
+  for (std::size_t f = 0; f < face_root.size(); ++f) {
+    if (face_root[f] != kInvalidIndex) {
+      bface_rank[f] = root_part[static_cast<std::size_t>(face_root[f])];
+    }
   }
 
   // Per-global-entity local ids per rank (kInvalidIndex = not present).
@@ -133,10 +143,6 @@ DistMesh::DistMesh(const TetMesh& global, const partition::PartVec& root_part,
     }
 
     // --- build localized records -------------------------------------------
-    auto loc = [](const std::vector<Index>& map, Index id) {
-      return id == kInvalidIndex ? kInvalidIndex : map[static_cast<std::size_t>(id)];
-    };
-
     std::vector<mesh::Vertex> lverts;
     lverts.reserve(sel_verts.size());
     for (Index v : sel_verts) lverts.push_back(global.vertex(v));
@@ -146,21 +152,7 @@ DistMesh::DistMesh(const TetMesh& global, const partition::PartVec& root_part,
     Index n_init_edges = 0;
     for (Index e : sel_edges) {
       mesh::Edge ed = global.edge(e);
-      ed.v0 = vm[static_cast<std::size_t>(ed.v0)];
-      ed.v1 = vm[static_cast<std::size_t>(ed.v1)];
-      if (ed.v0 > ed.v1) std::swap(ed.v0, ed.v1);
-      ed.parent = loc(em, ed.parent);
-      // Children present only if the bisection's elements live here.
-      const Index c0 = loc(em, ed.child[0]);
-      const Index c1 = loc(em, ed.child[1]);
-      if (c0 != kInvalidIndex && c1 != kInvalidIndex) {
-        ed.child = {c0, c1};
-        ed.mid = vm[static_cast<std::size_t>(ed.mid)];
-        PLUM_ASSERT(ed.mid != kInvalidIndex);
-      } else {
-        ed.child = {kInvalidIndex, kInvalidIndex};
-        ed.mid = kInvalidIndex;
-      }
+      localize_edge(ed, vm, em);
       if (ed.level == 0) ++n_init_edges;
       ledges.push_back(ed);
     }
@@ -170,12 +162,7 @@ DistMesh::DistMesh(const TetMesh& global, const partition::PartVec& root_part,
     Index n_init_elems = 0;
     for (Index t : sel_elems) {
       mesh::Element el = global.element(t);
-      for (auto& v : el.verts) v = vm[static_cast<std::size_t>(v)];
-      for (auto& e : el.edges) e = em[static_cast<std::size_t>(e)];
-      el.parent = loc(tmap, el.parent);
-      el.first_child = loc(tmap, el.first_child);
-      el.root = tmap[static_cast<std::size_t>(el.root)];
-      PLUM_ASSERT(el.root != kInvalidIndex);
+      localize_element(el, vm, em, tmap);
       if (el.level == 0) {
         ++n_init_elems;
         lm.root_global.push_back(t);
@@ -187,10 +174,7 @@ DistMesh::DistMesh(const TetMesh& global, const partition::PartVec& root_part,
     lbfaces.reserve(sel_bfaces.size());
     for (Index f : sel_bfaces) {
       mesh::BFace bf = global.bface(f);
-      for (auto& v : bf.verts) v = vm[static_cast<std::size_t>(v)];
-      for (auto& e : bf.edges) e = em[static_cast<std::size_t>(e)];
-      bf.parent = loc(fmap, bf.parent);
-      for (auto& c : bf.child) c = loc(fmap, c);
+      localize_bface(bf, vm, em, fmap);
       lbfaces.push_back(bf);
     }
 
@@ -259,21 +243,46 @@ double DistMesh::shared_object_fraction() const {
 }
 
 void DistMesh::validate() const {
+  // Symmetry + closure of one SPL kind: every copy points back at us and
+  // lists the same holder set (its own rank plus its SPL ranks).
+  auto holders = [](Rank self, const std::vector<SharedCopy>& spl) {
+    std::vector<Rank> h{self};
+    for (const auto& c : spl) h.push_back(c.rank);
+    std::sort(h.begin(), h.end());
+    PLUM_ASSERT_MSG(std::adjacent_find(h.begin(), h.end()) == h.end(),
+                    "SPL lists a rank twice");
+    return h;
+  };
+  auto check_spls = [&](SplMap LocalMesh::*map, const char* asym,
+                        const char* mirror, const char* closure) {
+    for (Rank r = 0; r < nranks(); ++r) {
+      for (const auto& [lid, spl] : local(r).*map) {
+        const auto mine = holders(r, spl);
+        for (const auto& copy : spl) {
+          const SplMap& other = local(copy.rank).*map;
+          auto it = other.find(copy.remote_id);
+          PLUM_ASSERT_MSG(it != other.end(), asym);
+          PLUM_ASSERT_MSG(holders(copy.rank, it->second) == mine, closure);
+          const bool back = std::any_of(
+              it->second.begin(), it->second.end(), [&](const SharedCopy& c) {
+                return c.rank == r && c.remote_id == lid;
+              });
+          PLUM_ASSERT_MSG(back, mirror);
+        }
+      }
+    }
+  };
+  check_spls(&LocalMesh::shared_edges, "asymmetric edge SPL",
+             "edge SPL does not mirror", "edge SPL holder sets differ");
+  check_spls(&LocalMesh::shared_verts, "asymmetric vertex SPL",
+             "vertex SPL does not mirror", "vertex SPL holder sets differ");
+
   for (Rank r = 0; r < nranks(); ++r) {
     const LocalMesh& lm = local(r);
     lm.mesh.validate();
     for (const auto& [lid, spl] : lm.shared_edges) {
       for (const auto& copy : spl) {
         const LocalMesh& other = local(copy.rank);
-        // Symmetry: the copy's SPL must point back at us.
-        auto it = other.shared_edges.find(copy.remote_id);
-        PLUM_ASSERT_MSG(it != other.shared_edges.end(), "asymmetric edge SPL");
-        const bool back = std::any_of(
-            it->second.begin(), it->second.end(), [&](const SharedCopy& c) {
-              return c.rank == r && c.remote_id == lid;
-            });
-        PLUM_ASSERT_MSG(back, "edge SPL does not mirror");
-        // Geometry agreement.
         const auto& ea = lm.mesh.edge(lid);
         const auto& eb = other.mesh.edge(copy.remote_id);
         const auto pa0 = lm.mesh.vertex(ea.v0).pos;
@@ -287,12 +296,8 @@ void DistMesh::validate() const {
     }
     for (const auto& [lid, spl] : lm.shared_verts) {
       for (const auto& copy : spl) {
-        const LocalMesh& other = local(copy.rank);
-        auto it = other.shared_verts.find(copy.remote_id);
-        PLUM_ASSERT_MSG(it != other.shared_verts.end(),
-                        "asymmetric vertex SPL");
         const auto pa = lm.mesh.vertex(lid).pos;
-        const auto pb = other.mesh.vertex(copy.remote_id).pos;
+        const auto pb = local(copy.rank).mesh.vertex(copy.remote_id).pos;
         PLUM_ASSERT_MSG(norm(pa - pb) < 1e-12,
                         "shared vertex geometry mismatch");
       }

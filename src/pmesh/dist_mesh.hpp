@@ -12,11 +12,14 @@
 // Construction distributes a (possibly already adapted) global mesh. After
 // that, the parallel marking / refinement algorithms (parallel_adapt.hpp)
 // mutate only the per-rank local meshes and keep the SPL maps consistent
-// through explicit messages. Data migration is performed by redistributing
-// from the global mirror (DESIGN.md §3 documents this substitution); its
-// traffic volumes are charged from the real subtree sizes.
+// through explicit messages, and data migration (migrate.hpp) packs, ships
+// and unpacks whole refinement subtrees between ranks, rebuilding the SPLs
+// through an owner directory — no host-side global mesh is involved.
+// Distributed coarsening (parallel_coarsen.hpp) still redistributes from a
+// gathered mirror (DESIGN.md §3 documents that substitution).
 
 #include <map>
+#include <utility>
 #include <vector>
 
 #include "mesh/tet_mesh.hpp"
@@ -47,8 +50,9 @@ struct LocalMesh {
   std::vector<Index> root_global;
 
   /// Construction-time global ids (local id -> id in the source global
-  /// mesh). Entities created by later parallel adaption have no entry;
-  /// their cross-rank identity lives purely in the SPL maps.
+  /// mesh). Entities created by later parallel adaption have no entry, and
+  /// migrate() clears both (its renumbering ends their meaning); cross-rank
+  /// identity lives purely in the SPL maps.
   std::vector<Index> vert_global;
   std::vector<Index> edge_global;
 
@@ -66,6 +70,65 @@ struct LocalMesh {
     return shared_edges.count(e) > 0;
   }
 };
+
+// --- distribution rules shared by the constructor and migrate() ------------
+
+/// Root element of the refinement tree each boundary face belongs to
+/// (kInvalidIndex for dead faces): a leaf face goes with the leaf element
+/// holding its three vertices, an interior face with its first child. Whole
+/// face trees are placed by this rule.
+[[nodiscard]] std::vector<Index> bface_roots(const mesh::TetMesh& m);
+
+/// `id` through a source-id -> local-id map; kInvalidIndex passes through.
+template <class Map>
+[[nodiscard]] Index local_id(const Map& map, Index id) {
+  return id == kInvalidIndex ? kInvalidIndex
+                             : map[static_cast<std::size_t>(id)];
+}
+
+/// Rewrites an edge's ids through vertex/edge maps whose entries are
+/// kInvalidIndex for objects that are not local. Endpoints stay ordered; a
+/// bisected edge keeps its children and midpoint only if both halves are
+/// local.
+template <class Map>
+void localize_edge(mesh::Edge& ed, const Map& vmap, const Map& emap) {
+  ed.v0 = local_id(vmap, ed.v0);
+  ed.v1 = local_id(vmap, ed.v1);
+  if (ed.v0 > ed.v1) std::swap(ed.v0, ed.v1);
+  ed.parent = local_id(emap, ed.parent);
+  const Index c0 = local_id(emap, ed.child[0]);
+  const Index c1 = local_id(emap, ed.child[1]);
+  if (c0 != kInvalidIndex && c1 != kInvalidIndex) {
+    ed.child = {c0, c1};
+    ed.mid = local_id(vmap, ed.mid);
+    PLUM_ASSERT(ed.mid != kInvalidIndex);
+  } else {
+    ed.child = {kInvalidIndex, kInvalidIndex};
+    ed.mid = kInvalidIndex;
+  }
+}
+
+/// Rewrites an element's ids; its root must be local (trees move whole).
+template <class Map>
+void localize_element(mesh::Element& el, const Map& vmap, const Map& emap,
+                      const Map& tmap) {
+  for (auto& v : el.verts) v = local_id(vmap, v);
+  for (auto& e : el.edges) e = local_id(emap, e);
+  el.parent = local_id(tmap, el.parent);
+  el.first_child = local_id(tmap, el.first_child);
+  el.root = local_id(tmap, el.root);
+  PLUM_ASSERT(el.root != kInvalidIndex);
+}
+
+/// Rewrites a boundary face's ids.
+template <class Map>
+void localize_bface(mesh::BFace& bf, const Map& vmap, const Map& emap,
+                    const Map& fmap) {
+  for (auto& v : bf.verts) v = local_id(vmap, v);
+  for (auto& e : bf.edges) e = local_id(emap, e);
+  bf.parent = local_id(fmap, bf.parent);
+  for (auto& c : bf.child) c = local_id(fmap, c);
+}
 
 class DistMesh {
  public:
@@ -95,8 +158,10 @@ class DistMesh {
   /// objects / total local objects (paper: "less than 10%").
   [[nodiscard]] double shared_object_fraction() const;
 
-  /// Checks SPL symmetry (i's entry for j mirrors j's entry for i) and that
-  /// shared edges/vertices have identical geometry on every copy.
+  /// Checks SPL symmetry (i's entry for j mirrors j's entry for i), SPL
+  /// closure (every copy of a shared object lists the same holder set: its
+  /// own rank plus its SPL ranks) and that shared edges/vertices have
+  /// identical geometry on every copy.
   void validate() const;
 
  private:

@@ -164,27 +164,12 @@ ParallelRefineResult parallel_refine(DistMesh& dm, rt::Engine& eng,
   // plum-scale: dist(P) -- driver output: per-rank work accounting
   out.work_per_rank.assign(static_cast<std::size_t>(P), 0);
 
-  // plum-scale: host-only -- driver snapshot of pre-adaptation sizes for the report
+  // plum-scale: dist(P) -- pre-subdivision edge count per simulated rank, written by that rank's superstep
   std::vector<Index> old_ne(static_cast<std::size_t>(P));
   // Iterated below to build BisectMsg batches: must stay an ordered map so
   // the message payload order matches the sequential engine bit for bit.
-  // plum-scale: host-only -- driver snapshot of edge-split maps for the report
+  // plum-scale: dist(P) -- pre-subdivision edge SPLs per simulated rank, written by that rank's superstep
   std::vector<SplMap> old_edge_spl(static_cast<std::size_t>(P));
-
-  // --- local subdivision ----------------------------------------------------
-  for (Rank r = 0; r < P; ++r) {
-    LocalMesh& lm = dm.local(r);
-    old_ne[static_cast<std::size_t>(r)] = lm.mesh.num_edges();
-    old_edge_spl[static_cast<std::size_t>(r)] = lm.shared_edges;
-    auto& stats = out.per_rank[static_cast<std::size_t>(r)];
-    // Serial host loop, but rank-attributed: rank r's subdivision snapshot
-    // stages through rank r's scratch row (no superstep is open here, so
-    // the host may write any row without racing a claiming worker).
-    stats = adapt::refine_mesh(
-        lm.mesh, marks.per_rank[static_cast<std::size_t>(r)],
-        mem != nullptr ? mem->scratch(r) : obs::MemScratch{});
-    out.work_per_rank[static_cast<std::size_t>(r)] = stats.work_units();
-  }
 
   // Per-rank tallies of new shared-object records (summed after the runs;
   // a shared counter would race under the parallel engine).
@@ -193,14 +178,22 @@ ParallelRefineResult parallel_refine(DistMesh& dm, rt::Engine& eng,
   // plum-scale: host-only -- driver accounting of created entities for the report
   std::vector<std::int64_t> new_verts(static_cast<std::size_t>(P), 0);
 
-  // --- post-processing phase 1: bisected shared edges ------------------------
+  // --- local subdivision + post-processing phase 1: bisected shared edges ---
   eng.run([&](Rank r, const rt::Inbox& inbox, rt::Outbox& outbox) {
     LocalMesh& lm = dm.local(r);
 
     if (outbox.step() == 0) {
-      outbox.charge(out.work_per_rank[static_cast<std::size_t>(r)]);
+      // Rank r subdivides its own mesh (an on_bisect hook may touch only
+      // rank-r state), staging through its own scratch row.
       const obs::MemScratch ms =
           mem != nullptr ? mem->scratch(r) : obs::MemScratch{};
+      old_ne[static_cast<std::size_t>(r)] = lm.mesh.num_edges();
+      old_edge_spl[static_cast<std::size_t>(r)] = lm.shared_edges;
+      auto& stats = out.per_rank[static_cast<std::size_t>(r)];
+      stats = adapt::refine_mesh(
+          lm.mesh, marks.per_rank[static_cast<std::size_t>(r)], ms);
+      out.work_per_rank[static_cast<std::size_t>(r)] = stats.work_units();
+      outbox.charge(out.work_per_rank[static_cast<std::size_t>(r)]);
       // plum-scale: scratch -- per-destination bisect staging, arena-backed
       obs::TrackedVec<obs::TrackedVec<BisectMsg>> outgoing(
           static_cast<std::size_t>(P),

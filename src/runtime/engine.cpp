@@ -257,10 +257,13 @@ void ParallelEngine::worker_loop() {
       if (stop_) return;
       seen = epoch_;
     }
-    // Claim ranks off the shared cursor until the superstep is drained.
+    // Claim ranks off the shared cursor until the superstep is drained. A
+    // late worker of epoch N can claim a rank of epoch N+1 here without
+    // retaking mu_: the acquire half pairs with superstep()'s release
+    // reset, so the new step's fn_/delivering_/... are visible to it.
     Rank claimed = 0;
     for (;;) {
-      const Rank r = next_rank_.fetch_add(1, std::memory_order_relaxed);
+      const Rank r = next_rank_.fetch_add(1, std::memory_order_acq_rel);
       if (r >= nranks_) break;
       const auto ur = static_cast<std::size_t>(r);
       Inbox inbox(std::move((*delivering_)[ur]));
@@ -313,7 +316,7 @@ bool ParallelEngine::superstep(const StepFn& fn) {
     rank_seconds_ = observer_ ? &rank_seconds : nullptr;
     step_index_ = step;
     ranks_done_ = 0;
-    next_rank_.store(0, std::memory_order_relaxed);
+    next_rank_.store(0, std::memory_order_release);  // publishes the above
     ++epoch_;
   }
   cv_work_.notify_all();

@@ -359,7 +359,8 @@ class ParallelEngine final : public Engine {
   std::vector<double>* rank_seconds_ = nullptr;
   int step_index_ = 0;
 
-  std::atomic<Rank> next_rank_{0};  // work-stealing rank cursor
+  // Work-stealing rank cursor; reset with release, claimed with acq_rel.
+  std::atomic<Rank> next_rank_{0};
   std::mutex mu_;
   std::condition_variable cv_work_;
   std::condition_variable cv_done_;

@@ -36,11 +36,10 @@ struct MachineParams {
   /// words_per_element * 8; calibration replaces it with the pack size the
   /// migration layer actually measured.
   double bytes_per_element = 0;
-  /// Per-(sender, receiver) framing/setup bytes charged once per message
-  /// set. The default mirrors pmesh::kSetFramingBytes (pinned by
-  /// test_calibration) so predictions match the migration layer's
-  /// accounting out of the box.
-  double bytes_per_set = 96;
+  /// Per-(sender, receiver) framing bytes charged once per message set. The
+  /// default mirrors pmesh::kPackHeaderBytes, the header every migration
+  /// pack carries (pinned by test_calibration).
+  double bytes_per_set = 24;
   /// Gate slack: accept iff gain > gate_margin * cost. Calibration raises
   /// it while the model underprices remaps (realized cost ratio > 1) and
   /// lowers it back toward 1 as predictions converge.

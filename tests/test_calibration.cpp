@@ -62,11 +62,11 @@ TEST(Calibration, DisabledObserveIsANoOp) {
 }
 
 TEST(Calibration, BytesPerSetDefaultPinsMigrateFraming) {
-  // The cost model's default per-set byte overhead mirrors what
-  // pmesh::migrate actually charges per (sender, dest) element set; if one
+  // The cost model's default per-set byte overhead mirrors the header every
+  // pmesh::migrate pack carries per (sender, dest) element set; if one
   // side changes, predicted-vs-measured drift becomes structural.
   EXPECT_EQ(MachineParams{}.bytes_per_set,
-            static_cast<double>(pmesh::kSetFramingBytes));
+            static_cast<double>(pmesh::kPackHeaderBytes));
 }
 
 TEST(Calibration, ByteFitConvergesMonotonicallyOnSyntheticDrift) {

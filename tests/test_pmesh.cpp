@@ -374,6 +374,86 @@ TEST(Migrate, RootGlobalKeepsOriginalNumbering) {
   for (int c : seen) EXPECT_EQ(c, 1);
 }
 
+TEST(Migrate, SendsOnlyPacksAndDirectoryTraffic) {
+  auto global = mesh::make_box_mesh(mesh::small_box(3));
+  adapt::MeshAdaptor ad(&global);
+  std::vector<char> marks(static_cast<std::size_t>(global.num_edges()), 0);
+  for (Index e = 0; e < global.num_edges(); e += 4) marks[e] = 1;
+  ad.mark(marks);
+  ad.refine();
+
+  const Rank P = 4;
+  const auto part = partition_roots(global, P);
+  DistMesh dm(global, part, P);
+  rt::Engine eng(P);
+  partition::PartVec new_part(part.size());
+  for (std::size_t v = 0; v < part.size(); ++v) {
+    new_part[v] = v % 3 == 0 ? (part[v] + 1) % P : part[v];
+  }
+  const auto before = static_cast<std::size_t>(eng.ledger().num_supersteps());
+  const auto stats = migrate(dm, eng, new_part);
+  dm.validate();
+
+  // A fixed four-superstep program: packs, registrations, directory
+  // replies, a silent install — and no finalize numbering step (whose
+  // GidMsg batches would travel under the bulk tag after the packs).
+  const auto& steps = eng.ledger().steps;
+  const auto nsteps = static_cast<std::size_t>(kMigrateSupersteps);
+  ASSERT_EQ(steps.size() - before, nsteps);
+  const int tag_of_step[] = {kTagMigratePack, kTagMigrateRegister,
+                             kTagMigrateHolders};
+  std::int64_t pack_bytes = 0;
+  int packs = 0;
+  for (std::size_t s = 0; s < nsteps; ++s) {
+    for (Rank r = 0; r < P; ++r) {
+      const auto& sends = steps[before + s][static_cast<std::size_t>(r)].sends;
+      if (s == 3) {
+        EXPECT_TRUE(sends.empty());
+      }
+      for (const auto& cell : sends) {
+        ASSERT_LT(s, 3u);
+        EXPECT_EQ(cell.tag, tag_of_step[s]) << "step " << s;
+        EXPECT_NE(cell.to, r) << "self traffic in step " << s;
+        if (s == 0) {
+          EXPECT_EQ(cell.msgs, 1);  // one pack per (sender, receiver)
+          EXPECT_GE(cell.bytes, kPackHeaderBytes);
+          pack_bytes += cell.bytes;
+          ++packs;
+        }
+      }
+    }
+  }
+  EXPECT_GT(pack_bytes, 0);
+  EXPECT_EQ(std::accumulate(stats.bytes_sent.begin(), stats.bytes_sent.end(),
+                            std::int64_t{0}),
+            pack_bytes);
+  EXPECT_EQ(std::accumulate(stats.bytes_received.begin(),
+                            stats.bytes_received.end(), std::int64_t{0}),
+            pack_bytes);
+  EXPECT_EQ(stats.sets_moved, packs);
+}
+
+TEST(DistMeshDeathTest, ValidateCatchesADroppedThirdHolder) {
+  const auto global = mesh::make_box_mesh(mesh::small_box(3));
+  const Rank P = 4;
+  DistMesh dm(global, partition_roots(global, P), P);
+  dm.validate();
+  // Forget one holder of a 3-holder vertex on one rank: every remaining
+  // entry still has a mirror, so only the holder-set check can object.
+  bool dropped = false;
+  for (Rank r = 0; r < P && !dropped; ++r) {
+    for (auto& [lid, spl] : dm.local(r).shared_verts) {
+      if (spl.size() == 2) {
+        spl.pop_back();
+        dropped = true;
+        break;
+      }
+    }
+  }
+  ASSERT_TRUE(dropped);
+  EXPECT_DEATH(dm.validate(), "vertex SPL holder sets differ");
+}
+
 TEST(ParallelCoarsen, MatchesSerialCoarsening) {
   // Refine globally, distribute, coarsen a spatial half in parallel and
   // serially; active element counts must agree.
