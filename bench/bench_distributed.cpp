@@ -19,9 +19,6 @@
 //                     run fails unless MaxV accepts at every P, leaves the
 //                     predicted solver imbalance <= 1.15 and the
 //                     subdivision-work imbalance no worse than TotalV's.
-//
-// --transport {inproc,pipe} selects the message fabric (see
-// runtime/transport.hpp); every modeled column is transport-invariant.
 
 #include <cstdio>
 #include <cstdlib>
@@ -52,34 +49,18 @@ struct Sweep {
 
 struct Cli {
   int threads = 1;
-  plum::rt::TransportKind transport = plum::rt::TransportKind::kInProc;
-  int transport_procs = 0;
   bool weak = false;
   int leak_check = 0;  ///< > 0: steady-state leak gate over N extra cycles
   std::string scope_stream;  ///< plum-scope/1 NDJSON file ("" = off)
 };
 
-bool parse_cli(int argc, char** argv, Cli* cli) {
+void parse_cli(int argc, char** argv, Cli* cli) {
   for (int i = 1; i < argc; ++i) {
     const char* a = argv[i];
     if (std::strcmp(a, "--threads") == 0 && i + 1 < argc) {
       cli->threads = std::atoi(argv[++i]);
     } else if (std::strncmp(a, "--threads=", 10) == 0) {
       cli->threads = std::atoi(a + 10);
-    } else if (std::strcmp(a, "--transport") == 0 && i + 1 < argc) {
-      if (!plum::rt::parse_transport_kind(argv[++i], &cli->transport)) {
-        std::fprintf(stderr, "unknown --transport %s\n", argv[i]);
-        return false;
-      }
-    } else if (std::strncmp(a, "--transport=", 12) == 0) {
-      if (!plum::rt::parse_transport_kind(a + 12, &cli->transport)) {
-        std::fprintf(stderr, "unknown --transport %s\n", a + 12);
-        return false;
-      }
-    } else if (std::strcmp(a, "--transport-procs") == 0 && i + 1 < argc) {
-      cli->transport_procs = std::atoi(argv[++i]);
-    } else if (std::strncmp(a, "--transport-procs=", 18) == 0) {
-      cli->transport_procs = std::atoi(a + 18);
     } else if (std::strcmp(a, "--scope-stream") == 0 && i + 1 < argc) {
       cli->scope_stream = argv[++i];
     } else if (std::strncmp(a, "--scope-stream=", 15) == 0) {
@@ -92,7 +73,6 @@ bool parse_cli(int argc, char** argv, Cli* cli) {
       cli->weak = true;
     }
   }
-  return true;
 }
 
 }  // namespace
@@ -101,7 +81,7 @@ int main(int argc, char** argv) {
   using namespace plum;
 
   Cli cli;
-  if (!parse_cli(argc, argv, &cli)) return 2;
+  parse_cli(argc, argv, &cli);
 
   const char* small_env = std::getenv("PLUM_BENCH_SMALL");
   const bool small = small_env && small_env[0] == '1';
@@ -119,8 +99,6 @@ int main(int argc, char** argv) {
     opt.imbalance_trigger = 1.05;
     opt.solver_steps_per_cycle = 4;
     opt.threads = cli.threads;
-    opt.transport = cli.transport;
-    opt.transport_procs = cli.transport_procs;
     opt.scope_name = "bench_distributed_leak";
     auto mesh = mesh::make_box_mesh(mesh::small_box(small ? 6 : 8));
     core::DistFramework fw(std::move(mesh), opt);
@@ -228,8 +206,6 @@ int main(int argc, char** argv) {
     opt.imbalance_trigger = 1.05;
     opt.solver_steps_per_cycle = 6;
     opt.threads = cli.threads;
-    opt.transport = cli.transport;
-    opt.transport_procs = cli.transport_procs;
     // Live monitoring + crash forensics: every sweep size appends its
     // cycle records to the same stream (tools/plum-top tails it), and the
     // postmortem file carries the bench name.
@@ -411,9 +387,7 @@ int main(int argc, char** argv) {
             << (cli.weak ? "weak scaling: fixed work per rank"
                          : "strong scaling: fixed mesh")
             << ", remap before subdivision, greedy mapper), engine threads = "
-            << cli.threads
-            << ", transport = " << rt::transport_kind_name(cli.transport)
-            << "\n";
+            << cli.threads << "\n";
   table.print(std::cout);
   if (cli.weak) {
     std::cout << "\nViability check (paper Figs. 7/8), fixed work per rank, "

@@ -59,8 +59,7 @@ void CycleLog::gauges(const graph::Csr& dual, const partition::PartVec& owner,
 void CycleLog::end(const CycleReport& rep, obs::GateRecord gate,
                    const std::vector<Index>& solve_elements,
                    obs::TraceRecorder& trace,
-                   const obs::MemoryTracker& mem,
-                   const std::vector<rt::DepotStats>& depot, double wall_s) {
+                   const obs::MemoryTracker& mem, double wall_s) {
   if (gate.accepted) {
     gate.drift =
         obs::gate_drift(gate.predicted_move_bytes, gate.measured_move_bytes);
@@ -149,36 +148,7 @@ void CycleLog::end(const CycleReport& rep, obs::GateRecord gate,
   obs::record_step_histograms(metrics_, trace, &step_cursor_);
   obs::record_phase_histograms(metrics_, trace, &hist_phase_cursor_);
 
-  // --- pipe-depot telemetry and coordinator RSS gauges ---------------------
-  // Depot stats exist only under the pipe transport. They are wall-clock
-  // sourced (syscall counts, stall ns), so they fold into wall-marked
-  // series and the trace's full view — never the deterministic views the
-  // cross-engine byte-identity tests compare.
-  if (!depot.empty()) {
-    trace.set_depot_telemetry(obs::depot_stats_json(depot));
-    rt::DepotStats sum;
-    for (const auto& d : depot) {
-      sum.frames_in += d.frames_in;
-      sum.frames_out += d.frames_out;
-      sum.read_calls += d.read_calls;
-      sum.write_calls += d.write_calls;
-      sum.peak_buffer_bytes =
-          std::max(sum.peak_buffer_bytes, d.peak_buffer_bytes);
-      sum.stall_ns += d.stall_ns;
-      sum.vm_rss_bytes = std::max(sum.vm_rss_bytes, d.vm_rss_bytes);
-      sum.vm_hwm_bytes = std::max(sum.vm_hwm_bytes, d.vm_hwm_bytes);
-    }
-    metrics_.add_wall_sample_int("depot_frames_in", sum.frames_in);
-    metrics_.add_wall_sample_int("depot_frames_out", sum.frames_out);
-    metrics_.add_wall_sample_int("depot_read_calls", sum.read_calls);
-    metrics_.add_wall_sample_int("depot_write_calls", sum.write_calls);
-    metrics_.add_wall_sample_int("depot_peak_buffer_bytes",
-                                 sum.peak_buffer_bytes);
-    metrics_.add_wall_sample_int("depot_stall_ns", sum.stall_ns);
-    // Worst depot child's resident set — wall-class, like all depot gauges.
-    metrics_.add_wall_sample_int("depot_vm_rss_bytes", sum.vm_rss_bytes);
-    metrics_.add_wall_sample_int("depot_vm_hwm_bytes", sum.vm_hwm_bytes);
-  }
+  // --- coordinator RSS gauges (wall-class) ---------------------------------
   const util::RssSample rss = util::read_rss();
   metrics_.add_wall_sample_int("vm_rss_bytes", rss.vm_rss_bytes);
   metrics_.add_wall_sample_int("vm_hwm_bytes", rss.vm_hwm_bytes);
@@ -225,7 +195,6 @@ void CycleLog::end(const CycleReport& rep, obs::GateRecord gate,
     rec.set("ranks", std::move(ranks));
     // Coordinator RSS for plum-top's live memory column (wall-class).
     rec.set("rss", obs::rss_json());
-    if (!depot.empty()) rec.set("depot", obs::depot_stats_json(depot));
     stream_->append(rec);
   }
   ++cycle_;

@@ -1,10 +1,10 @@
 #pragma once
 // Everything both drivers record about a Fig. 1 cycle once it has run:
 // the live paper-metric gauges, the cost-model calibrator and its replay
-// book, the per-cycle histograms, the coordinator RSS and pipe-depot
-// gauges, and the plum-scope/1 stream record. A driver calls begin() at
-// the top of cycle(), gauges() after the gate and end() last; the log
-// finds the cycle's phases and supersteps in the driver's TraceRecorder.
+// book, the per-cycle histograms, the coordinator RSS gauges, and the
+// plum-scope/1 stream record. A driver calls begin() at the top of
+// cycle(), gauges() after the gate and end() last; the log finds the
+// cycle's phases and supersteps in the driver's TraceRecorder.
 
 #include <memory>
 
@@ -46,11 +46,10 @@ class CycleLog {
   /// drift), the calibration sample (work from `solve_elements`, the
   /// per-rank elements during the solve; seconds from the replay book or
   /// the phase walls) and calibration gauges, the replay-log entry, the
-  /// step/phase histograms, RSS and `depot` gauges, and one stream record.
+  /// step/phase histograms, RSS gauges, and one stream record.
   void end(const CycleReport& rep, obs::GateRecord gate,
            const std::vector<Index>& solve_elements, obs::TraceRecorder& trace,
-           const obs::MemoryTracker& mem,
-           const std::vector<rt::DepotStats>& depot, double wall_s);
+           const obs::MemoryTracker& mem, double wall_s);
 
   [[nodiscard]] obs::MetricsRegistry& metrics() { return metrics_; }
   [[nodiscard]] const obs::MetricsRegistry& metrics() const {

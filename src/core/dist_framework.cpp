@@ -130,10 +130,10 @@ DistFramework::DistFramework(mesh::TetMesh initial_global,
   eng_->set_observer(&trace_);
   // plum-scope: the engine feeds the flight recorder one event per rank per
   // superstep; the trace keeps its phase stamp in sync; a failed assert
-  // (including the pipe transport's rank-death path) dumps the ring.
+  // dumps the ring.
   eng_->set_scope_sink(&scope_);
   trace_.set_flight_recorder(&scope_);
-  obs::install_postmortem({opt_.scope_name, &scope_, &eng_->transport()});
+  obs::install_postmortem({opt_.scope_name, &scope_});
 
   dm_ = std::make_unique<pmesh::DistMesh>(initial_global, balancer_.owner(),
                                           opt_.nranks);
@@ -285,8 +285,7 @@ CycleReport DistFramework::cycle() {
   rebind_solver();
   rep.elements_after = dm_->total_active_elements();
 
-  log_.end(rep, gate, solve_epr, trace_, mem_, eng_->transport().depot_stats(),
-           cycle_timer.seconds());
+  log_.end(rep, gate, solve_epr, trace_, mem_, cycle_timer.seconds());
   return rep;
 }
 

@@ -50,9 +50,9 @@ class DistFramework : public Driver {
 
   /// plum-scope flight recorder: a fixed-capacity per-rank event ring the
   /// engine feeds as a rt::RankScopeSink (one event per rank per
-  /// superstep, overwrite-oldest). Always on; a failed PLUM_ASSERT —
-  /// including the pipe transport's rank-death path — flushes its last-N
-  /// events per rank to POSTMORTEM_<scope_name>.json before aborting.
+  /// superstep, overwrite-oldest). Always on; a failed PLUM_ASSERT
+  /// flushes its last-N events per rank to POSTMORTEM_<scope_name>.json
+  /// before aborting.
   [[nodiscard]] obs::FlightRecorder& scope() { return scope_; }
   [[nodiscard]] const obs::FlightRecorder& scope() const { return scope_; }
 

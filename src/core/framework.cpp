@@ -128,7 +128,7 @@ CycleReport Framework::cycle() {
   rep.elements_after = mesh_->num_active_elements();
 
   log_.end(rep, gate, {solve_loads.begin(), solve_loads.end()}, trace_, mem_,
-           {}, cycle_timer.seconds());
+           cycle_timer.seconds());
   return rep;
 }
 

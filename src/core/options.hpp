@@ -50,11 +50,11 @@ struct FrameworkOptions {
   /// per hardware core, N > 1 = a ParallelEngine with N workers (see
   /// runtime/engine.hpp's determinism contract).
   int threads = 1;
-  /// Message fabric: kInProc moves messages in-memory; kPipe routes every
-  /// payload through child rank-group processes over socketpairs (see
+  /// Message fabric: kInProc moves messages in-memory; kFramed encodes
+  /// every payload into frames and decodes them back (see
   /// runtime/transport.hpp's delivery contract).
   rt::TransportKind transport = rt::TransportKind::kInProc;
-  /// Child processes for the pipe transport (0 = transport default).
+  /// Ignored. Kept only because existing callers still set it.
   int transport_procs = 0;
   /// Per-rank capacity of the always-on flight-recorder ring
   /// (obs::FlightRecorder). Oldest events are overwritten, so this bounds
@@ -76,7 +76,7 @@ struct FrameworkOptions {
   /// (POSTMORTEM_<scope_name>.json).
   std::string scope_name = "plum";
   /// Non-empty: append one plum-scope/1 NDJSON record per cycle to this
-  /// file (per-rank busy/wait, gate verdict, imbalance, depot gauges).
+  /// file (per-rank busy/wait, gate verdict, imbalance, RSS).
   /// tools/plum-top tails it for a live view.
   std::string scope_stream;
   /// Chunk size of the per-row plum-mem scratch arenas (obs::MemoryTracker).

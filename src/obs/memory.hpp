@@ -30,8 +30,8 @@
 //
 // What the deterministic counters exclude, by design: the arena's own
 // chunk allocations (operator new traffic that depends on reuse history),
-// and every RSS gauge (util::read_rss, DepotStats heap fields) — those are
-// wall-class observables and only appear in full JSON views.
+// and every RSS gauge (util::read_rss) — those are wall-class observables
+// and only appear in full JSON views.
 //
 // This header is deliberately link-light: everything the hot subsystems
 // (partition, adapt, pmesh) touch is defined inline, so they can allocate

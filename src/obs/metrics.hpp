@@ -39,9 +39,9 @@ class MetricsRegistry {
   void add_sample_int(const std::string& name, std::int64_t value);
 
   /// Appends one sample to a *wall-marked* gauge series: a series fed from
-  /// wall-clock or otherwise nondeterministic measurements (e.g. the pipe
-  /// transport's depot telemetry — syscall counts, stall ns). Wall series
-  /// render in to_json() as {"series":true,"wall":true,"samples":[...]}
+  /// wall-clock or otherwise nondeterministic measurements (e.g. the
+  /// coordinator's RSS gauges). Wall series render in to_json() as
+  /// {"series":true,"wall":true,"samples":[...]}
   /// objects and are omitted from deterministic_json(), exactly like
   /// wall-clock histograms, so recording them never breaks the
   /// cross-engine/transport byte-identity contract.

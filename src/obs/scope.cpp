@@ -1,5 +1,6 @@
 #include "obs/scope.hpp"
 
+#include <cerrno>
 #include <cstdio>
 #include <cstdlib>
 #include <utility>
@@ -7,10 +8,28 @@
 #include <fcntl.h>
 #include <unistd.h>
 
-#include "runtime/frame.hpp"
 #include "util/assert.hpp"
 
 namespace plum::obs {
+
+namespace {
+
+/// Writes all of `text` to the regular file `fd`, retrying on EINTR and
+/// short writes. Returns false on any other error.
+bool write_text(int fd, const std::string& text) {
+  std::size_t done = 0;
+  while (done < text.size()) {
+    const ssize_t w = ::write(fd, text.data() + done, text.size() - done);
+    if (w < 0) {
+      if (errno == EINTR) continue;
+      return false;
+    }
+    done += static_cast<std::size_t>(w);
+  }
+  return true;
+}
+
+}  // namespace
 
 // --- ScopeRecorder ------------------------------------------------------------
 
@@ -150,33 +169,9 @@ bool ScopeStreamWriter::append(const Json& record) {
   if (fd_ < 0) return false;
   std::string line = record.dump();
   line.push_back('\n');
-  // rt::write_all retries EINTR and short writes; with O_APPEND the line
-  // lands atomically enough for a single writer that a tailing plum-top
-  // never parses a torn record.
-  return rt::write_all(fd_, reinterpret_cast<const std::byte*>(line.data()),
-                       line.size());
-}
-
-// --- depot telemetry rendering ------------------------------------------------
-
-Json depot_stats_json(const std::vector<rt::DepotStats>& stats) {
-  Json arr = Json::array();
-  for (std::size_t g = 0; g < stats.size(); ++g) {
-    const rt::DepotStats& s = stats[g];
-    Json d = Json::object();
-    d.set("group", Json::integer(static_cast<std::int64_t>(g)))
-        .set("buffered_bytes", Json::integer(s.buffered_bytes))
-        .set("frames_in", Json::integer(s.frames_in))
-        .set("frames_out", Json::integer(s.frames_out))
-        .set("read_calls", Json::integer(s.read_calls))
-        .set("write_calls", Json::integer(s.write_calls))
-        .set("peak_buffer_bytes", Json::integer(s.peak_buffer_bytes))
-        .set("stall_ns", Json::integer(s.stall_ns))
-        .set("vm_rss_bytes", Json::integer(s.vm_rss_bytes))
-        .set("vm_hwm_bytes", Json::integer(s.vm_hwm_bytes));
-    arr.push(std::move(d));
-  }
-  return arr;
+  // With O_APPEND the line lands atomically enough for a single writer
+  // that a tailing plum-top never parses a torn record.
+  return write_text(fd_, line);
 }
 
 // --- postmortem ---------------------------------------------------------------
@@ -203,8 +198,7 @@ void pm_hook(const plum::detail::AbortInfo& info) {
   }
   std::string text = doc.dump(2);
   text.push_back('\n');
-  (void)rt::write_all(fd, reinterpret_cast<const std::byte*>(text.data()),
-                      text.size());
+  (void)write_text(fd, text);
   ::close(fd);
   std::fprintf(stderr, "plum-scope: postmortem written to %s\n", path.c_str());
 }
@@ -235,19 +229,6 @@ Json postmortem_json(const PostmortemConfig& cfg, const char* expr,
   // Full (wall-included) ring view: a postmortem is forensic output, never
   // part of any deterministic comparison.
   if (cfg.recorder != nullptr) doc.set("scope", cfg.recorder->to_json());
-  if (cfg.transport != nullptr) {
-    doc.set("depot", depot_stats_json(cfg.transport->depot_stats()));
-  }
-  const auto& notes = plum::detail::crash_notes();
-  const auto stderr_it = notes.find("child_stderr");
-  doc.set("child_stderr",
-          Json::str(stderr_it != notes.end() ? stderr_it->second : ""));
-  Json notes_json = Json::object();
-  for (const auto& [key, text] : notes) {
-    if (key == "child_stderr") continue;  // surfaced top-level above
-    notes_json.set(key, Json::str(text));
-  }
-  doc.set("notes", std::move(notes_json));
   return doc;
 }
 
@@ -277,10 +258,6 @@ std::string validate_postmortem(const Json& doc) {
   const Json* line = reason->find("line");
   if (!line || line->kind() != Json::Kind::kInt || line->as_int() < 0) {
     return "reason field \"line\" must be an int >= 0";
-  }
-  const Json* child_stderr = doc.find("child_stderr");
-  if (!child_stderr || !child_stderr->is_string()) {
-    return "missing string field \"child_stderr\"";
   }
   if (const Json* scope = doc.find("scope")) {
     if (!scope->is_object()) return "\"scope\" is not an object";
@@ -313,14 +290,6 @@ std::string validate_postmortem(const Json& doc) {
                    std::string(field) + "\"";
           }
         }
-      }
-    }
-  }
-  if (const Json* depot = doc.find("depot")) {
-    if (!depot->is_array()) return "\"depot\" is not an array";
-    for (std::size_t g = 0; g < depot->size(); ++g) {
-      if (!depot->at(g).is_object()) {
-        return "depot[" + std::to_string(g) + "] is not an object";
       }
     }
   }
@@ -375,14 +344,6 @@ std::string validate_scope_record(const Json& doc) {
       if (!v || v->kind() != Json::Kind::kInt || v->as_int() < 0) {
         return where + " field \"" + std::string(field) +
                "\" must be an int >= 0";
-      }
-    }
-  }
-  if (const Json* depot = doc.find("depot")) {
-    if (!depot->is_array()) return "\"depot\" is not an array";
-    for (std::size_t g = 0; g < depot->size(); ++g) {
-      if (!depot->at(g).is_object()) {
-        return "depot[" + std::to_string(g) + "] is not an object";
       }
     }
   }

@@ -18,15 +18,14 @@
 //   ScopeStreamWriter — an EINTR/short-write-safe NDJSON appender; the
 //                       frameworks emit one "plum-scope/1" record per
 //                       cycle through it (per-rank busy/wait, gate
-//                       verdict, imbalance, depot gauges), and
-//                       tools/plum-top tails the file to render a live
-//                       per-rank table of a run in progress.
+//                       verdict, imbalance, RSS), and tools/plum-top
+//                       tails the file to render a live per-rank table
+//                       of a run in progress.
 //   install_postmortem — hooks plum::detail::assert_fail so a failed
-//                       PLUM_ASSERT (including the pipe transport's
-//                       rank-death path) flushes the last-N ring events
-//                       per rank, the final depot telemetry, and the dead
-//                       child's captured stderr to POSTMORTEM_<name>.json
-//                       (schema "plum-postmortem/1") before aborting.
+//                       PLUM_ASSERT flushes the failing assertion and the
+//                       last-N ring events per rank to
+//                       POSTMORTEM_<name>.json (schema
+//                       "plum-postmortem/1") before aborting.
 //
 // Rank-safety: superstep lambdas must record through the rank-bound
 // ScopeRecorder handle (handles()[r].record_event(...)), never by calling
@@ -169,7 +168,6 @@ class ScopeStreamWriter {
 struct PostmortemConfig {
   std::string name;  ///< POSTMORTEM_<name>.json
   const FlightRecorder* recorder = nullptr;
-  const rt::Transport* transport = nullptr;  ///< depot telemetry source
 };
 
 /// Installs the process-wide abort hook (plum::detail::set_abort_hook)
@@ -182,18 +180,10 @@ void install_postmortem(PostmortemConfig cfg);
 void uninstall_postmortem();
 
 /// The "plum-postmortem/1" document the hook writes (exposed so tests can
-/// validate the builder without aborting). `child_stderr` and the other
-/// crash notes are read from plum::detail::crash_notes().
+/// validate the builder without aborting).
 [[nodiscard]] Json postmortem_json(const PostmortemConfig& cfg,
                                    const char* expr, const char* file,
                                    int line, const char* msg);
-
-/// [{"group":g,"buffered_bytes":..,"frames_in":..,"frames_out":..,
-///   "read_calls":..,"write_calls":..,"peak_buffer_bytes":..,
-///   "stall_ns":..},..] — one object per rank group, the JSON rendering of
-/// rt::Transport::depot_stats() shared by the postmortem documents and
-/// the scope stream records.
-[[nodiscard]] Json depot_stats_json(const std::vector<rt::DepotStats>& stats);
 
 /// Returns "" when `doc` is a valid plum-postmortem/1 document, else a
 /// description of the first violation (the check_bench_json gate and the

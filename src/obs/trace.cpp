@@ -133,8 +133,6 @@ void TraceRecorder::clear() {
   calibration_ = Json{};
   has_calibration_ = false;
   calibration_deterministic_ = false;
-  depot_ = Json{};
-  has_depot_ = false;
   epoch_.start();
 }
 
@@ -186,9 +184,6 @@ Json TraceRecorder::to_json_impl(bool include_wall) const {
   // sections appear in both serializations and stay inside the
   // deterministic_json() byte-identity contract.
   doc.set("comm_matrix", comm_matrix_json(comm_));
-  // Depot telemetry sits next to the comm matrix but is wall-clock sourced
-  // (syscall counts, stall ns), so it stays out of the deterministic view.
-  if (has_depot_ && include_wall) doc.set("depot", depot_);
   // plum-heap/1: the per-rank, per-phase allocation counters are
   // deterministic (rank-bound taps, claiming-worker writes) and live in
   // both views; the tracker appends its RSS gauge only when include_wall.

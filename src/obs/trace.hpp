@@ -123,15 +123,6 @@ class TraceRecorder final : public rt::SuperstepObserver {
   /// to_json()). The tracker is borrowed, not owned.
   void set_memory_tracker(MemoryTracker* mem) { mem_ = mem; }
 
-  /// Attaches (replacing any previous) the latest depot-process telemetry
-  /// (obs::depot_stats_json). Wall-clock sourced, so it renders in
-  /// to_json() only — next to the comm matrix — and never in
-  /// deterministic_json().
-  void set_depot_telemetry(Json doc) {
-    depot_ = std::move(doc);
-    has_depot_ = true;
-  }
-
   /// Attaches (replacing any previous) the current calibration document
   /// (sim::Calibration::to_json). `deterministic` marks it as derived from
   /// replayed/counted inputs only, in which case it also appears in
@@ -186,8 +177,6 @@ class TraceRecorder final : public rt::SuperstepObserver {
   bool calibration_deterministic_ = false;
   FlightRecorder* scope_ = nullptr;  ///< borrowed; phase-stamp feed
   MemoryTracker* mem_ = nullptr;     ///< borrowed; phase stamps + heap section
-  Json depot_;                       ///< latest depot telemetry (full view)
-  bool has_depot_ = false;
 };
 
 /// RAII wrapper for TraceRecorder phases:

@@ -343,12 +343,11 @@ bool ParallelEngine::superstep(const StepFn& fn) {
 
 std::unique_ptr<Engine> make_engine(Rank nranks, int threads,
                                     TransportKind transport,
-                                    int transport_procs) {
-  // Construct the transport first: the pipe transport forks its rank-group
-  // children, which must happen before this engine's worker threads exist.
-  PipeTransportOptions popt;
-  popt.nprocs = transport_procs;
-  auto fabric = make_transport(transport, nranks, popt);
+                                    int /*transport_procs*/) {
+  std::unique_ptr<Transport> fabric;  // nullptr: the in-process default
+  if (transport == TransportKind::kFramed) {
+    fabric = std::make_unique<FramedTransport>();
+  }
   if (threads == 1) return std::make_unique<Engine>(nranks, std::move(fabric));
   return std::make_unique<ParallelEngine>(nranks, threads, std::move(fabric));
 }

@@ -14,10 +14,10 @@
 // (runtime/transport.hpp): the engines fill per-sender sparse outbox
 // queues and hand them to the transport at the barrier. InProcTransport
 // (the default) moves the queued messages within the address space;
-// PipeTransport routes every payload through child OS processes over
-// length-prefixed socketpair frames. Both must deliver the identical
-// (sender rank, program order) stream, so engine x transport choice never
-// changes ledgers, traces, or results.
+// FramedTransport encodes every payload into length-prefixed frames and
+// decodes them back. Both must deliver the identical (sender rank, program
+// order) stream, so engine x transport choice never changes ledgers,
+// traces, or results.
 //
 // Determinism contract (both engines): a rank's inbox for superstep s+1
 // holds the messages posted during superstep s, ordered by sender rank and,
@@ -240,7 +240,7 @@ struct CommMatrix {
   /// degree-bounded program must keep this O(P·degree), never O(P²).
   [[nodiscard]] std::int64_t resident_cells() const;
   /// Resident accounting bytes (cells plus per-row headers), the
-  /// Transport::peak_resident_bytes()-style memory gauge.
+  /// comm matrix's memory gauge.
   [[nodiscard]] std::int64_t resident_bytes() const;
 
   friend bool operator==(const CommMatrix&, const CommMatrix&) = default;
@@ -373,9 +373,8 @@ class ParallelEngine final : public Engine {
 /// Engine factory used by options-driven callers: `threads == 1` returns
 /// the sequential reference engine, anything else a ParallelEngine
 /// (0 = one worker per hardware core). `transport` selects the delivery
-/// fabric; `transport_procs` is the pipe transport's child-process count
-/// (0 = default). The transport is constructed *before* the engine so the
-/// pipe children are forked before the worker pool threads start.
+/// fabric. `transport_procs` is ignored; it stays only because existing
+/// callers still pass it.
 std::unique_ptr<Engine> make_engine(Rank nranks, int threads,
                                     TransportKind transport,
                                     int transport_procs = 0);

@@ -1,11 +1,5 @@
 #include "runtime/frame.hpp"
 
-#include <cerrno>
-#include <cstring>
-
-#include <sys/socket.h>
-#include <unistd.h>
-
 #include "util/assert.hpp"
 
 namespace plum::rt {
@@ -38,68 +32,6 @@ void encode_frame(const Frame& f, std::vector<std::byte>* out) {
   out->insert(out->end(), f.payload.begin(), f.payload.end());
 }
 
-void encode_control(CtrlOp op, Rank operand, std::vector<std::byte>* out) {
-  Frame f;
-  f.from = kCtrlRank;
-  f.to = operand;
-  f.tag = static_cast<int>(op);
-  encode_frame(f, out);
-}
-
-namespace {
-
-void put_i64(std::int64_t v, std::vector<std::byte>* out) {
-  const auto u = static_cast<std::uint64_t>(v);
-  put_u32(static_cast<std::uint32_t>(u & 0xffffffffu), out);
-  put_u32(static_cast<std::uint32_t>(u >> 32), out);
-}
-
-std::int64_t get_i64(const std::byte* p) {
-  return static_cast<std::int64_t>(
-      static_cast<std::uint64_t>(get_u32(p)) |
-      (static_cast<std::uint64_t>(get_u32(p + 4)) << 32));
-}
-
-constexpr std::size_t kTelemetryPayloadBytes = 9 * 8;
-
-}  // namespace
-
-void encode_telemetry(const DepotStats& stats, std::vector<std::byte>* out) {
-  Frame f;
-  f.from = kCtrlRank;
-  f.to = 0;
-  f.tag = static_cast<int>(CtrlOp::kTelemetry);
-  f.payload.reserve(kTelemetryPayloadBytes);
-  put_i64(stats.buffered_bytes, &f.payload);
-  put_i64(stats.frames_in, &f.payload);
-  put_i64(stats.frames_out, &f.payload);
-  put_i64(stats.read_calls, &f.payload);
-  put_i64(stats.write_calls, &f.payload);
-  put_i64(stats.peak_buffer_bytes, &f.payload);
-  put_i64(stats.stall_ns, &f.payload);
-  put_i64(stats.vm_rss_bytes, &f.payload);
-  put_i64(stats.vm_hwm_bytes, &f.payload);
-  encode_frame(f, out);
-}
-
-bool decode_telemetry(const Frame& f, DepotStats* out) {
-  if (!f.is_control() || static_cast<CtrlOp>(f.tag) != CtrlOp::kTelemetry ||
-      f.payload.size() != kTelemetryPayloadBytes) {
-    return false;
-  }
-  const std::byte* p = f.payload.data();
-  out->buffered_bytes = get_i64(p);
-  out->frames_in = get_i64(p + 8);
-  out->frames_out = get_i64(p + 16);
-  out->read_calls = get_i64(p + 24);
-  out->write_calls = get_i64(p + 32);
-  out->peak_buffer_bytes = get_i64(p + 40);
-  out->stall_ns = get_i64(p + 48);
-  out->vm_rss_bytes = get_i64(p + 56);
-  out->vm_hwm_bytes = get_i64(p + 64);
-  return true;
-}
-
 void FrameDecoder::feed(std::span<const std::byte> chunk) {
   buf_.insert(buf_.end(), chunk.begin(), chunk.end());
 }
@@ -109,7 +41,7 @@ bool FrameDecoder::next(Frame* out) {
   const std::byte* p = buf_.data();
   const std::uint32_t magic = get_u32(p);
   PLUM_ASSERT_MSG(magic == kFrameMagic,
-                  "pipe transport: frame stream desynchronized (bad magic)");
+                  "frame stream desynchronized (bad magic)");
   const std::uint32_t payload_len = get_u32(p + 16);
   const std::size_t total = kFrameHeaderBytes + payload_len;
   if (buf_.size() < total) return false;
@@ -121,31 +53,6 @@ bool FrameDecoder::next(Frame* out) {
                       buf_.begin() + static_cast<std::ptrdiff_t>(total));
   buf_.erase(buf_.begin(), buf_.begin() + static_cast<std::ptrdiff_t>(total));
   return true;
-}
-
-bool write_all(int fd, const std::byte* data, std::size_t n) {
-  std::size_t done = 0;
-  while (done < n) {
-    // send() with MSG_NOSIGNAL turns a dead peer into EPIPE instead of a
-    // process-killing SIGPIPE; falls back to write() for plain pipes.
-    ssize_t w = ::send(fd, data + done, n - done, MSG_NOSIGNAL);
-    if (w < 0 && errno == ENOTSOCK) w = ::write(fd, data + done, n - done);
-    if (w < 0) {
-      if (errno == EINTR) continue;
-      return false;
-    }
-    done += static_cast<std::size_t>(w);
-  }
-  return true;
-}
-
-std::ptrdiff_t read_some(int fd, std::byte* data, std::size_t n) {
-  for (;;) {
-    const ssize_t r = ::read(fd, data, n);
-    if (r >= 0) return r;
-    if (errno == EINTR) continue;
-    return -1;
-  }
 }
 
 }  // namespace plum::rt

@@ -1,22 +1,20 @@
 #pragma once
-// Wire format for the pipe transport: length-prefixed frames.
+// Wire format for the framed transport: length-prefixed frames.
 //
-// Every message that crosses a process boundary is one frame — a fixed
-// little-endian header followed by the payload bytes:
+// Every message that crosses the codec is one frame — a fixed little-endian
+// header followed by the payload bytes:
 //
 //   offset  size  field
 //        0     4  magic       (kFrameMagic, catches stream desync)
-//        4     4  from        (sender rank; kCtrlRank for control frames)
-//        8     4  to          (receiver rank / control opcode operand)
-//       12     4  tag         (message tag, or a CtrlOp for control frames)
+//        4     4  from        (sender rank)
+//        8     4  to          (receiver rank)
+//       12     4  tag         (message tag)
 //       16     4  payload_len (bytes that follow)
 //
 // The codec is deliberately stream-oriented: FrameDecoder consumes
 // arbitrary chunkings of the byte stream (split headers, coalesced frames,
-// one-byte-at-a-time) and re-emits whole frames, because pipe/socket reads
-// deliver whatever the kernel has buffered, never "one frame". write_all /
-// read_some wrap the raw fd calls with EINTR/short-transfer handling; they
-// are the only place the transport layer touches a file descriptor.
+// one-byte-at-a-time) and re-emits whole frames, the way a socket reader
+// would have to. FramedTransport feeds it exactly such chunkings.
 
 #include <cstddef>
 #include <cstdint>
@@ -30,60 +28,17 @@ namespace plum::rt {
 inline constexpr std::uint32_t kFrameMagic = 0x504c4d46u;  // "PLMF"
 inline constexpr std::size_t kFrameHeaderBytes = 20;
 
-/// Sender id used by transport-internal control frames; never a valid rank.
-inline constexpr Rank kCtrlRank = -1;
-
-/// Control opcodes carried in the `tag` field of control frames.
-enum class CtrlOp : int {
-  kDeliver = 1,    ///< coordinator -> group: stream buffered frames back
-  kDone = 2,       ///< group -> coordinator: delivery finished
-  kShutdown = 3,   ///< coordinator -> group: exit cleanly
-  kTelemetry = 4,  ///< group -> coordinator: DepotStats payload, sent once
-                   ///< per barrier immediately before kDone
-};
-
-/// Depot-child self-accounting, piggybacked on the delivery stream as one
-/// kTelemetry control frame per barrier (plum-scope depot telemetry). All
-/// counters are cumulative since the child forked, except buffered_bytes
-/// (bytes held at the instant of the Deliver command) and stall_ns (time
-/// blocked in read() waiting for the coordinator).
-struct DepotStats {
-  std::int64_t buffered_bytes = 0;    ///< held frame bytes at Deliver time
-  std::int64_t frames_in = 0;         ///< frames decoded from the coordinator
-  std::int64_t frames_out = 0;        ///< frames streamed back
-  std::int64_t read_calls = 0;        ///< read() syscalls issued
-  std::int64_t write_calls = 0;       ///< write() syscalls issued
-  std::int64_t peak_buffer_bytes = 0; ///< high-water mark of held bytes
-  std::int64_t stall_ns = 0;          ///< ns blocked in read() between frames
-  std::int64_t vm_rss_bytes = 0;      ///< child VmRSS at Deliver time (plum-mem)
-  std::int64_t vm_hwm_bytes = 0;      ///< child peak RSS (VmHWM)
-
-  friend bool operator==(const DepotStats&, const DepotStats&) = default;
-};
-
 struct Frame {
   Rank from = kNoRank;
   Rank to = kNoRank;
   int tag = 0;
   std::vector<std::byte> payload;
 
-  [[nodiscard]] bool is_control() const { return from == kCtrlRank; }
-
   friend bool operator==(const Frame&, const Frame&) = default;
 };
 
 /// Appends the encoded frame (header + payload) to `out`.
 void encode_frame(const Frame& f, std::vector<std::byte>* out);
-
-/// Convenience: encodes a payload-free control frame.
-void encode_control(CtrlOp op, Rank operand, std::vector<std::byte>* out);
-
-/// Appends a kTelemetry control frame carrying `stats` (9 LE int64s).
-void encode_telemetry(const DepotStats& stats, std::vector<std::byte>* out);
-
-/// Decodes a kTelemetry control frame's payload. Returns false unless `f`
-/// is a well-formed telemetry frame.
-bool decode_telemetry(const Frame& f, DepotStats* out);
 
 /// Incremental decoder. Feed it arbitrary chunks of the byte stream; poll
 /// next() for completed frames. Any header whose magic does not match is a
@@ -97,24 +52,12 @@ class FrameDecoder {
   /// buffered bytes do not yet hold a whole frame.
   bool next(Frame* out);
 
-  /// True when a frame prefix is buffered but incomplete (useful for
-  /// detecting a peer that died mid-frame).
+  /// True when a frame prefix is buffered but incomplete (a stream that
+  /// ended mid-frame).
   [[nodiscard]] bool mid_frame() const { return !buf_.empty(); }
-
-  /// Bytes currently buffered (resident decoder state).
-  [[nodiscard]] std::size_t buffered_bytes() const { return buf_.size(); }
 
  private:
   std::vector<std::byte> buf_;  // unconsumed stream bytes, front-compacted
 };
-
-/// Writes exactly n bytes to fd, retrying on EINTR and short writes, and
-/// suppressing SIGPIPE where the fd supports it (socket send). Returns
-/// false when the peer is gone (EPIPE/ECONNRESET) or on any other error.
-bool write_all(int fd, const std::byte* data, std::size_t n);
-
-/// Reads up to n bytes. Returns >0 bytes read, 0 on EOF (peer closed), -1
-/// on error. Retries EINTR internally.
-std::ptrdiff_t read_some(int fd, std::byte* data, std::size_t n);
 
 }  // namespace plum::rt

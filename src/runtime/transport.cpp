@@ -1,39 +1,13 @@
 #include "runtime/transport.hpp"
 
-#include <chrono>
-#include <cstdio>
-#include <cstring>
+#include <algorithm>
 #include <iterator>
-#include <string>
-
-#include <unistd.h>
+#include <span>
 
 #include "runtime/frame.hpp"
-#include "runtime/proc_group.hpp"
 #include "util/assert.hpp"
-#include "util/rss.hpp"
 
 namespace plum::rt {
-
-const char* transport_kind_name(TransportKind k) {
-  switch (k) {
-    case TransportKind::kInProc: return "inproc";
-    case TransportKind::kPipe: return "pipe";
-  }
-  return "?";
-}
-
-bool parse_transport_kind(std::string_view s, TransportKind* out) {
-  if (s == "inproc") {
-    *out = TransportKind::kInProc;
-    return true;
-  }
-  if (s == "pipe") {
-    *out = TransportKind::kPipe;
-    return true;
-  }
-  return false;
-}
 
 // --- InProcTransport ----------------------------------------------------------
 
@@ -52,221 +26,53 @@ void InProcTransport::exchange(std::vector<SendQueue>& queues,
   }
 }
 
-// --- PipeTransport ------------------------------------------------------------
+// --- FramedTransport ----------------------------------------------------------
 
 namespace {
 
-constexpr std::size_t kIoChunk = 64 * 1024;
-
-/// Child side: buffer every data frame between barriers; on kDeliver,
-/// stream the buffer back followed by one kTelemetry frame (this depot's
-/// DepotStats, piggybacked per barrier — plum-scope) and a kDone marker.
-/// Touches nothing but its own vectors and the socket fd (fork-safety
-/// contract of ProcGroup). The startup banner on stderr lands in the
-/// ProcGroup capture pipe, so even a SIGKILLed child leaves identifiable
-/// last words for the postmortem.
-void depot_loop(int group, int fd) {
-  std::fprintf(stderr, "plum-depot group=%d pid=%ld started\n", group,
-               static_cast<long>(::getpid()));
-  using SteadyClock = std::chrono::steady_clock;
-  FrameDecoder dec;
-  DepotStats stats;
-  std::int64_t held_frames = 0;  // data frames buffered since last Deliver
-  std::vector<std::byte> held;   // re-encoded data frames, arrival order
-  std::vector<std::byte> chunk(kIoChunk);
-  Frame f;
-  for (;;) {
-    const SteadyClock::time_point t0 = SteadyClock::now();
-    const std::ptrdiff_t n = read_some(fd, chunk.data(), chunk.size());
-    stats.stall_ns += std::chrono::duration_cast<std::chrono::nanoseconds>(
-                          SteadyClock::now() - t0)
-                          .count();
-    ++stats.read_calls;
-    if (n <= 0) return;  // coordinator died or closed: exit quietly
-    dec.feed(std::span<const std::byte>(chunk.data(),
-                                        static_cast<std::size_t>(n)));
-    while (dec.next(&f)) {
-      if (!f.is_control()) {
-        ++stats.frames_in;
-        ++held_frames;
-        encode_frame(f, &held);
-        const auto held_bytes = static_cast<std::int64_t>(held.size());
-        if (held_bytes > stats.peak_buffer_bytes) {
-          stats.peak_buffer_bytes = held_bytes;
-        }
-        continue;
-      }
-      switch (static_cast<CtrlOp>(f.tag)) {
-        case CtrlOp::kDeliver: {
-          stats.buffered_bytes = static_cast<std::int64_t>(held.size());
-          stats.frames_out += held_frames;
-          held_frames = 0;
-          ++stats.write_calls;  // the write_all below
-          // Sample this child's resident set right before reporting, so
-          // the coordinator's depot telemetry carries per-process heap
-          // gauges (wall-class; excluded from deterministic views).
-          const util::RssSample rss = util::read_rss();
-          stats.vm_rss_bytes = rss.vm_rss_bytes;
-          stats.vm_hwm_bytes = rss.vm_hwm_bytes;
-          encode_telemetry(stats, &held);
-          encode_control(CtrlOp::kDone, 0, &held);
-          if (!write_all(fd, held.data(), held.size())) return;
-          held.clear();
-          held.shrink_to_fit();
-          break;
-        }
-        case CtrlOp::kShutdown:
-          return;
-        case CtrlOp::kDone:
-        case CtrlOp::kTelemetry:
-          return;  // protocol violation; die visibly (EOF upstream)
-      }
-    }
-  }
-}
+/// Decoder feed sizes, cycled over the stream: 1 and 7 split headers, 19
+/// straddles header/payload boundaries, 4096 coalesces many frames into one
+/// feed. Every feed stays bounded because FrameDecoder::next erases from the
+/// front of its buffer, which is quadratic on one large feed.
+constexpr std::size_t kFeedCycle[] = {1, 7, 19, 4096};
 
 }  // namespace
 
-class PipeTransport::Impl {
- public:
-  std::vector<std::vector<std::byte>> stage;  // per-group outgoing bytes
-  std::vector<FrameDecoder> decoders;         // per-group incoming streams
-  std::vector<DepotStats> depot;              // latest telemetry per group
-};
-
-PipeTransport::PipeTransport(Rank nranks, PipeTransportOptions opt)
-    : nranks_(nranks) {
-  PLUM_ASSERT(nranks >= 1);
-  int g = opt.nprocs;
-  if (g <= 0) g = kDefaultMaxProcs;
-  if (g > nranks) g = static_cast<int>(nranks);
-  ngroups_ = g;
-  impl_ = std::make_unique<Impl>();
-  impl_->stage.resize(static_cast<std::size_t>(g));
-  impl_->decoders.resize(static_cast<std::size_t>(g));
-  impl_->depot.resize(static_cast<std::size_t>(g));
-  procs_ = std::make_unique<ProcGroup>(
-      g, [](int group, int fd) { depot_loop(group, fd); });
-}
-
-PipeTransport::~PipeTransport() {
-  // Best-effort clean shutdown; ProcGroup's destructor reaps regardless.
-  std::vector<std::byte> bye;
-  encode_control(CtrlOp::kShutdown, 0, &bye);
-  for (int g = 0; g < ngroups_; ++g) {
-    (void)write_all(procs_->fd(g), bye.data(), bye.size());
-  }
-}
-
-void PipeTransport::exchange(std::vector<SendQueue>& queues,
-                             std::vector<std::vector<Message>>& inboxes) {
+void FramedTransport::exchange(std::vector<SendQueue>& queues,
+                               std::vector<std::vector<Message>>& inboxes) {
   note_queue_usage(queues);
-  auto& stage = impl_->stage;
-  auto& decoders = impl_->decoders;
-  for (auto& s : stage) s.clear();
-
-  auto group_died = [&](int g) {
-    const bool dead = !procs_->alive(g);
-    if (dead) {
-      // Capture the child's last words before aborting: they go into both
-      // the abort message and (via the crash note) the postmortem document
-      // obs::install_postmortem flushes from the abort hook.
-      const std::string& err = procs_->drain_stderr(g);
-      plum::detail::note_crash("dead_group", std::to_string(g));
-      plum::detail::note_crash("child_stderr", err);
-      std::string msg =
-          "pipe transport: rank group child died mid-superstep (rank death "
-          "detected; group " +
-          std::to_string(g) + ")";
-      if (!err.empty()) msg += "\n  child stderr:\n" + err;
-      plum::detail::assert_fail("procs_->alive(g)", __FILE__, __LINE__,
-                                msg.c_str());
-    }
-    PLUM_ASSERT_MSG(false, "pipe transport: socket error to live rank group");
-  };
-
-  // Encode every sender's buckets in sender-rank-major program order into
-  // the staging buffer of the destination's group, then append the Deliver
-  // command. Each receiver's ranks live in exactly one group, so replaying
-  // group streams in order reproduces the inproc (sender, program) order.
+  // One byte stream in sender-rank-major program order: decoding it in
+  // order reproduces the in-proc (sender, program) order at every receiver.
+  std::vector<std::byte> wire;
+  Frame f;
   const auto p = static_cast<Rank>(queues.size());
   for (Rank s = 0; s < p; ++s) {
     for (auto& b : queues[static_cast<std::size_t>(s)].buckets()) {
-      auto& out = stage[static_cast<std::size_t>(group_of(b.to))];
       for (auto& m : b.msgs) {
-        Frame f;
         f.from = s;
         f.to = b.to;
         f.tag = m.tag;
         f.payload = std::move(m.bytes);
-        encode_frame(f, &out);
+        encode_frame(f, &wire);
       }
     }
     queues[static_cast<std::size_t>(s)].clear();
   }
-  for (int g = 0; g < ngroups_; ++g) {
-    encode_control(CtrlOp::kDeliver, 0, &stage[static_cast<std::size_t>(g)]);
-    if (!write_all(procs_->fd(g), stage[static_cast<std::size_t>(g)].data(),
-                   stage[static_cast<std::size_t>(g)].size())) {
-      group_died(g);
+
+  FrameDecoder dec;
+  std::size_t pos = 0;
+  for (std::size_t k = 0; pos < wire.size(); ++k) {
+    const std::size_t n = std::min(kFeedCycle[k % std::size(kFeedCycle)],
+                                   wire.size() - pos);
+    dec.feed(std::span<const std::byte>(wire.data() + pos, n));
+    pos += n;
+    while (dec.next(&f)) {
+      inboxes[static_cast<std::size_t>(f.to)].push_back(
+          Message{f.from, f.tag, std::move(f.payload)});
     }
   }
-
-  // Drain each group's response stream in group order. Within a group the
-  // frames come back in exactly the order staged above.
-  std::vector<std::byte> chunk(kIoChunk);
-  Frame f;
-  for (int g = 0; g < ngroups_; ++g) {
-    auto& dec = decoders[static_cast<std::size_t>(g)];
-    bool done = false;
-    while (!done) {
-      if (dec.next(&f)) {
-        if (f.is_control()) {
-          if (static_cast<CtrlOp>(f.tag) == CtrlOp::kTelemetry) {
-            PLUM_ASSERT_MSG(
-                decode_telemetry(f,
-                                 &impl_->depot[static_cast<std::size_t>(g)]),
-                "pipe transport: malformed telemetry frame");
-            continue;
-          }
-          PLUM_ASSERT_MSG(static_cast<CtrlOp>(f.tag) == CtrlOp::kDone,
-                          "pipe transport: unexpected control frame");
-          done = true;
-          continue;
-        }
-        inboxes[static_cast<std::size_t>(f.to)].push_back(
-            Message{f.from, f.tag, std::move(f.payload)});
-        continue;
-      }
-      const std::ptrdiff_t n =
-          read_some(procs_->fd(g), chunk.data(), chunk.size());
-      if (n <= 0) group_died(g);
-      dec.feed(std::span<const std::byte>(chunk.data(),
-                                          static_cast<std::size_t>(n)));
-    }
-    PLUM_ASSERT_MSG(!dec.mid_frame(),
-                    "pipe transport: trailing bytes after Done marker");
-  }
-
-  std::size_t resident = 0;
-  for (const auto& s : stage) resident += s.capacity();
-  for (const auto& d : decoders) resident += d.buffered_bytes();
-  note_resident_bytes(resident);
-}
-
-std::vector<DepotStats> PipeTransport::depot_stats() const {
-  return impl_->depot;
-}
-
-std::unique_ptr<Transport> make_transport(TransportKind kind, Rank nranks,
-                                          PipeTransportOptions opt) {
-  switch (kind) {
-    case TransportKind::kInProc: return std::make_unique<InProcTransport>();
-    case TransportKind::kPipe:
-      return std::make_unique<PipeTransport>(nranks, opt);
-  }
-  PLUM_ASSERT_MSG(false, "unknown transport kind");
-  return nullptr;
+  PLUM_ASSERT_MSG(!dec.mid_frame(),
+                  "framed transport: stream ended inside a frame");
 }
 
 }  // namespace plum::rt

@@ -22,40 +22,30 @@
 //   InProcTransport — ranks share one address space; delivery is a move of
 //                     the queued Message objects (the fast path, and the
 //                     reference semantics everything else must match).
-//   PipeTransport   — ranks are partitioned into contiguous groups, each
-//                     served by a child OS process (rt::ProcGroup). Every
-//                     message is encoded as a length-prefixed frame
-//                     (rt::frame), written over a socketpair to the child
-//                     owning the *destination* rank group, buffered there
-//                     between barriers, and streamed back on delivery. All
-//                     payload bytes physically leave and re-enter the
-//                     coordinating process, so framing, partial reads/
-//                     writes, backpressure, and peer death are exercised
-//                     for real at P=64-256.
+//   FramedTransport — every message is encoded as a length-prefixed frame
+//                     (rt::frame) into one sender-rank-major byte stream,
+//                     which is then decoded in a fixed cycle of small
+//                     chunk sizes, so each barrier splits headers and
+//                     coalesces frames the way a socket read would. It is
+//                     the wire-format check: a transport that serializes
+//                     and re-parses every payload must leave inboxes,
+//                     ledgers and traces byte-identical to the move.
 //
 // Replicated-state rule (Schornbaum & Rüde): no per-rank structure in the
 // transport may be O(P) or O(global mesh). Outboxes are sparse destination
-// buckets, comm accounting is sparse CommCells (engine.hpp), and the pipe
-// coordinator keeps O(groups) staging buffers. peak_queue_cells() exposes
-// the high-water mark so tests can assert O(neighbors) residency.
+// buckets and comm accounting is sparse CommCells (engine.hpp).
+// peak_queue_cells() exposes the high-water mark so tests can assert
+// O(neighbors) residency.
 
 #include <cstddef>
-#include <memory>
-#include <string_view>
 #include <vector>
 
-#include "runtime/frame.hpp"
 #include "runtime/message.hpp"
 #include "util/types.hpp"
 
 namespace plum::rt {
 
-enum class TransportKind { kInProc, kPipe };
-
-[[nodiscard]] const char* transport_kind_name(TransportKind k);
-/// Parses "inproc" / "pipe" (the --transport spelling). Returns false and
-/// leaves *out untouched on anything else.
-bool parse_transport_kind(std::string_view s, TransportKind* out);
+enum class TransportKind { kInProc, kFramed };
 
 /// One sender's messages for one destination, in program (send) order.
 struct SendBucket {
@@ -97,9 +87,6 @@ class Transport {
  public:
   virtual ~Transport() = default;
 
-  [[nodiscard]] virtual TransportKind kind() const = 0;
-  [[nodiscard]] const char* name() const { return transport_kind_name(kind()); }
-
   /// Superstep barrier: deliver queues[s] into inboxes[q] per the ordering
   /// contract above. Drains the queues. inboxes must arrive sized P with
   /// empty slots.
@@ -112,22 +99,6 @@ class Transport {
   /// audit in test_runtime asserts it stays far below P^2.
   [[nodiscard]] std::size_t peak_queue_cells() const { return peak_cells_; }
 
-  /// High-water mark of transport-internal buffer bytes resident at the
-  /// end of an exchange (pipe staging/decoders; 0 for in-proc moves).
-  [[nodiscard]] std::size_t peak_resident_bytes() const {
-    return peak_resident_bytes_;
-  }
-
-  /// Latest per-depot-process telemetry, one entry per rank group
-  /// (plum-scope). Empty for transports without depot processes; the pipe
-  /// transport refreshes it at every exchange barrier from the kTelemetry
-  /// frames its children piggyback on the delivery stream. Wall-clock
-  /// sourced (syscall counts, stall ns) — report-only, never fed into
-  /// deterministic views.
-  [[nodiscard]] virtual std::vector<DepotStats> depot_stats() const {
-    return {};
-  }
-
  protected:
   /// Called by implementations at the top of exchange().
   void note_queue_usage(const std::vector<SendQueue>& queues) {
@@ -135,66 +106,24 @@ class Transport {
     for (const auto& q : queues) cells += q.num_buckets();
     if (cells > peak_cells_) peak_cells_ = cells;
   }
-  void note_resident_bytes(std::size_t bytes) {
-    if (bytes > peak_resident_bytes_) peak_resident_bytes_ = bytes;
-  }
 
  private:
   std::size_t peak_cells_ = 0;
-  std::size_t peak_resident_bytes_ = 0;
 };
 
 /// The shared-memory reference transport: delivery is a move.
 class InProcTransport final : public Transport {
  public:
-  [[nodiscard]] TransportKind kind() const override {
-    return TransportKind::kInProc;
-  }
   void exchange(std::vector<SendQueue>& queues,
                 std::vector<std::vector<Message>>& inboxes) override;
 };
 
-struct PipeTransportOptions {
-  /// Child processes (rank groups). 0 picks min(kDefaultMaxProcs, nranks).
-  int nprocs = 0;
-};
-
-class ProcGroup;
-
-/// Multi-process transport: rank groups hosted by child processes behind
-/// socketpair framing. See the header comment for the full protocol.
-class PipeTransport final : public Transport {
+/// Encode-then-decode transport: every message crosses the frame codec
+/// (see the header comment). Stateless between barriers.
+class FramedTransport final : public Transport {
  public:
-  static constexpr int kDefaultMaxProcs = 8;
-
-  explicit PipeTransport(Rank nranks, PipeTransportOptions opt = {});
-  ~PipeTransport() override;
-
-  [[nodiscard]] TransportKind kind() const override {
-    return TransportKind::kPipe;
-  }
   void exchange(std::vector<SendQueue>& queues,
                 std::vector<std::vector<Message>>& inboxes) override;
-
-  [[nodiscard]] int nprocs() const { return ngroups_; }
-  [[nodiscard]] int group_of(Rank r) const {
-    return static_cast<int>((static_cast<long>(r) * ngroups_) / nranks_);
-  }
-  /// Test access (rank-death simulation).
-  [[nodiscard]] ProcGroup& procs() { return *procs_; }
-
-  /// One DepotStats per rank group, refreshed each exchange (see base).
-  [[nodiscard]] std::vector<DepotStats> depot_stats() const override;
-
- private:
-  class Impl;
-  Rank nranks_;
-  int ngroups_;
-  std::unique_ptr<ProcGroup> procs_;
-  std::unique_ptr<Impl> impl_;
 };
-
-std::unique_ptr<Transport> make_transport(TransportKind kind, Rank nranks,
-                                          PipeTransportOptions opt = {});
 
 }  // namespace plum::rt

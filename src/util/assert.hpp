@@ -5,18 +5,12 @@
 //
 // Crash forensics: assert_fail() invokes an optional process-wide abort
 // hook exactly once before abort(). obs::install_postmortem() uses it to
-// flush the flight-recorder rings and depot telemetry to a
-// POSTMORTEM_<name>.json document, so a failed PLUM_ASSERT (including the
-// pipe transport's rank-death path) leaves evidence behind instead of
-// destroying it. Callers with extra context (e.g. a dead depot child's
-// captured stderr) attach it via note_crash() before asserting; the hook
-// reads it back through crash_notes().
+// flush the flight-recorder rings to a POSTMORTEM_<name>.json document, so
+// a failed PLUM_ASSERT leaves evidence behind instead of destroying it.
 
 #include <atomic>
 #include <cstdio>
 #include <cstdlib>
-#include <map>
-#include <string>
 
 namespace plum::detail {
 
@@ -43,19 +37,6 @@ inline AbortHook set_abort_hook(AbortHook hook) {
   const AbortHook prev = slot;
   slot = hook;
   return prev;
-}
-
-/// Free-form key -> text notes attached to the next abort (e.g. the dead
-/// depot child's captured stderr). Host-side only; not thread-safe against
-/// concurrent note_crash() calls, which is fine because notes are written
-/// on the coordinating thread immediately before the assert fires.
-inline std::map<std::string, std::string>& crash_notes() {
-  static std::map<std::string, std::string> notes;
-  return notes;
-}
-
-inline void note_crash(const std::string& key, std::string text) {
-  crash_notes()[key] = std::move(text);
 }
 
 [[noreturn]] inline void assert_fail(const char* expr, const char* file,

@@ -1,8 +1,8 @@
 #pragma once
-// Resident-set-size sampling from /proc/self/status. Lives in util (not
-// obs) because both the observability layer (host RSS gauges in the trace)
-// and the runtime's pipe depot children (DepotStats heap fields) need it,
-// and plum_runtime must not depend on plum_obs.
+// Resident-set-size sampling from /proc/self/status. Lives in util, the
+// bottom layer, so every caller can sample it: the observability layer
+// (host RSS gauges in the trace), the drivers' cycle log and the benchmark
+// driver.
 //
 // RSS numbers are wall-class observables: they depend on the allocator,
 // the kernel, and whatever else the process did. Everything here is

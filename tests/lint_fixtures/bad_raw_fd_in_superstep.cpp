@@ -1,6 +1,6 @@
 // plum-lint fixture (lint-only, never compiled): bare POSIX fd calls
-// inside a superstep lambda. All process-boundary IO belongs to the
-// Transport at the barrier (runtime/frame.hpp's write_all / read_some);
+// inside a superstep lambda. All message movement belongs to the
+// Transport at the barrier (runtime/transport.hpp's exchange());
 // a rank program that reads or writes a file descriptor moves bytes
 // outside the ledger, the conservation check, and the delivery-order
 // contract. Member calls (`outbox.send`) and host-side fd use outside the

@@ -4,15 +4,12 @@
 
 #include <gtest/gtest.h>
 
-#include <csignal>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
 #include <sstream>
 #include <vector>
-
-#include <sys/wait.h>
 
 #include "core/dist_framework.hpp"
 #include "core/framework.hpp"
@@ -21,7 +18,6 @@
 #include "obs/gate_audit.hpp"
 #include "obs/scope.hpp"
 #include "runtime/engine.hpp"
-#include "runtime/proc_group.hpp"
 #include "runtime/transport.hpp"
 #include "solver/init_conditions.hpp"
 #include "util/stats.hpp"
@@ -41,20 +37,20 @@ DistFramework make_dist(FrameworkOptions opt, int boxn) {
   return fw;
 }
 
-// Cross-transport determinism at the framework level: routing every
-// payload through child depot processes (pipe transport) must leave the
-// whole adaption cycle bit-identical — element counts, solution fields,
-// ledger, deterministic trace and metrics views.
-TEST(DistFramework, PipeTransportCyclesIdenticalToInProc) {
-  auto run_cycles = [](rt::TransportKind transport) {
+// Cross-transport determinism at the framework level: encoding every
+// payload into frames and decoding it back (framed transport) must leave
+// the whole adaption cycle bit-identical — element counts, solution
+// fields, ledger, deterministic trace, metrics and heap views — at a
+// strong-scaling size and at P=64 on a small box.
+TEST(DistFramework, FramedTransportCyclesIdenticalToInProc) {
+  auto run_cycles = [](rt::TransportKind transport, Rank nranks, int boxn) {
     FrameworkOptions opt;
-    opt.nranks = 8;
+    opt.nranks = nranks;
     opt.refine_fraction = 0.08;
     opt.imbalance_trigger = 1.02;  // make the remap path fire
     opt.solver_steps_per_cycle = 3;
     opt.transport = transport;
-    opt.transport_procs = 3;
-    auto fw = make_dist(opt, 5);
+    auto fw = make_dist(opt, boxn);
     std::vector<CycleReport> reps;
     for (int i = 0; i < 2; ++i) reps.push_back(fw.cycle());
     fw.dist_mesh().validate();
@@ -69,29 +65,31 @@ TEST(DistFramework, PipeTransportCyclesIdenticalToInProc) {
                            fw.memory().deterministic_json().dump());
   };
 
-  const auto inproc = run_cycles(rt::TransportKind::kInProc);
-  const auto pipe = run_cycles(rt::TransportKind::kPipe);
+  for (const auto& [nranks, boxn] : {std::pair<Rank, int>{8, 5}, {64, 6}}) {
+    SCOPED_TRACE("P=" + std::to_string(nranks));
+    const auto inproc = run_cycles(rt::TransportKind::kInProc, nranks, boxn);
+    const auto framed = run_cycles(rt::TransportKind::kFramed, nranks, boxn);
 
-  const auto& ri = std::get<0>(inproc);
-  const auto& rp = std::get<0>(pipe);
-  ASSERT_EQ(ri.size(), rp.size());
-  for (std::size_t i = 0; i < ri.size(); ++i) {
-    EXPECT_EQ(rp[i].elements_before, ri[i].elements_before);
-    EXPECT_EQ(rp[i].elements_after, ri[i].elements_after);
-    EXPECT_EQ(rp[i].accepted, ri[i].accepted);
-    EXPECT_EQ(rp[i].elements_migrated, ri[i].elements_migrated);
-    EXPECT_EQ(rp[i].volume.total_elems, ri[i].volume.total_elems);
+    const auto& ri = std::get<0>(inproc);
+    const auto& rf = std::get<0>(framed);
+    ASSERT_EQ(ri.size(), rf.size());
+    for (std::size_t i = 0; i < ri.size(); ++i) {
+      EXPECT_EQ(rf[i].elements_before, ri[i].elements_before);
+      EXPECT_EQ(rf[i].elements_after, ri[i].elements_after);
+      EXPECT_EQ(rf[i].accepted, ri[i].accepted);
+      EXPECT_EQ(rf[i].elements_migrated, ri[i].elements_migrated);
+      EXPECT_EQ(rf[i].volume.total_elems, ri[i].volume.total_elems);
+    }
+    EXPECT_EQ(std::get<1>(framed), std::get<1>(inproc));  // elems per rank
+    EXPECT_EQ(std::get<2>(framed), std::get<2>(inproc));  // density fields
+    EXPECT_EQ(std::get<3>(framed), std::get<3>(inproc));  // full ledger
+    EXPECT_EQ(std::get<4>(framed), std::get<4>(inproc));  // det. trace
+    EXPECT_EQ(std::get<5>(framed), std::get<5>(inproc));  // det. metrics
+    // plum-mem: the per-phase allocation profile is transport-invariant —
+    // and embedded in the trace bytes compared above.
+    EXPECT_EQ(std::get<6>(framed), std::get<6>(inproc));
+    EXPECT_NE(std::get<4>(inproc).find("\"plum-heap/1\""), std::string::npos);
   }
-  EXPECT_EQ(std::get<1>(pipe), std::get<1>(inproc));  // elements per rank
-  EXPECT_EQ(std::get<2>(pipe), std::get<2>(inproc));  // density fields
-  EXPECT_EQ(std::get<3>(pipe), std::get<3>(inproc));  // full ledger
-  EXPECT_EQ(std::get<4>(pipe), std::get<4>(inproc));  // deterministic trace
-  EXPECT_EQ(std::get<5>(pipe), std::get<5>(inproc));  // deterministic metrics
-  // plum-mem: rank lambdas always run in the coordinator (depot children
-  // only buffer), so the per-phase allocation profile is transport-
-  // invariant — and embedded in the trace bytes compared above.
-  EXPECT_EQ(std::get<6>(pipe), std::get<6>(inproc));
-  EXPECT_NE(std::get<4>(inproc).find("\"plum-heap/1\""), std::string::npos);
 }
 
 TEST(DistFramework, CycleRefinesAndStaysConsistent) {
@@ -297,27 +295,27 @@ TEST(DistFramework, ScopeStreamWritesOneValidatedRecordPerCycle) {
     for (std::size_t r = 0; r < ranks->size(); ++r) {
       busy_total += ranks->at(r).find("busy")->as_int();
     }
-    EXPECT_EQ(rec.find("depot"), nullptr);  // in-proc: no depot children
     ++n;
   }
   EXPECT_EQ(n, cycles);
   EXPECT_GT(busy_total, 0);
   std::remove(stream.c_str());
 
-  // Same workload over the pipe transport: identical deterministic rings.
-  FrameworkOptions popt = opt;
-  popt.scope_stream.clear();
-  popt.transport = rt::TransportKind::kPipe;
-  popt.transport_procs = 2;
-  auto pfw = make_dist(popt, 4);
-  for (int i = 0; i < cycles; ++i) pfw.cycle();
-  EXPECT_EQ(pfw.scope().deterministic_json().dump(), scope_det);
+  // Same workload over the framed transport: identical deterministic rings.
+  FrameworkOptions fopt = opt;
+  fopt.scope_stream.clear();
+  fopt.transport = rt::TransportKind::kFramed;
+  auto ffw = make_dist(fopt, 4);
+  for (int i = 0; i < cycles; ++i) ffw.cycle();
+  EXPECT_EQ(ffw.scope().deterministic_json().dump(), scope_det);
 }
 
-// Killing a depot child mid-run must leave a validating plum-postmortem/1
-// document behind: the assert's rank-death reason, >= 1 ring event for
-// every surviving rank, and the dead child's captured stderr.
-TEST(DistFrameworkDeathTest, RankDeathWritesValidatingPostmortem) {
+// A failed PLUM_ASSERT mid-run must leave a validating plum-postmortem/1
+// document behind: the assertion's message and >= 1 ring event for every
+// rank. The failure is a real invariant check: one holder dropped from a
+// 3-holder vertex's SPL, which only DistMesh::validate's holder-set check
+// can catch.
+TEST(DistFrameworkDeathTest, FailedAssertWritesValidatingPostmortem) {
   ::testing::FLAGS_gtest_death_test_style = "threadsafe";
   const std::string dir = ::testing::TempDir();
   const std::string pm_path = dir + "POSTMORTEM_death_unit.json";
@@ -331,18 +329,23 @@ TEST(DistFrameworkDeathTest, RankDeathWritesValidatingPostmortem) {
         opt.refine_fraction = 0.05;
         opt.imbalance_trigger = 1.05;
         opt.solver_steps_per_cycle = 3;
-        opt.transport = rt::TransportKind::kPipe;
-        opt.transport_procs = 2;
         opt.scope_name = "death_unit";
         auto fw = make_dist(opt, 4);
-        fw.cycle();  // populate the rings before the crash
-        auto& pipe = dynamic_cast<rt::PipeTransport&>(fw.engine().transport());
-        ::kill(pipe.procs().pid(0), SIGKILL);
-        int status = 0;
-        ::waitpid(pipe.procs().pid(0), &status, 0);
-        fw.cycle();
+        fw.cycle();  // populate the rings before the failure
+        pmesh::DistMesh& dm = fw.dist_mesh();
+        bool dropped = false;
+        for (Rank r = 0; r < opt.nranks && !dropped; ++r) {
+          for (auto& [lid, spl] : dm.local(r).shared_verts) {
+            if (spl.size() == 2) {
+              spl.pop_back();
+              dropped = true;
+              break;
+            }
+          }
+        }
+        if (dropped) dm.validate();
       },
-      "rank group child died");
+      "vertex SPL holder sets differ");
   ASSERT_EQ(unsetenv("PLUM_BENCH_JSON_DIR"), 0);
 
   std::ifstream in(pm_path);
@@ -355,9 +358,9 @@ TEST(DistFrameworkDeathTest, RankDeathWritesValidatingPostmortem) {
   ASSERT_EQ(obs::validate_postmortem(doc), "");
   EXPECT_EQ(doc.find("name")->as_string(), "death_unit");
   EXPECT_NE(doc.find("reason")->find("msg")->as_string().find(
-                "rank group child died"),
+                "vertex SPL holder sets differ"),
             std::string::npos);
-  // Every rank kept flight-recorder evidence of the run that crashed.
+  // Every rank kept flight-recorder evidence of the run that failed.
   const obs::Json* scope = doc.find("scope");
   ASSERT_NE(scope, nullptr);
   const obs::Json* ranks = scope->find("ranks");
@@ -365,12 +368,6 @@ TEST(DistFrameworkDeathTest, RankDeathWritesValidatingPostmortem) {
   for (std::size_t r = 0; r < ranks->size(); ++r) {
     EXPECT_GE(ranks->at(r).find("events")->size(), 1u) << "rank " << r;
   }
-  // The dead child's captured stderr made it into the document.
-  EXPECT_NE(doc.find("child_stderr")->as_string().find("plum-depot group=0"),
-            std::string::npos);
-  const obs::Json* depot = doc.find("depot");
-  ASSERT_NE(depot, nullptr);
-  EXPECT_EQ(depot->size(), 2u);
   std::remove(pm_path.c_str());
 }
 

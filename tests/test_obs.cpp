@@ -1032,11 +1032,6 @@ TEST(ScopeSchema, AcceptsRecordAndRejectsViolations) {
     bad.set("ranks", Json::array().push(std::move(rk)));
     EXPECT_NE(obs::validate_scope_record(bad), "");
   }
-  {
-    Json bad = valid_scope_record();
-    bad.set("depot", Json::str("not an array"));
-    EXPECT_NE(obs::validate_scope_record(bad), "");
-  }
 }
 
 TEST(ScopeStreamWriter, AppendsOneValidatedLinePerRecord) {
@@ -1082,30 +1077,21 @@ TEST(Postmortem, BuilderEmitsValidatedDocumentWithCrashNotes) {
   h[0].record_event(0, 5, 123);
   h[1].record_event(0, 7, 456);
 
-  plum::detail::note_crash("child_stderr", "plum-depot group=1 pid=7 started");
-  plum::detail::note_crash("dead_group", "1");
   obs::PostmortemConfig cfg;
   cfg.name = "unit";
   cfg.recorder = &rec;
   const Json doc = obs::postmortem_json(cfg, "x == y", "file.cpp", 42, "boom");
-  plum::detail::crash_notes().clear();
 
   EXPECT_EQ(obs::validate_postmortem(doc), "");
   EXPECT_EQ(doc.find("name")->as_string(), "unit");
   EXPECT_EQ(doc.find("reason")->find("expr")->as_string(), "x == y");
   EXPECT_EQ(doc.find("reason")->find("line")->as_int(), 42);
   EXPECT_EQ(doc.find("reason")->find("msg")->as_string(), "boom");
-  EXPECT_EQ(doc.find("child_stderr")->as_string(),
-            "plum-depot group=1 pid=7 started");
-  // child_stderr is surfaced top-level, the rest stays under notes.
-  EXPECT_EQ(doc.find("notes")->find("child_stderr"), nullptr);
-  EXPECT_EQ(doc.find("notes")->find("dead_group")->as_string(), "1");
   const Json* scope = doc.find("scope");
   ASSERT_NE(scope, nullptr);
   EXPECT_EQ(scope->find("ranks")->size(), 2u);
   // Postmortems keep wall clocks: forensic output, never diffed.
   EXPECT_NE(doc.dump().find("wall_ns"), std::string::npos);
-  EXPECT_EQ(doc.find("depot"), nullptr);  // no transport attached
 
   {
     Json bad = doc;
@@ -1119,11 +1105,6 @@ TEST(Postmortem, BuilderEmitsValidatedDocumentWithCrashNotes) {
   }
   {
     Json bad = doc;
-    bad.set("child_stderr", Json::integer(0));
-    EXPECT_NE(obs::validate_postmortem(bad), "");
-  }
-  {
-    Json bad = doc;
     bad.set("scope", Json::object());  // capacity/nranks/ranks missing
     EXPECT_NE(obs::validate_postmortem(bad), "");
   }
@@ -1132,12 +1113,12 @@ TEST(Postmortem, BuilderEmitsValidatedDocumentWithCrashNotes) {
 TEST(Metrics, WallSeriesMarkedAndExcludedFromDeterministicView) {
   obs::MetricsRegistry m;
   m.add_sample("imbalance", 1.5);
-  m.add_wall_sample_int("depot_stall_ns", 100);
-  m.add_wall_sample_int("depot_stall_ns", 250);
-  m.add_wall_sample("depot_occupancy", 0.5);
+  m.add_wall_sample_int("barrier_stall_ns", 100);
+  m.add_wall_sample_int("barrier_stall_ns", 250);
+  m.add_wall_sample("pool_occupancy", 0.5);
 
   const Json full = m.to_json();
-  const Json* wall = full.find("depot_stall_ns");
+  const Json* wall = full.find("barrier_stall_ns");
   ASSERT_NE(wall, nullptr);
   ASSERT_TRUE(wall->is_object());
   EXPECT_TRUE(wall->find("series")->as_bool());
@@ -1147,8 +1128,8 @@ TEST(Metrics, WallSeriesMarkedAndExcludedFromDeterministicView) {
 
   // Deterministic view drops every wall-marked series, nothing else.
   const Json det = m.deterministic_json();
-  EXPECT_EQ(det.find("depot_stall_ns"), nullptr);
-  EXPECT_EQ(det.find("depot_occupancy"), nullptr);
+  EXPECT_EQ(det.find("barrier_stall_ns"), nullptr);
+  EXPECT_EQ(det.find("pool_occupancy"), nullptr);
   ASSERT_NE(det.find("imbalance"), nullptr);
 }
 
@@ -1156,7 +1137,7 @@ TEST(BenchSchema, V2AcceptsWallSeriesObjects) {
   Json doc = valid_v2_report();
   Json run = doc.find("runs")->at(0);
   Json metrics = *run.find("metrics");
-  metrics.set("depot_stall_ns",
+  metrics.set("barrier_stall_ns",
               Json::object()
                   .set("series", Json::boolean(true))
                   .set("wall", Json::boolean(true))

@@ -85,28 +85,23 @@ TEST(CrossEngine, MessageStormIdenticalDeliveryAndLedger) {
   }
 }
 
-// The transport contract (runtime/transport.hpp): InProc and Pipe must be
-// indistinguishable to rank programs. Same storm, both engines, both
-// transports, several group counts — delivery traces (content and order),
-// ledgers, and comm matrices must all be bit-identical to the sequential
-// in-proc reference.
+// The transport contract (runtime/transport.hpp): InProc and Framed must
+// be indistinguishable to rank programs. Same storm, both engines, up to
+// P=64 — delivery traces (content and order), ledgers, and comm matrices
+// must all be bit-identical to the sequential in-proc reference.
 TEST(CrossTransport, MessageStormIdenticalInboxesLedgersAndCommMatrices) {
-  for (Rank p : {4, 8}) {
+  for (Rank p : {4, 8, 64}) {
     Engine ref(p);
     const auto want = run_storm(ref, 6);
     for (int threads : {1, 4}) {
-      for (int groups : {0, 1, 3}) {
-        auto eng =
-            rt::make_engine(p, threads, rt::TransportKind::kPipe, groups);
-        const auto got = run_storm(*eng, 6);
-        const std::string where = "p=" + std::to_string(p) +
-                                  " threads=" + std::to_string(threads) +
-                                  " groups=" + std::to_string(groups);
-        EXPECT_EQ(got, want) << where;
-        EXPECT_EQ(eng->ledger(), ref.ledger()) << where;
-        EXPECT_EQ(eng->ledger().comm_matrix(), ref.ledger().comm_matrix())
-            << where;
-      }
+      auto eng = rt::make_engine(p, threads, rt::TransportKind::kFramed);
+      const auto got = run_storm(*eng, 6);
+      const std::string where =
+          "p=" + std::to_string(p) + " threads=" + std::to_string(threads);
+      EXPECT_EQ(got, want) << where;
+      EXPECT_EQ(eng->ledger(), ref.ledger()) << where;
+      EXPECT_EQ(eng->ledger().comm_matrix(), ref.ledger().comm_matrix())
+          << where;
     }
   }
 }
@@ -195,27 +190,11 @@ TEST(CrossEngine, CollectivesMatch) {
   Engine seq(p);
   ParallelEngine par(p, 4);
 
-  std::vector<std::vector<std::vector<int>>> input(static_cast<std::size_t>(p));
-  for (Rank r = 0; r < p; ++r) {
-    input[static_cast<std::size_t>(r)].resize(static_cast<std::size_t>(p));
-    for (Rank to = 0; to < p; ++to) {
-      input[static_cast<std::size_t>(r)][static_cast<std::size_t>(to)] = {
-          r * 100 + to, -r};
-    }
-  }
-  EXPECT_EQ(rt::all_to_all(par, input), rt::all_to_all(seq, input));
-
   std::vector<std::vector<double>> rows(static_cast<std::size_t>(p));
   for (Rank r = 0; r < p; ++r) {
     rows[static_cast<std::size_t>(r)] = {0.5 * r, 1.0 / (r + 1)};
   }
   EXPECT_EQ(rt::gather(par, rows, 0), rt::gather(seq, rows, 0));
-  EXPECT_EQ(rt::allgather(par, rows), rt::allgather(seq, rows));
-
-  std::vector<std::int64_t> vals = {3, 1, 4, 1, 5};
-  auto mx = [](std::int64_t a, std::int64_t b) { return std::max(a, b); };
-  EXPECT_EQ(rt::allreduce(par, vals, mx, std::int64_t{0}),
-            rt::allreduce(seq, vals, mx, std::int64_t{0}));
   EXPECT_EQ(par.ledger(), seq.ledger());
 }
 

@@ -105,8 +105,8 @@ class Differ {
     record(std::move(d));
   }
 
-  /// Report-only surfacing of a wall-sourced drift (e.g. a depot gauge
-  /// present in a pipe-transport run but absent from the inproc baseline).
+  /// Report-only surfacing of a wall-sourced drift (e.g. a wall gauge
+  /// present in the current run but absent from the baseline).
   void wall_entry(const std::string& where, std::string base,
                   std::string cur) {
     Delta d;
@@ -119,9 +119,9 @@ class Differ {
 
   /// Wall-sourced metric entries are report-only even when one side lacks
   /// them entirely: wall-named scalars/series, and the registry's
-  /// wall-flagged histogram/series objects. The pipe transport's depot_*
-  /// gauges only exist under pipe runs, so presence asymmetry vs an
-  /// inproc-generated baseline must not breach.
+  /// wall-flagged histogram/series objects. Wall gauges measure the host,
+  /// not the algorithm, so presence asymmetry between two runs must not
+  /// breach.
   static bool is_wall_entry(const std::string& name, const Json* v) {
     if (is_wall_name(name)) return true;
     if (v != nullptr && v->is_object()) {
@@ -218,7 +218,7 @@ class Differ {
         return;
       }
       if (wall && bsamp->size() != csamp->size()) {
-        // Report-only series may legitimately differ in length (e.g. depot
+        // Report-only series may legitimately differ in length (e.g. RSS
         // gauges sampled once per cycle across different cycle counts).
         wall_entry(where + ".len", std::to_string(bsamp->size()),
                    std::to_string(csamp->size()));

@@ -356,9 +356,8 @@ void check_wallclock_in_body(const std::string& file, const Tokens& t,
 // --- check: raw-fd-in-superstep -----------------------------------------------
 
 /// POSIX fd calls whose presence in a rank program means it is doing its
-/// own IO. All process-boundary IO belongs to the Transport behind the
-/// barrier (rt::frame's write_all / read_some are the only sanctioned fd
-/// touchpoints); a send() or read() inside a superstep lambda bypasses the
+/// own IO. All message movement belongs to the Transport behind the
+/// barrier; a send() or read() inside a superstep lambda bypasses the
 /// ledger, the conservation check, and the delivery-order contract.
 const std::set<std::string>& raw_fd_functions() {
   static const std::set<std::string> f = {
@@ -373,8 +372,8 @@ const std::set<std::string>& raw_fd_functions() {
 
 /// Bare POSIX fd calls inside a superstep lambda. Member calls
 /// (`out.send(...)` — the Outbox API) and namespace-qualified names
-/// (`rt::read_some`, which is not on the list anyway) are skipped; bare
-/// and global-scope (`::write(...)`) calls are flagged.
+/// (`io::read(...)`, a project wrapper) are skipped; bare and
+/// global-scope (`::write(...)`) calls are flagged.
 void check_raw_fd_in_body(const std::string& file, const Tokens& t,
                           const SuperstepLambda& lam, const SkipSpans& skip,
                           std::vector<Diagnostic>& out) {

@@ -9,7 +9,7 @@
 //   SCOPE streams — "plum-scope/1" NDJSON live-run streams (one record
 //                   per cycle; rendered as a cycle timeline),
 //   POSTMORTEM_*.json — "plum-postmortem/1" crash dumps (reason, last-N
-//                   ring events per rank, depot telemetry, child stderr),
+//                   ring events per rank),
 //   bare trace documents (obs::TraceRecorder::to_json() output).
 //
 // For each input it prints the per-phase table, the P x P comm matrix with
@@ -350,32 +350,6 @@ int report_replay_doc(const Json& doc) {
   return 0;
 }
 
-// --- plum-scope (flight recorder / stream / postmortem) --------------------
-
-void print_depot(const Json& depot) {
-  if (!depot.is_array() || depot.size() == 0) return;
-  std::printf("\nDepot telemetry (per rank-group child):\n");
-  std::printf("  %5s %10s %10s %10s %10s %12s %12s %8s %8s\n", "group",
-              "frames_in", "frames_out", "reads", "writes", "peak_buf_B",
-              "stall_ms", "rss_MB", "hwm_MB");
-  for (std::size_t g = 0; g < depot.size(); ++g) {
-    const Json& d = depot.at(g);
-    if (!d.is_object()) continue;
-    std::printf(
-        "  %5lld %10lld %10lld %10lld %10lld %12lld %12.3f %8.1f %8.1f\n",
-        static_cast<long long>(int_or(d.find("group"),
-                                      static_cast<std::int64_t>(g))),
-        static_cast<long long>(int_or(d.find("frames_in"), 0)),
-        static_cast<long long>(int_or(d.find("frames_out"), 0)),
-        static_cast<long long>(int_or(d.find("read_calls"), 0)),
-        static_cast<long long>(int_or(d.find("write_calls"), 0)),
-        static_cast<long long>(int_or(d.find("peak_buffer_bytes"), 0)),
-        static_cast<double>(int_or(d.find("stall_ns"), 0)) / 1e6,
-        static_cast<double>(int_or(d.find("vm_rss_bytes"), 0)) / 1e6,
-        static_cast<double>(int_or(d.find("vm_hwm_bytes"), 0)) / 1e6);
-  }
-}
-
 // --- plum-mem (heap profile) ------------------------------------------------
 
 /// The plum-heap/1 section: per-phase allocation table (rank rows summed),
@@ -468,6 +442,8 @@ void print_heap(const Json& heap) {
   }
 }
 
+// --- plum-scope (flight recorder / stream / postmortem) --------------------
+
 /// One plum-scope/1 record as one timeline row.
 void print_scope_record(const Json& rec) {
   const Json* gate = rec.find("gate");
@@ -519,7 +495,6 @@ int report_scope_stream(const std::string& text, const std::string& path) {
   std::string line;
   std::size_t lineno = 0;
   int failures = 0;
-  const Json* last_depot = nullptr;
   Json last_record;
   bool have_record = false;
   while (std::getline(lines, line)) {
@@ -545,8 +520,6 @@ int report_scope_stream(const std::string& text, const std::string& path) {
     have_record = true;
   }
   if (have_record) {
-    last_depot = last_record.find("depot");
-    if (last_depot) print_depot(*last_depot);
     std::printf("\nRun: %s\n",
                 str_or(last_record.find("name"), "(unnamed)").c_str());
   }
@@ -605,25 +578,6 @@ int report_postmortem_doc(const Json& doc) {
       }
     }
   }
-  if (const Json* depot = doc.find("depot")) print_depot(*depot);
-  const std::string child_stderr = str_or(doc.find("child_stderr"), "");
-  if (!child_stderr.empty()) {
-    std::printf("\nCaptured child stderr:\n");
-    std::istringstream lines(child_stderr);
-    std::string line;
-    while (std::getline(lines, line)) {
-      std::printf("  | %s\n", line.c_str());
-    }
-  }
-  if (const Json* notes = doc.find("notes")) {
-    if (notes->is_object() && notes->size() > 0) {
-      std::printf("\nCrash notes:\n");
-      for (const auto& [key, text] : notes->items()) {
-        std::printf("  %-16s %s\n", key.c_str(),
-                    str_or(&text, "?").c_str());
-      }
-    }
-  }
   return 0;
 }
 
@@ -643,7 +597,6 @@ void print_trace_doc(const Json& trace) {
   }
   if (const Json* cm = trace.find("comm_matrix")) print_comm_matrix(*cm);
   if (const Json* heap = trace.find("heap")) print_heap(*heap);
-  if (const Json* depot = trace.find("depot")) print_depot(*depot);
   if (const Json* bc = trace.find("comm_by_class")) print_comm_by_class(*bc);
   if (const Json* ga = trace.find("gate_audit")) print_gate_audit(*ga);
   if (const Json* cal = trace.find("calibration")) print_calibration(*cal);

@@ -8,8 +8,7 @@
 // written by FrameworkOptions::scope_stream or
 // `bench_distributed --scope-stream FILE`) and redraws a per-rank table:
 // counter-sourced busy/wait per rank with a utilization bar, the cycle's
-// gate verdict, imbalance, element count, and — under the pipe transport —
-// the depot children's buffered bytes and stall time. Only complete lines
+// gate verdict, imbalance, and element count. Only complete lines
 // are consumed, and the writer appends whole lines (O_APPEND +
 // EINTR-safe), so a mid-write read never renders a torn record.
 //
@@ -158,22 +157,6 @@ void render(const Json& rec, bool ansi) {
                     static_cast<long long>(int_or(rk.find("live_bytes"), 0)));
       }
       std::printf("  [%s]\n", bar(util, 30).c_str());
-    }
-  }
-
-  const Json* depot = rec.find("depot");
-  if (depot && depot->is_array() && depot->size() > 0) {
-    std::printf("\n%6s %12s %12s %12s %12s\n", "depot", "frames_in",
-                "frames_out", "buffered_B", "stall_ms");
-    for (std::size_t g = 0; g < depot->size(); ++g) {
-      const Json& d = depot->at(g);
-      std::printf("%6lld %12lld %12lld %12lld %12.3f\n",
-                  static_cast<long long>(int_or(d.find("group"),
-                                                static_cast<std::int64_t>(g))),
-                  static_cast<long long>(int_or(d.find("frames_in"), 0)),
-                  static_cast<long long>(int_or(d.find("frames_out"), 0)),
-                  static_cast<long long>(int_or(d.find("buffered_bytes"), 0)),
-                  static_cast<double>(int_or(d.find("stall_ns"), 0)) / 1e6);
     }
   }
   std::fflush(stdout);

@@ -39,7 +39,7 @@ export PLUM_BENCH_JSON_DIR="${out_dir}"
 "${build_dir}/bench/bench_table2"
 "${build_dir}/bench/bench_distributed" --threads 2
 # Weak scaling at P=64/128/256; modeled metrics are transport-invariant
-# (the transport-smoke CI job diffs its pipe run against this baseline).
+# (the framed cross-transport tests in ctest pin that at P=64).
 "${build_dir}/bench/bench_distributed" --weak --threads 2
 
 # The benches also drop trace / run / gate / replay side files next to the
