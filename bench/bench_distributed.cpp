@@ -19,11 +19,12 @@
 //                     run fails unless MaxV accepts at every P, leaves the
 //                     predicted solver imbalance <= 1.15 and the
 //                     subdivision-work imbalance no worse than TotalV's.
+//
+// A sweep writes one document, BENCH_bench_distributed[_weak].json, with
+// one run entry (obs/run_entry.hpp) per case; --leak-check writes none.
 
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
-#include <fstream>
 #include <iostream>
 #include <string>
 #include <utility>
@@ -35,7 +36,7 @@
 #include "core/dist_framework.hpp"
 #include "io/table.hpp"
 #include "json_report.hpp"
-#include "obs/chrome_trace.hpp"
+#include "obs/run_entry.hpp"
 #include "sim/calibration.hpp"
 #include "util/stats.hpp"
 #include "util/timer.hpp"
@@ -54,25 +55,35 @@ struct Cli {
   std::string scope_stream;  ///< plum-scope/1 NDJSON file ("" = off)
 };
 
-void parse_cli(int argc, char** argv, Cli* cli) {
+/// Parses argv into *cli; false on an unknown flag, a missing value or a
+/// count that is not a whole non-negative integer.
+bool parse_cli(int argc, char** argv, Cli* cli) {
   for (int i = 1; i < argc; ++i) {
-    const char* a = argv[i];
-    if (std::strcmp(a, "--threads") == 0 && i + 1 < argc) {
-      cli->threads = std::atoi(argv[++i]);
-    } else if (std::strncmp(a, "--threads=", 10) == 0) {
-      cli->threads = std::atoi(a + 10);
-    } else if (std::strcmp(a, "--scope-stream") == 0 && i + 1 < argc) {
-      cli->scope_stream = argv[++i];
-    } else if (std::strncmp(a, "--scope-stream=", 15) == 0) {
-      cli->scope_stream = a + 15;
-    } else if (std::strcmp(a, "--leak-check") == 0 && i + 1 < argc) {
-      cli->leak_check = std::atoi(argv[++i]);
-    } else if (std::strncmp(a, "--leak-check=", 13) == 0) {
-      cli->leak_check = std::atoi(a + 13);
-    } else if (std::strcmp(a, "--weak") == 0) {
+    std::string flag = argv[i];
+    if (flag == "--weak") {
       cli->weak = true;
+      continue;
+    }
+    std::string value;
+    if (const std::size_t eq = flag.find('='); eq != std::string::npos) {
+      value = flag.substr(eq + 1);
+      flag.resize(eq);
+    } else if (i + 1 < argc) {
+      value = argv[++i];
+    } else {
+      return false;
+    }
+    if (flag == "--scope-stream") {
+      cli->scope_stream = value;
+    } else if (flag == "--threads") {
+      if (!plum::bench::parse_count(value, &cli->threads)) return false;
+    } else if (flag == "--leak-check") {
+      if (!plum::bench::parse_count(value, &cli->leak_check)) return false;
+    } else {
+      return false;
     }
   }
+  return true;
 }
 
 }  // namespace
@@ -81,7 +92,13 @@ int main(int argc, char** argv) {
   using namespace plum;
 
   Cli cli;
-  parse_cli(argc, argv, &cli);
+  if (!parse_cli(argc, argv, &cli)) {
+    std::fprintf(stderr,
+                 "usage: %s [--weak] [--threads N] [--leak-check N] "
+                 "[--scope-stream FILE]\n",
+                 argv[0]);
+    return 2;
+  }
 
   const char* small_env = std::getenv("PLUM_BENCH_SMALL");
   const bool small = small_env && small_env[0] == '1';
@@ -90,8 +107,7 @@ int main(int argc, char** argv) {
   // cycle repeatedly on one framework; after a warm-up (arena chunks and
   // interned phases settle) the tracked live bytes at every cycle boundary
   // must not grow — scratch dies with the cycle (DESIGN.md's scratch-memory
-  // contract). The plum-heap/1 profile is written either way so CI can
-  // upload it as the forensics artifact when the gate fails.
+  // contract). On failure the run entry's heap section goes to stderr.
   if (cli.leak_check > 0) {
     core::FrameworkOptions opt;
     opt.nranks = 8;
@@ -126,25 +142,18 @@ int main(int argc, char** argv) {
     }
     fw.dist_mesh().validate();
 
-    const char* dir = std::getenv("PLUM_BENCH_JSON_DIR");
-    const std::string heap_path =
-        std::string((dir && dir[0]) ? dir : ".") +
-        "/HEAP_bench_distributed.json";
-    std::ofstream heap_out(heap_path);
-    heap_out << fw.memory().to_json().dump(2) << '\n';
-    if (!heap_out) {
-      std::fprintf(stderr, "failed to write %s\n", heap_path.c_str());
-      return 1;
-    }
-    std::printf("heap profile: %s (host arena reserved %lld -> %lld B)\n",
-                heap_path.c_str(), static_cast<long long>(reserved0),
+    std::printf("host arena reserved %lld -> %lld B\n",
+                static_cast<long long>(reserved0),
                 static_cast<long long>(
                     fw.memory().host_arena().reserved_bytes()));
     if (!ok) {
+      const obs::Json entry =
+          obs::run_entry(fw.trace(), fw.metrics(), fw.memory(),
+                         &fw.engine().ledger(), /*wall=*/true);
       std::fprintf(stderr,
                    "leak-check FAILED: tracked live bytes grew across "
-                   "steady-state cycles (see %s)\n",
-                   heap_path.c_str());
+                   "steady-state cycles; heap section:\n%s\n",
+                   entry.find("heap")->dump(2).c_str());
       return 1;
     }
     std::printf("leak-check ok: %d cycles, live bytes flat at %lld B\n",
@@ -172,7 +181,6 @@ int main(int argc, char** argv) {
                    "imb_new", "TotalV", "MaxV", "migrated", "refine_work_imb",
                    "msgs", "MB_sent", "supersteps", "wall_s"});
   bench::JsonReport report(bench_name);
-  bool trace_written = false;
 
   // Retrospective calibration across the sweep's accepted remaps: the byte
   // fit consumes deterministic counters only (timing fits off), so the
@@ -298,9 +306,6 @@ int main(int argc, char** argv) {
         .metric("elems_per_rank", elems_per_rank)
         .metric_int("elements_after", rep.elements_after)
         .metric_int("elements_migrated", rep.elements_migrated)
-        .metric_int("remap_total_elems", rep.volume.total_elems)
-        .metric_int("remap_bottleneck_elems", rep.volume.bottleneck_elems)
-        .metric_int("remap_max_sent_or_recv", rep.volume.max_sent_or_recv)
         .metric_int("msgs_sent", msgs)
         .metric_int("bytes_sent", fw.engine().ledger().total_bytes())
         .metric_int("supersteps", fw.engine().ledger().num_supersteps())
@@ -319,67 +324,15 @@ int main(int argc, char** argv) {
                 naccepted > 0 ? drift_static / naccepted : 0.0)
         .metric("gate_drift_mean_abs_calibrated",
                 naccepted > 0 ? drift_cal / naccepted : 0.0)
-        .calibration(calib.to_json())
-        .metrics_from(fw.metrics())
-        .gate_audit_from(fw.trace())
-        .critical_path_from(fw.trace())
-        .phases_from(fw.trace());
+        .entry(obs::run_entry(fw.trace(), fw.metrics(), fw.memory(),
+                              &fw.engine().ledger(), /*wall=*/true))
+        .calibration(calib.to_json());
     // The dense P x P comm matrix is ~P^2 JSON rows — fine at the strong
     // sweep's P<=32, but 65k rows per run at P=256 would bloat the weak
     // baseline; row/col totals are already covered by bytes_sent and the
     // remap_* gauges.
     if (!cli.weak) {
       run.comm_matrix_from(fw.engine().ledger().comm_matrix());
-    }
-
-    // One Chrome trace + one run document + one standalone gate-audit log
-    // (take the first P so the artifacts exist even if a later size fails).
-    if (!trace_written) {
-      const char* dir = std::getenv("PLUM_BENCH_JSON_DIR");
-      const std::string base = std::string((dir && dir[0]) ? dir : ".");
-      const std::string stem = base + "/TRACE_" + bench_name + ".json";
-      trace_written = obs::write_chrome_trace(
-          fw.trace(), bench_name + " P=" + std::to_string(P), stem);
-      if (!trace_written) {
-        std::fprintf(stderr, "failed to write %s\n", stem.c_str());
-      }
-
-      // plum-run/1: the trace+metrics document tools/plum-report renders.
-      obs::Json run_doc = obs::Json::object();
-      run_doc.set("schema", obs::Json::str("plum-run/1"))
-          .set("name",
-               obs::Json::str(bench_name + " P=" + std::to_string(P)))
-          .set("trace", fw.trace().to_json())
-          .set("metrics", fw.metrics().to_json());
-      const std::string run_path = base + "/RUN_" + bench_name + ".json";
-      std::ofstream run_out(run_path);
-      run_out << run_doc.dump(2) << '\n';
-      if (!run_out) {
-        std::fprintf(stderr, "failed to write %s\n", run_path.c_str());
-        trace_written = false;
-      }
-
-      // plum-replay/1: the measured timing book for this run. Feed it back
-      // through FrameworkOptions::replay_path to re-run the calibration
-      // control loop deterministically (wall-clock content, so it is a
-      // side artifact like TRACE_*, never a baseline).
-      const std::string replay_path =
-          base + "/REPLAY_" + bench_name + ".json";
-      if (!fw.replay_log().save(replay_path)) {
-        std::fprintf(stderr, "failed to write %s\n", replay_path.c_str());
-        trace_written = false;
-      }
-
-      obs::Json gate_doc = obs::Json::object();
-      gate_doc.set("schema", obs::Json::str("plum-gate-audit/1"))
-          .set("records", obs::gate_audit_json(fw.trace().gate_records()));
-      const std::string gate_path = base + "/GATE_" + bench_name + ".json";
-      std::ofstream gate_out(gate_path);
-      gate_out << gate_doc.dump(2) << '\n';
-      if (!gate_out) {
-        std::fprintf(stderr, "failed to write %s\n", gate_path.c_str());
-        trace_written = false;
-      }
     }
   }
 
@@ -404,6 +357,6 @@ int main(int argc, char** argv) {
                  "after an accepted remap,\nand ledger traffic grows with P "
                  "far slower than the per-rank work shrinks.\n";
   }
-  if (report.write().empty() || !trace_written || !weak_claim_holds) return 1;
+  if (report.write().empty() || !weak_claim_holds) return 1;
   return 0;
 }

@@ -18,6 +18,7 @@
 #include <cstring>
 
 #include "adapt/adaptor.hpp"
+#include "common.hpp"
 #include "json_report.hpp"
 #include "obs/memory.hpp"
 #include "obs/scope.hpp"
@@ -451,12 +452,19 @@ BENCHMARK(BM_Subdivision);
 int main(int argc, char** argv) {
   std::vector<char*> args;
   for (int i = 0; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--threads") == 0 && i + 1 < argc) {
-      g_threads = std::atoi(argv[++i]);
+    const char* value = nullptr;
+    if (std::strcmp(argv[i], "--threads") == 0) {
+      value = i + 1 < argc ? argv[++i] : "";
     } else if (std::strncmp(argv[i], "--threads=", 10) == 0) {
-      g_threads = std::atoi(argv[i] + 10);
+      value = argv[i] + 10;
     } else {
       args.push_back(argv[i]);
+      continue;
+    }
+    if (!plum::bench::parse_count(value, &g_threads)) {
+      std::fprintf(stderr, "usage: %s [--threads N] [benchmark flags]\n",
+                   argv[0]);
+      return 2;
     }
   }
   int bench_argc = static_cast<int>(args.size());

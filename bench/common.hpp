@@ -8,8 +8,10 @@
 // the same three marking fractions applied to the same edge-error
 // indicator (DESIGN.md §3 and §4).
 
+#include <charconv>
 #include <cstdio>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "adapt/adaptor.hpp"
@@ -30,6 +32,16 @@ inline constexpr PaperCase kRealCases[] = {
     {"Real_2", 0.33},
     {"Real_3", 0.60},
 };
+
+/// Parses a bench flag's count (--threads, --leak-check): true and *out
+/// set only when `s` is a whole non-negative decimal integer.
+inline bool parse_count(std::string_view s, int* out) {
+  int v = 0;
+  const auto [end, ec] = std::from_chars(s.data(), s.data() + s.size(), v);
+  if (ec != std::errc{} || end != s.data() + s.size() || v < 0) return false;
+  *out = v;
+  return true;
+}
 
 /// The paper's processor counts.
 inline constexpr Rank kProcCounts[] = {2, 4, 8, 16, 32, 64};

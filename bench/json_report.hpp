@@ -1,30 +1,29 @@
 #pragma once
-// Machine-readable bench output (schema "plum-bench/2").
+// Machine-readable bench output: BENCH_<name>.json, schema "plum-bench/3"
+// (obs/bench_schema.hpp), the only document a bench run writes.
 //
-// Every figure/table bench builds a JsonReport alongside its io::Table and
-// writes BENCH_<name>.json so CI (and downstream plotting) can consume the
-// numbers without scraping stdout:
+// Every figure/table bench builds a JsonReport alongside its io::Table so
+// CI (and downstream plotting) can consume the numbers without scraping
+// stdout:
 //
 //   {
-//     "schema": "plum-bench/2",
-//     "bench":  "bench_fig4",
+//     "schema": "plum-bench/3",
+//     "bench":  "bench_distributed",
 //     "runs": [
-//       { "case": "Real_1", "P": 8,
-//         "metrics": { "speedup_before": 12.4,
-//                      "imbalance": [1.3, 1.05, ...], ... },
+//       { "case": "box8", "P": 8,
+//         "metrics": { "wall_s": ..., "imbalance": [1.3, 1.05, ...], ... },
 //         "phases":  [ { "name": "solve", "wall_s": ..., "modeled_s": ...,
 //                        "supersteps": ..., ... }, ... ],
-//         "comm_matrix": { "nranks": 8, "msgs": [[...]], "bytes": [[...]] },
-//         "gate_audit":  [ { "cycle": 0, "accepted": true, ... }, ... ] },
+//         "critical_path": {...}, "gate_audit": [...], "heap": {...},
+//         "comm_by_class": {...}, "comm_matrix": {...},
+//         "calibration": {...} },
 //       ...
 //     ]
 //   }
 //
-// v2 extends plum-bench/1 with gauge series and fixed-bound histogram
-// objects under "metrics", the per-run "comm_matrix", "gate_audit",
-// "critical_path" (the counter-sourced plum-path decomposition), and
-// "calibration" (a plum-calibration/1 document, sim/calibration.hpp); all
-// are optional per run, so v1-shaped producers keep working.
+// A framework run gets its metrics, phases, critical path, gate audit, heap
+// and tag-class traffic from obs::run_entry (Run::entry); the bench adds
+// its own scalars, "calibration" and, where P is small, "comm_matrix".
 //
 // The output directory defaults to the working directory and is overridden
 // by PLUM_BENCH_JSON_DIR. tools/check_bench_json validates the files in CI
@@ -38,10 +37,9 @@
 #include <utility>
 
 #include "obs/bench_schema.hpp"
-#include "obs/critical_path.hpp"
 #include "obs/json.hpp"
 #include "obs/metrics.hpp"
-#include "obs/trace.hpp"
+#include "obs/run_entry.hpp"
 #include "util/types.hpp"
 
 namespace plum::bench {
@@ -76,84 +74,48 @@ class JsonReport {
       return *this;
     }
 
-    /// Appends one sample to a gauge series under "metrics".
-    Run& gauge(const std::string& name, double value) {
-      metrics_.add_sample(name, value);
-      return *this;
-    }
-    Run& gauge_int(const std::string& name, std::int64_t value) {
-      metrics_.add_sample_int(name, value);
-      return *this;
-    }
-
-    /// Copies every scalar and series out of a live registry (e.g. a
-    /// Framework's per-cycle gauges) into this run's "metrics".
-    Run& metrics_from(const obs::MetricsRegistry& reg) {
-      metrics_.merge_from(reg);
-      return *this;
-    }
-
-    /// Attaches the run's P-by-P comm matrix (from an engine ledger or a
-    /// TraceRecorder) as the "comm_matrix" section.
-    Run& comm_matrix_from(const rt::CommMatrix& m) {
-      comm_matrix_ = obs::comm_matrix_json(m);
-      has_comm_matrix_ = true;
-      return *this;
-    }
-
-    /// Attaches the recorder's gate-audit records as "gate_audit".
-    Run& gate_audit_from(const obs::TraceRecorder& rec) {
-      gate_audit_ = obs::gate_audit_json(rec.gate_records());
-      has_gate_audit_ = true;
-      return *this;
-    }
-
-    /// Attaches the counter-sourced critical-path decomposition (per-rank
-    /// busy/wait, per-phase straggler attribution — deterministic, so it
-    /// diffs cleanly across commits) as "critical_path".
-    Run& critical_path_from(const obs::TraceRecorder& rec) {
-      critical_path_ =
-          obs::analyze_critical_path(rec, obs::PathSource::kCounters)
-              .to_json();
-      has_critical_path_ = true;
-      return *this;
-    }
-
-    /// Attaches a plum-calibration/1 document (sim::Calibration::to_json())
-    /// as the run's "calibration" section.
-    Run& calibration(obs::Json doc) {
-      calibration_ = std::move(doc);
-      has_calibration_ = true;
-      return *this;
-    }
-
-    /// Copies every closed phase out of a plum-trace recorder.
-    Run& phases_from(const obs::TraceRecorder& rec) {
-      for (const auto& ph : rec.phases()) {
-        obs::Json p = obs::Json::object();
-        p.set("name", obs::Json::str(ph.name))
-            .set("wall_s", obs::Json::number(ph.wall_s))
-            .set("modeled_s", obs::Json::number(ph.modeled_s))
-            .set("supersteps", obs::Json::integer(ph.supersteps))
-            .set("depth", obs::Json::integer(ph.depth))
-            .set("compute_units", obs::Json::integer(ph.compute_units))
-            .set("msgs_sent", obs::Json::integer(ph.msgs_sent))
-            .set("bytes_sent", obs::Json::integer(ph.bytes_sent));
-        phases_.push(std::move(p));
+    /// Takes a framework run's entry (obs::run_entry): its metrics join
+    /// this run's, overriding a bench scalar of the same name; its phases
+    /// follow any added by hand; every other section is copied as is.
+    Run& entry(const obs::Json& e) {
+      for (const auto& [key, value] : e.items()) {
+        if (key == "metrics") {
+          entry_metrics_ = value;
+        } else if (key == "phases") {
+          for (std::size_t i = 0; i < value.size(); ++i) {
+            phases_.push(value.at(i));
+          }
+        } else {
+          sections_.set(key, value);
+        }
       }
       return *this;
     }
 
+    /// Attaches the run's P-by-P comm matrix (from the engine ledger) as
+    /// the "comm_matrix" section.
+    Run& comm_matrix_from(const rt::CommMatrix& m) {
+      sections_.set("comm_matrix", obs::comm_matrix_json(m));
+      return *this;
+    }
+
+    /// Attaches a sim::Calibration::to_json() document as "calibration".
+    Run& calibration(obs::Json doc) {
+      sections_.set("calibration", std::move(doc));
+      return *this;
+    }
+
     [[nodiscard]] obs::Json to_json() const {
+      obs::Json metrics = metrics_.to_json();
+      for (const auto& [name, value] : entry_metrics_.items()) {
+        metrics.set(name, value);
+      }
       obs::Json r = obs::Json::object();
       r.set("case", obs::Json::str(case_))
           .set("P", obs::Json::integer(nprocs_))
-          .set("metrics", metrics_.to_json())
+          .set("metrics", std::move(metrics))
           .set("phases", phases_);
-      if (has_comm_matrix_) r.set("comm_matrix", comm_matrix_);
-      if (has_gate_audit_) r.set("gate_audit", gate_audit_);
-      if (has_critical_path_) r.set("critical_path", critical_path_);
-      if (has_calibration_) r.set("calibration", calibration_);
+      for (const auto& [key, value] : sections_.items()) r.set(key, value);
       return r;
     }
 
@@ -161,15 +123,9 @@ class JsonReport {
     std::string case_;
     Rank nprocs_;
     obs::MetricsRegistry metrics_;
+    obs::Json entry_metrics_ = obs::Json::object();
     obs::Json phases_ = obs::Json::array();
-    obs::Json comm_matrix_;
-    obs::Json gate_audit_;
-    obs::Json critical_path_;
-    obs::Json calibration_;
-    bool has_comm_matrix_ = false;
-    bool has_gate_audit_ = false;
-    bool has_critical_path_ = false;
-    bool has_calibration_ = false;
+    obs::Json sections_ = obs::Json::object();  ///< in insertion order
   };
 
   explicit JsonReport(std::string bench_name) : bench_(std::move(bench_name)) {}
@@ -181,7 +137,7 @@ class JsonReport {
 
   [[nodiscard]] obs::Json to_json() const {
     obs::Json doc = obs::Json::object();
-    doc.set("schema", obs::Json::str("plum-bench/2"))
+    doc.set("schema", obs::Json::str("plum-bench/3"))
         .set("bench", obs::Json::str(bench_));
     obs::Json runs = obs::Json::array();
     for (const auto& r : runs_) runs.push(r.to_json());

@@ -116,10 +116,9 @@ void CycleLog::end(const CycleReport& rep, obs::GateRecord gate,
       cs.measured_move_bytes = gate.measured_move_bytes;
     }
     calib_.observe(cs);
-    // Under replay the calibration document is a pure function of
-    // deterministic inputs, so it joins the deterministic trace view and
-    // the per-constant gauges; live calibration stays wall-only.
-    trace.set_calibration(calib_.to_json(), /*deterministic=*/replay_);
+    // Under replay every calibrated constant is a pure function of
+    // deterministic inputs, so the constants join the gauges; a live
+    // (wall-clock) calibration stays out of the metrics.
     if (replay_) {
       const sim::MachineParams& cp = calib_.params();
       metrics_.add_sample("calib_t_iter", cp.t_iter);

@@ -42,9 +42,9 @@ class Driver {
   /// plum-mem tracker: per-rank/per-phase allocation counters and the
   /// per-row scratch arenas the hot phases allocate through (HEM match and
   /// KL-FM refine on the host row; mark/migrate/refine staging on the rank
-  /// rows, written by the claiming worker). The plum-heap/1 section of
-  /// trace().to_json() is byte-identical across engines, thread counts,
-  /// and transports.
+  /// rows, written by the claiming worker). stats(row, phase) is
+  /// byte-identical across engines, thread counts and transports;
+  /// obs::run_entry folds it into the run's "heap" section.
   [[nodiscard]] obs::MemoryTracker& memory() { return mem_; }
   [[nodiscard]] const obs::MemoryTracker& memory() const { return mem_; }
 
@@ -59,7 +59,8 @@ class Driver {
   /// the per-rank solve decomposition when the solver ran in the engine).
   /// Save it (sim::ReplayBook::save) and feed it back through
   /// FrameworkOptions::replay_path to replay this run's calibration
-  /// deterministically.
+  /// deterministically. No bench writes one: its per-rank wall seconds
+  /// would change every run.
   [[nodiscard]] const sim::ReplayBook& replay_log() const {
     return log_.replay_log();
   }
@@ -70,8 +71,7 @@ class Driver {
         mem_(opt_.nranks, opt_.arena_chunk_bytes),
         log_(opt_),
         balancer_(initial, opt_, mem_) {
-    // Phase stamps follow the trace scopes; the heap section joins
-    // trace().to_json().
+    // Phase stamps follow the trace scopes.
     trace_.set_memory_tracker(&mem_);
   }
 

@@ -1,5 +1,7 @@
 #include "obs/bench_schema.hpp"
 
+#include "obs/memory.hpp"
+
 namespace plum::obs {
 
 namespace {
@@ -94,17 +96,10 @@ std::string check_gate_audit(const Json& ga, std::size_t i) {
   return "";
 }
 
-/// v2 per-run calibration section (sim::Calibration::to_json(),
-/// schema plum-calibration/1).
+/// Per-run calibration section (sim::Calibration::to_json()).
 std::string check_calibration(const Json& cal, std::size_t i) {
   if (!cal.is_object()) {
     return run_error(i, "\"calibration\" is not an object");
-  }
-  const Json* schema = cal.find("schema");
-  if (!schema || !schema->is_string() ||
-      schema->as_string() != "plum-calibration/1") {
-    return run_error(i,
-                     "calibration schema must be \"plum-calibration/1\"");
   }
   const Json* enabled = cal.find("enabled");
   if (!enabled || enabled->kind() != Json::Kind::kBool) {
@@ -149,7 +144,7 @@ std::string check_calibration(const Json& cal, std::size_t i) {
   return "";
 }
 
-/// v2 histogram metric objects, as rendered by MetricsRegistry::to_json().
+/// Histogram metric objects, as rendered by MetricsRegistry::to_json().
 std::string check_histogram(const Json& h, std::size_t i,
                             const std::string& name) {
   const auto bad = [&](const std::string& what) {
@@ -194,8 +189,8 @@ std::string check_histogram(const Json& h, std::size_t i,
   return "";
 }
 
-/// v2 wall-marked series objects, as rendered by
-/// MetricsRegistry::to_json() for add_wall_sample() gauges.
+/// Wall-marked series objects, as rendered by MetricsRegistry::to_json()
+/// for add_wall_sample() gauges.
 std::string check_series_object(const Json& s, std::size_t i,
                                 const std::string& name) {
   const auto bad = [&](const std::string& what) {
@@ -221,14 +216,10 @@ std::string check_series_object(const Json& s, std::size_t i,
   return "";
 }
 
-/// v2 per-run critical-path section (obs::CriticalPathAnalysis::to_json()).
+/// Per-run critical-path section (obs::CriticalPathAnalysis::to_json()).
 std::string check_critical_path(const Json& cp, std::size_t i) {
   if (!cp.is_object()) {
     return run_error(i, "\"critical_path\" is not an object");
-  }
-  const Json* source = cp.find("source");
-  if (!source || !source->is_string()) {
-    return run_error(i, "critical_path missing string field \"source\"");
   }
   for (const char* field :
        {"critical_total", "busy_total", "wait_total", "wait_fraction"}) {
@@ -248,7 +239,24 @@ std::string check_critical_path(const Json& cp, std::size_t i) {
   return "";
 }
 
-std::string check_run(const Json& run, std::size_t i, int version) {
+/// Per-run tag-class traffic (obs::run_entry's "comm_by_class").
+std::string check_comm_by_class(const Json& bc, std::size_t i) {
+  if (!bc.is_object()) {
+    return run_error(i, "\"comm_by_class\" is not an object");
+  }
+  for (const auto& [cls, t] : bc.items()) {
+    for (const char* field : {"msgs", "bytes"}) {
+      const Json* v = t.find(field);
+      if (!v || v->kind() != Json::Kind::kInt || v->as_int() < 0) {
+        return run_error(i, "comm_by_class \"" + cls + "\" field \"" +
+                                field + "\" must be an int >= 0");
+      }
+    }
+  }
+  return "";
+}
+
+std::string check_run(const Json& run, std::size_t i) {
   if (!run.is_object()) return run_error(i, "not an object");
 
   const Json* c = run.find("case");
@@ -267,36 +275,23 @@ std::string check_run(const Json& run, std::size_t i, int version) {
   }
   for (const auto& [name, value] : metrics->items()) {
     if (value.is_number()) continue;
-    // v2 additionally allows gauge series: arrays of numbers.
-    if (version >= 2 && value.is_array()) {
-      bool ok = true;
+    // Gauge series: arrays of numbers.
+    if (value.is_array()) {
       for (std::size_t k = 0; k < value.size(); ++k) {
         if (!value.at(k).is_number()) {
-          ok = false;
-          break;
+          return run_error(i, "metric \"" + name +
+                                  "\" series contains a non-number sample");
         }
       }
-      if (ok) continue;
-      return run_error(i, "metric \"" + name +
-                              "\" series contains a non-number sample");
+      continue;
     }
-    if (version < 2 && value.is_array()) {
-      return run_error(i, "metric \"" + name +
-                              "\" is a series, which requires schema "
-                              "\"plum-bench/2\"");
-    }
-    // ... and fixed-bound histogram objects / wall-marked series objects.
-    if (version >= 2 && value.is_object()) {
+    // Fixed-bound histogram objects and wall-marked series objects.
+    if (value.is_object()) {
       const std::string err = value.find("series") != nullptr
                                   ? check_series_object(value, i, name)
                                   : check_histogram(value, i, name);
       if (!err.empty()) return err;
       continue;
-    }
-    if (version < 2 && value.is_object()) {
-      return run_error(i, "metric \"" + name +
-                              "\" is a histogram, which requires schema "
-                              "\"plum-bench/2\"");
     }
     return run_error(i, "metric \"" + name + "\" is not a number");
   }
@@ -327,31 +322,29 @@ std::string check_run(const Json& run, std::size_t i, int version) {
     }
   }
 
-  if (version >= 2) {
-    if (const Json* cm = run.find("comm_matrix")) {
-      const std::string err = check_comm_matrix(*cm, i);
-      if (!err.empty()) return err;
-    }
-    if (const Json* ga = run.find("gate_audit")) {
-      const std::string err = check_gate_audit(*ga, i);
-      if (!err.empty()) return err;
-    }
-    if (const Json* cp = run.find("critical_path")) {
-      const std::string err = check_critical_path(*cp, i);
-      if (!err.empty()) return err;
-    }
-    if (const Json* cal = run.find("calibration")) {
-      const std::string err = check_calibration(*cal, i);
-      if (!err.empty()) return err;
-    }
-  } else {
-    for (const char* field :
-         {"comm_matrix", "gate_audit", "critical_path", "calibration"}) {
-      if (run.find(field)) {
-        return run_error(i, "field \"" + std::string(field) +
-                                "\" requires schema plum-bench/2");
-      }
-    }
+  if (const Json* cm = run.find("comm_matrix")) {
+    const std::string err = check_comm_matrix(*cm, i);
+    if (!err.empty()) return err;
+  }
+  if (const Json* ga = run.find("gate_audit")) {
+    const std::string err = check_gate_audit(*ga, i);
+    if (!err.empty()) return err;
+  }
+  if (const Json* cp = run.find("critical_path")) {
+    const std::string err = check_critical_path(*cp, i);
+    if (!err.empty()) return err;
+  }
+  if (const Json* cal = run.find("calibration")) {
+    const std::string err = check_calibration(*cal, i);
+    if (!err.empty()) return err;
+  }
+  if (const Json* heap = run.find("heap")) {
+    const std::string err = validate_heap_section(*heap);
+    if (!err.empty()) return run_error(i, err);
+  }
+  if (const Json* bc = run.find("comm_by_class")) {
+    const std::string err = check_comm_by_class(*bc, i);
+    if (!err.empty()) return err;
   }
   return "";
 }
@@ -365,14 +358,9 @@ std::string validate_bench_report(const Json& doc) {
   if (!schema || !schema->is_string()) {
     return "missing string field \"schema\"";
   }
-  int version = 0;
-  if (schema->as_string() == "plum-bench/1") {
-    version = 1;
-  } else if (schema->as_string() == "plum-bench/2") {
-    version = 2;
-  } else {
+  if (schema->as_string() != "plum-bench/3") {
     return "unknown schema \"" + schema->as_string() +
-           "\" (expected \"plum-bench/1\" or \"plum-bench/2\")";
+           "\" (expected \"plum-bench/3\")";
   }
 
   const Json* bench = doc.find("bench");
@@ -385,7 +373,7 @@ std::string validate_bench_report(const Json& doc) {
   if (runs->size() == 0) return "\"runs\" is empty";
 
   for (std::size_t i = 0; i < runs->size(); ++i) {
-    const std::string err = check_run(runs->at(i), i, version);
+    const std::string err = check_run(runs->at(i), i);
     if (!err.empty()) return err;
   }
   return "";

@@ -1,39 +1,46 @@
 #pragma once
-// Schema validator for the machine-readable bench reports
-// (BENCH_<name>.json, schema ids "plum-bench/1" and "plum-bench/2").
-// Shared by tools/check_bench_json (the CI gate) and tests/test_obs.cpp so
-// the two can never drift apart.
+// Schema validator for BENCH_<bench>.json, the one document a bench run
+// writes (schema "plum-bench/3"). Shared by tools/check_bench_json, plum-diff,
+// plum-report and tests/test_obs.cpp so they can never drift apart.
 //
-// Expected shape (v2; v1 is the same minus the three starred extensions):
+// Expected shape:
 //   {
-//     "schema": "plum-bench/2",
+//     "schema": "plum-bench/3",
 //     "bench":  "<bench name>",
 //     "runs": [
 //       {
 //         "case": "<mesh/workload id>",
 //         "P": <int >= 1>,
-//         "metrics": { "<name>": <number> | [<number>, ...]*, ... },
+//         "metrics": { "<name>": <number> | [<number>, ...] |
+//                      <histogram object> | <wall series object>, ... },
 //         "phases": [
 //           { "name": "<phase>", "wall_s": <number>,
 //             "modeled_s": <number>, "supersteps": <int>, ... }
 //         ],
-//         "comm_matrix"*: { "nranks": <int >= 1>,
-//                           "msgs":  [[<int>, ...], ...],   // nranks rows
-//                           "bytes": [[<int>, ...], ...] },
+//         "critical_path"*: { "critical_total", "busy_total", "wait_total",
+//                             "wait_fraction": <number>,
+//                             "ranks"/"phases"/"steps": [...] },
 //         "gate_audit"*: [
 //           { "cycle": <int >= 0>, "evaluated": <bool>, "accepted": <bool>,
 //             "metric": "<CostMetric>", "imbalance_old": <number>,
 //             "imbalance_new": <number>, "gain_s": <number>,
 //             "cost_s": <number>, "predicted_move_bytes": <int >= 0>,
 //             "measured_move_bytes": <int >= 0>, "drift": <number> }, ...
-//         ]
+//         ],
+//         "heap"*:          obs::validate_heap_section (obs/memory.hpp),
+//         "comm_by_class"*: { "<tag class>": { "msgs": <int >= 0>,
+//                                              "bytes": <int >= 0> }, ... },
+//         "comm_matrix"*: { "nranks": <int >= 1>,
+//                           "msgs":  [[<int>, ...], ...],   // nranks rows
+//                           "bytes": [[<int>, ...], ...] },
+//         "calibration"*: sim::Calibration::to_json()
 //       }, ...
 //     ]
 //   }
-// Starred fields are v2-only: array-valued metrics (gauge time series) and
-// the optional "comm_matrix" / "gate_audit" run sections. "phases" may be
-// an empty array (benches that don't run the BSP loop); every non-starred
-// field above is required. v1 documents stay valid forever.
+// Starred sections are optional per run: framework runs carry the first
+// four through obs::run_entry (obs/run_entry.hpp); benches that model
+// phases without running the BSP loop carry none. "phases" may be an empty
+// array; every non-starred field above is required.
 
 #include <string>
 
@@ -41,8 +48,8 @@
 
 namespace plum::obs {
 
-/// Returns "" when `doc` is a valid plum-bench/1 or plum-bench/2 report;
-/// otherwise a human-readable description of the first violation found.
+/// Returns "" when `doc` is a valid plum-bench/3 report; otherwise a
+/// human-readable description of the first violation found.
 [[nodiscard]] std::string validate_bench_report(const Json& doc);
 
 }  // namespace plum::obs

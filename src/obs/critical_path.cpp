@@ -15,22 +15,11 @@ std::vector<double> bounds_vec(const double* first, std::size_t n) {
   return std::vector<double>(first, first + n);
 }
 
-/// Per-rank values of one superstep under the chosen source. Wall seconds
-/// may be absent (no observer attached when recorded); missing ranks read
-/// as 0 so the decomposition stays total.
-double step_value(const SuperstepRecord& st, std::size_t r,
-                  PathSource source) {
-  if (source == PathSource::kCounters) {
-    return static_cast<double>(st.counters[r].compute_units);
-  }
-  return r < st.rank_seconds.size() ? st.rank_seconds[r] : 0.0;
+double step_value(const SuperstepRecord& st, std::size_t r) {
+  return static_cast<double>(st.counters[r].compute_units);
 }
 
 }  // namespace
-
-const char* path_source_name(PathSource s) {
-  return s == PathSource::kCounters ? "counters" : "wall";
-}
 
 double RankPath::wait_fraction() const {
   const double total = busy + wait;
@@ -47,10 +36,8 @@ double CriticalPathAnalysis::wait_fraction() const {
   return total > 0 ? wait_total / total : 0.0;
 }
 
-CriticalPathAnalysis analyze_critical_path(const TraceRecorder& rec,
-                                           PathSource source) {
+CriticalPathAnalysis analyze_critical_path(const TraceRecorder& rec) {
   CriticalPathAnalysis out;
-  out.source = source;
 
   std::size_t nranks = 0;
   for (const auto& st : rec.supersteps()) {
@@ -72,7 +59,7 @@ CriticalPathAnalysis analyze_critical_path(const TraceRecorder& rec,
     sp.phase = st.phase;
     const std::size_t p = st.counters.size();
     for (std::size_t r = 0; r < p; ++r) {
-      const double own = step_value(st, r, source);
+      const double own = step_value(st, r);
       sp.busy += own;
       if (own > sp.critical) {
         sp.critical = own;
@@ -80,7 +67,7 @@ CriticalPathAnalysis analyze_critical_path(const TraceRecorder& rec,
       }
     }
     for (std::size_t r = 0; r < p; ++r) {
-      const double own = step_value(st, r, source);
+      const double own = step_value(st, r);
       const double wait = sp.critical - own;
       sp.wait += wait;
       out.ranks[r].busy += own;
@@ -125,8 +112,7 @@ CriticalPathAnalysis analyze_critical_path(const TraceRecorder& rec,
 
 Json CriticalPathAnalysis::to_json() const {
   Json doc = Json::object();
-  doc.set("source", Json::str(path_source_name(source)))
-      .set("critical_total", Json::number(critical_total))
+  doc.set("critical_total", Json::number(critical_total))
       .set("busy_total", Json::number(busy_total))
       .set("wait_total", Json::number(wait_total))
       .set("wait_fraction", Json::number(wait_fraction()));

@@ -13,21 +13,16 @@
 //   per phase     : straggler attribution — which Fig. 1 phase accumulated
 //                   the wait, and which rank was most often its straggler
 //
-// Two sources feed the same decomposition:
-//   PathSource::kWallClock — SuperstepRecord::rank_seconds, the measured
-//     per-rank step-function wall time. Honest but machine- and
-//     scheduling-dependent; serialized only by TraceRecorder::to_json().
-//   PathSource::kCounters  — StepCounters::compute_units, the deterministic
-//     work proxy every rank charges via Outbox::charge(). Byte-identical
-//     across Engine/ParallelEngine and thread counts, so it is folded into
-//     TraceRecorder::deterministic_json() and sits inside the cross-engine
-//     byte-identity contract (asserted in test_parallel_engine.cpp).
+// The per-rank value is StepCounters::compute_units, the deterministic
+// work proxy every rank charges via Outbox::charge(). It is byte-identical
+// across Engine/ParallelEngine, thread counts and transports, so the
+// decomposition sits inside the run entry's cross-engine byte-identity
+// contract (asserted in test_parallel_engine.cpp).
 //
-// record_step_histograms()/record_phase_histograms() sample the same
-// decomposition into MetricsRegistry fixed-bound histograms once per
-// Framework/DistFramework cycle (per-rank step seconds are wall-clock and
-// stay out of the registry's deterministic view; wait fractions come from
-// the counter source and stay inside it).
+// record_step_histograms()/record_phase_histograms() sample per-cycle
+// MetricsRegistry fixed-bound histograms once per Framework/DistFramework
+// cycle: measured per-rank step seconds (wall-clock, out of the registry's
+// deterministic view) and the counter-sourced wait fractions (inside it).
 
 #include <cstddef>
 #include <string>
@@ -39,12 +34,6 @@
 #include "util/types.hpp"
 
 namespace plum::obs {
-
-/// Which per-rank quantity drives the decomposition. Values are wall
-/// seconds under kWallClock and compute units under kCounters.
-enum class PathSource { kCounters, kWallClock };
-
-[[nodiscard]] const char* path_source_name(PathSource s);
 
 /// One superstep's slice of the critical path.
 struct StepPath {
@@ -82,7 +71,6 @@ struct PhasePath {
 };
 
 struct CriticalPathAnalysis {
-  PathSource source = PathSource::kCounters;
   std::vector<StepPath> steps;    ///< one per superstep, step order
   std::vector<RankPath> ranks;    ///< rank order
   std::vector<PhasePath> phases;  ///< sorted by phase name
@@ -92,14 +80,14 @@ struct CriticalPathAnalysis {
 
   [[nodiscard]] double wait_fraction() const;
 
-  /// {"source":..., totals, "ranks":[...], "phases":[...], "steps":[...]}.
-  /// Under kCounters the field names carry no wall-clock vocabulary, so the
-  /// document can be embedded in deterministic serializations.
+  /// {totals, "ranks":[...], "phases":[...], "steps":[...]}; no wall-clock
+  /// field, so the document joins the wall-free run entry.
   [[nodiscard]] Json to_json() const;
 };
 
+/// Decomposes every recorded superstep by its per-rank compute units.
 [[nodiscard]] CriticalPathAnalysis analyze_critical_path(
-    const TraceRecorder& rec, PathSource source);
+    const TraceRecorder& rec);
 
 // --- per-cycle histogram recording -----------------------------------------
 

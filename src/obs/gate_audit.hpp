@@ -7,8 +7,8 @@
 // paper-facing health metric: a cost model whose drift wanders from 0 is
 // mispricing remaps and will gate wrongly.
 //
-// Records are collected by obs::TraceRecorder (add_gate_record) so they ride
-// along in both to_json() and deterministic_json(); every field below is
+// Records are collected by obs::TraceRecorder (add_gate_record) and land in
+// both forms of the run entry (obs/run_entry.hpp); every field below is
 // modeled or counted, never wall-clock, so cross-engine byte-identity holds.
 
 #include <cstdint>
@@ -51,7 +51,7 @@ struct GateRecord {
                                 std::int64_t measured_bytes);
 
 /// One record as an insertion-ordered JSON object (field order is part of
-/// the deterministic_json() byte contract).
+/// the wall-free run entry's byte contract).
 [[nodiscard]] Json gate_record_json(const GateRecord& rec);
 
 /// {"gate_audit": [...]} array element list for a whole run.

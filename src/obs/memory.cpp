@@ -7,24 +7,15 @@ namespace plum::obs {
 
 namespace {
 
-Json stats_json(const MemStats& s) {
-  Json j = Json::object();
-  j.set("allocs", Json::integer(s.allocs));
-  j.set("frees", Json::integer(s.frees));
-  j.set("bytes", Json::integer(s.bytes_requested));
-  j.set("peak_live", Json::integer(s.peak_live_bytes));
-  return j;
+bool is_count(const Json* v) {
+  return v != nullptr && v->kind() == Json::Kind::kInt && v->as_int() >= 0;
 }
 
-std::string check_stats(const Json& s, const char* where) {
-  if (!s.is_object()) return std::string(where) + ": not an object";
+std::string check_stats(const Json& s, const std::string& where) {
+  if (!s.is_object()) return where + ": not an object";
   for (const char* key : {"allocs", "frees", "bytes", "peak_live"}) {
-    const Json* v = s.find(key);
-    if (v == nullptr || !v->is_number()) {
-      return std::string(where) + ": missing numeric \"" + key + "\"";
-    }
-    if (v->as_int() < 0) {
-      return std::string(where) + ": negative \"" + key + "\"";
+    if (!is_count(s.find(key))) {
+      return where + ": \"" + key + "\" must be an int >= 0";
     }
   }
   return "";
@@ -40,100 +31,35 @@ Json rss_json() {
   return j;
 }
 
-Json MemoryTracker::heap_json(bool include_wall) const {
-  Json j = Json::object();
-  j.set("schema", Json::str("plum-heap/1"));
-  j.set("nranks", Json::integer(static_cast<std::int64_t>(nranks_)));
-  Json phases = Json::array();
-  for (const std::string& name : phase_names_) phases.push(Json::str(name));
-  j.set("phases", std::move(phases));
-  Json rows = Json::array();
-  for (std::size_t row = 0; row < rows_.size(); ++row) {
-    const RowState& r = rows_[row];
-    Json rj = Json::object();
-    // The host row renders as rank -1, after the real ranks.
-    const bool host = row == static_cast<std::size_t>(nranks_);
-    rj.set("rank", Json::integer(host ? -1 : static_cast<std::int64_t>(row)));
-    Json per_phase = Json::array();
-    for (std::size_t p = 0; p < phase_names_.size(); ++p) {
-      per_phase.push(
-          stats_json(p < r.by_phase.size() ? r.by_phase[p] : MemStats{}));
-    }
-    rj.set("phases", std::move(per_phase));
-    rj.set("unphased", stats_json(r.unphased));
-    rj.set("live_bytes", Json::integer(r.live_bytes));
-    rows.push(std::move(rj));
-  }
-  j.set("rows", std::move(rows));
-  if (include_wall) j.set("rss", rss_json());
-  return j;
-}
-
-Json MemoryTracker::to_json() const { return heap_json(true); }
-
-Json MemoryTracker::deterministic_json() const { return heap_json(false); }
-
 std::string validate_heap_section(const Json& heap) {
   if (!heap.is_object()) return "heap: not an object";
-  const Json* schema = heap.find("schema");
-  if (schema == nullptr || !schema->is_string() ||
-      schema->as_string() != "plum-heap/1") {
-    return "heap: schema is not \"plum-heap/1\"";
-  }
-  const Json* nranks = heap.find("nranks");
-  if (nranks == nullptr || !nranks->is_number() || nranks->as_int() < 1) {
-    return "heap: missing positive \"nranks\"";
-  }
   const Json* phases = heap.find("phases");
   if (phases == nullptr || !phases->is_array()) {
     return "heap: missing \"phases\" array";
   }
   for (std::size_t i = 0; i < phases->size(); ++i) {
-    if (!phases->at(i).is_string()) return "heap: non-string phase name";
-  }
-  const Json* rows = heap.find("rows");
-  if (rows == nullptr || !rows->is_array()) {
-    return "heap: missing \"rows\" array";
-  }
-  // One row per rank plus the host row, ranks first, host (-1) last.
-  const auto p = static_cast<std::size_t>(nranks->as_int());
-  if (rows->size() != p + 1) {
-    return "heap: rows count != nranks + 1";
-  }
-  for (std::size_t i = 0; i < rows->size(); ++i) {
-    const Json& row = rows->at(i);
-    if (!row.is_object()) return "heap: row is not an object";
-    const Json* rank = row.find("rank");
-    const std::int64_t want =
-        i == p ? -1 : static_cast<std::int64_t>(i);
-    if (rank == nullptr || !rank->is_number() || rank->as_int() != want) {
-      return "heap: row rank out of order";
+    const Json& ph = phases->at(i);
+    const Json* name = ph.find("name");
+    if (name == nullptr || !name->is_string()) {
+      return "heap: phase without a string \"name\"";
     }
-    const Json* per_phase = row.find("phases");
-    if (per_phase == nullptr || !per_phase->is_array() ||
-        per_phase->size() != phases->size()) {
-      return "heap: row phase stats do not align with phase names";
-    }
-    for (std::size_t j = 0; j < per_phase->size(); ++j) {
-      const std::string err = check_stats(per_phase->at(j), "heap: phase cell");
-      if (!err.empty()) return err;
-    }
-    const Json* unphased = row.find("unphased");
-    if (unphased == nullptr) return "heap: row missing \"unphased\"";
-    const std::string err = check_stats(*unphased, "heap: unphased cell");
+    const std::string err =
+        check_stats(ph, "heap: phase \"" + name->as_string() + "\"");
     if (!err.empty()) return err;
-    const Json* live = row.find("live_bytes");
-    if (live == nullptr || !live->is_number()) {
-      return "heap: row missing numeric \"live_bytes\"";
-    }
   }
-  const Json* rss = heap.find("rss");
-  if (rss != nullptr) {
+  const Json* unphased = heap.find("unphased");
+  if (unphased == nullptr) return "heap: missing \"unphased\"";
+  const std::string err = check_stats(*unphased, "heap: unphased");
+  if (!err.empty()) return err;
+  const Json* live = heap.find("live_bytes");
+  if (live == nullptr || live->kind() != Json::Kind::kInt) {
+    return "heap: missing int \"live_bytes\"";
+  }
+  if (const Json* rss = heap.find("rss")) {
     if (!rss->is_object()) return "heap: \"rss\" is not an object";
     for (const char* key : {"vm_rss_bytes", "vm_hwm_bytes"}) {
-      const Json* v = rss->find(key);
-      if (v == nullptr || !v->is_number()) {
-        return std::string("heap: rss missing numeric \"") + key + "\"";
+      if (!is_count(rss->find(key))) {
+        return std::string("heap: rss \"") + key + "\" must be an int >= 0";
       }
     }
   }

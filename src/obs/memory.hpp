@@ -31,12 +31,13 @@
 // What the deterministic counters exclude, by design: the arena's own
 // chunk allocations (operator new traffic that depends on reuse history),
 // and every RSS gauge (util::read_rss) — those are wall-class observables
-// and only appear in full JSON views.
+// and only appear in wall-clock views.
 //
 // This header is deliberately link-light: everything the hot subsystems
 // (partition, adapt, pmesh) touch is defined inline, so they can allocate
-// through a MemScratch without linking plum_obs. Only the JSON emission
-// and validation (heap_json, validate_heap_section) live in memory.cpp.
+// through a MemScratch without linking plum_obs. The run entry's "heap"
+// section is folded by obs::run_entry; only its validator
+// (validate_heap_section) and rss_json live in memory.cpp.
 
 #include <cstddef>
 #include <cstdint>
@@ -360,14 +361,6 @@ class MemoryTracker {
     current_phase_ = -1;
   }
 
-  /// The "plum-heap/1" section (see memory.cpp for the exact shape). With
-  /// include_wall, an "rss" object (util::read_rss) is appended — that is
-  /// the only wall-class field; everything else is deterministic.
-  [[nodiscard]] Json heap_json(bool include_wall) const;
-  /// heap_json(true) / heap_json(false), mirroring the other recorders.
-  [[nodiscard]] Json to_json() const;
-  [[nodiscard]] Json deterministic_json() const;
-
  private:
   friend class MemTap;
 
@@ -414,13 +407,13 @@ inline void MemTap::on_free(std::size_t bytes) {
   if (t_ != nullptr) t_->on_free(row_, bytes);
 }
 
-/// Returns "" when `heap` is a valid plum-heap/1 section, else a
-/// description of the first violation (shared by check_bench_json and the
-/// unit tests).
+/// Returns "" when `heap` is a valid run-entry "heap" section (see
+/// obs/run_entry.hpp), else a description of the first violation (shared
+/// by validate_bench_report and the unit tests).
 [[nodiscard]] std::string validate_heap_section(const Json& heap);
 
 /// {"vm_rss_bytes":..,"vm_hwm_bytes":..} from util::read_rss() —
-/// wall-class, full views only.
+/// wall-class, wall-clock views only.
 [[nodiscard]] Json rss_json();
 
 }  // namespace plum::obs

@@ -11,27 +11,15 @@
 // the modeled SP2 seconds from sim::CostModel, and the superstep/compute/
 // message deltas that occurred while it was open.
 //
-// Two serializations:
-//   to_json()             — everything, including wall-clock fields and the
-//                           wall-sourced critical-path decomposition
-//                           ("critical_path_wall", see obs/critical_path.hpp);
-//                           feeds the Chrome trace exporter and human
-//                           inspection.
-//   deterministic_json()  — wall-clock fields excluded; the critical-path
-//                           section ("critical_path") is sourced from the
-//                           per-rank compute-unit counters. Two runs with
-//                           bit-identical ledgers serialize byte-identically,
-//                           which is what the Engine-vs-ParallelEngine trace
-//                           tests assert.
+// The recorder serializes nothing itself: obs::run_entry (obs/run_entry.hpp)
+// folds its phases, critical path and gate records into a run's
+// BENCH_<bench>.json entry.
 
 #include <cstdint>
-#include <map>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "obs/gate_audit.hpp"
-#include "obs/json.hpp"
 #include "runtime/engine.hpp"
 #include "util/timer.hpp"
 #include "util/types.hpp"
@@ -40,27 +28,6 @@ namespace plum::obs {
 
 class FlightRecorder;
 class MemoryTracker;
-
-/// Aggregate (msgs, bytes) pair for one tag or tag class.
-struct CommTotals {
-  std::int64_t msgs = 0;
-  std::int64_t bytes = 0;
-
-  friend bool operator==(const CommTotals&, const CommTotals&) = default;
-};
-
-/// Maps a message tag to its subsystem class for reporting. The values
-/// mirror the senders' conventions: rt::detail::kCollectiveTag for
-/// collectives, tag 0 for bulk element/ghost payloads (pmesh migrate packs
-/// + finalize), 1-3 for the parallel adaption handshakes, 11/12/111 for the
-/// solver halo exchange, 21/22 for the migration's SPL directory. Unknown
-/// tags render as "tag<N>" rather than asserting, so traces from future
-/// subsystems stay loadable.
-[[nodiscard]] std::string tag_class_name(int tag);
-
-/// {"nranks": P, "msgs": [[...],...], "bytes": [[...],...]} — row-major
-/// sender-by-receiver matrices as arrays of row arrays.
-[[nodiscard]] Json comm_matrix_json(const rt::CommMatrix& m);
 
 /// One completed (or still open) named phase. `depth` is the nesting level
 /// at open time (0 = outermost), so "repartition" nested inside "gate"
@@ -85,7 +52,6 @@ struct SuperstepRecord {
   std::string phase;       ///< innermost open phase ("" outside any phase)
   std::vector<rt::StepCounters> counters;  ///< per rank, rank order
   std::vector<double> rank_seconds;        ///< per rank step-fn wall time
-  double t_start_s = 0;    ///< wall offset from the recorder's epoch
   double wall_s = 0;       ///< barrier-to-barrier superstep time
 };
 
@@ -118,34 +84,14 @@ class TraceRecorder final : public rt::SuperstepObserver {
 
   /// Attaches (or detaches, with nullptr) a plum-mem tracker: phase opens
   /// and closes keep its phase stamp in sync exactly like the flight
-  /// recorder's, and both serializations embed its "plum-heap/1" section
-  /// (deterministic counters in both views, the RSS gauge only in
-  /// to_json()). The tracker is borrowed, not owned.
+  /// recorder's. The tracker is borrowed, not owned.
   void set_memory_tracker(MemoryTracker* mem) { mem_ = mem; }
-
-  /// Attaches (replacing any previous) the current calibration document
-  /// (sim::Calibration::to_json). `deterministic` marks it as derived from
-  /// replayed/counted inputs only, in which case it also appears in
-  /// deterministic_json(); a live wall-clock calibration shows up in
-  /// to_json() alone, keeping the byte-identity contract intact.
-  void set_calibration(Json doc, bool deterministic) {
-    calibration_ = std::move(doc);
-    has_calibration_ = true;
-    calibration_deterministic_ = deterministic;
-  }
 
   [[nodiscard]] const std::vector<PhaseRecord>& phases() const {
     return phases_;
   }
   [[nodiscard]] const std::vector<SuperstepRecord>& supersteps() const {
     return supersteps_;
-  }
-  /// P-by-P who-sent-to-whom totals accumulated over every observed
-  /// superstep (identical to the engine ledger's comm_matrix()).
-  [[nodiscard]] const rt::CommMatrix& comm_matrix() const { return comm_; }
-  /// Per-tag-class totals, keyed by tag_class_name(), sorted.
-  [[nodiscard]] const std::map<std::string, CommTotals>& comm_by_class() const {
-    return by_class_;
   }
   [[nodiscard]] const std::vector<GateRecord>& gate_records() const {
     return gates_;
@@ -154,29 +100,14 @@ class TraceRecorder final : public rt::SuperstepObserver {
   /// Drops all records and restarts the wall-clock epoch.
   void clear();
 
-  /// Full document: {"phases": [...], "supersteps": [...]} with wall times.
-  [[nodiscard]] Json to_json() const;
-
-  /// Same structure minus every wall-clock field (phase/superstep wall
-  /// seconds and per-rank seconds). Byte-identical across engines and
-  /// thread counts for deterministic workloads.
-  [[nodiscard]] std::string deterministic_json() const;
-
  private:
-  [[nodiscard]] Json to_json_impl(bool include_wall) const;
-
   Timer epoch_;  // steady clock; offsets below are relative to this
   std::vector<PhaseRecord> phases_;
   std::vector<std::size_t> open_;  // stack of open phase indices
   std::vector<SuperstepRecord> supersteps_;
-  rt::CommMatrix comm_;
-  std::map<std::string, CommTotals> by_class_;
   std::vector<GateRecord> gates_;
-  Json calibration_;
-  bool has_calibration_ = false;
-  bool calibration_deterministic_ = false;
   FlightRecorder* scope_ = nullptr;  ///< borrowed; phase-stamp feed
-  MemoryTracker* mem_ = nullptr;     ///< borrowed; phase stamps + heap section
+  MemoryTracker* mem_ = nullptr;     ///< borrowed; phase-stamp feed
 };
 
 /// RAII wrapper for TraceRecorder phases:

@@ -310,8 +310,7 @@ void blend_weights(std::vector<Weight>& wcomp, const std::vector<Rank>& owner,
 
 obs::Json Calibration::to_json() const {
   obs::Json doc = obs::Json::object();
-  doc.set("schema", obs::Json::str("plum-calibration/1"))
-      .set("enabled", obs::Json::boolean(opt_.enabled))
+  doc.set("enabled", obs::Json::boolean(opt_.enabled))
       .set("cycles_observed", obs::Json::integer(cycles_))
       .set("remap_samples", obs::Json::integer(remaps_))
       .set("mean_abs_drift", obs::Json::number(mean_abs_drift()));

@@ -153,7 +153,7 @@ class Calibration {
     return weight_scale_;
   }
 
-  /// {"schema": "plum-calibration/1", ...}: options summary, sample counts,
+  /// A bench run's "calibration" section: options summary, sample counts,
   /// the calibrated constants, and drift health. Deterministic dump;
   /// byte-identical across engines whenever the observed samples were.
   [[nodiscard]] obs::Json to_json() const;

@@ -23,6 +23,7 @@
 #include "mesh/box_mesh.hpp"
 #include "obs/gate_audit.hpp"
 #include "pmesh/migrate.hpp"
+#include "run_view.hpp"
 #include "sim/calibration.hpp"
 #include "solver/init_conditions.hpp"
 
@@ -214,7 +215,8 @@ TEST(Calibration, ToJsonCarriesScopeAndDeterministicParams) {
   calib.observe(byte_sample(500, 20, calib.predicted_bytes(500, 20),
                             true_bytes(MachineParams{}, 500, 20) * 2));
   const obs::Json doc = calib.to_json();
-  EXPECT_EQ(doc.find("schema")->as_string(), "plum-calibration/1");
+  // A nested section of the run document: no schema tag of its own.
+  EXPECT_EQ(doc.find("schema"), nullptr);
   EXPECT_EQ(doc.find("cycles_observed")->as_int(), 1);
   EXPECT_EQ(doc.find("remap_samples")->as_int(), 1);
   EXPECT_GT(doc.find("mean_abs_drift")->as_double(), 0.5);
@@ -312,8 +314,9 @@ TEST(PlumReplay, CalibrationIsByteIdenticalAcrossEnginesAndThreads) {
   // Full fits on: under replay every calibrated constant is a pure function
   // of the book and the deterministic counters, so the sequential Engine
   // (threads = 1) and the ParallelEngine (threads = 2, 4) must agree to the
-  // byte — calibration document, deterministic trace view (which embeds the
-  // calibration section), metrics gauges, and the re-recorded book shape.
+  // byte — calibration document, the wall-free run entry (whose metrics
+  // carry the calib_* gauges), the full ledger, the per-row heap counters,
+  // and the re-recorded book shape.
   auto run = [](int threads) {
     core::FrameworkOptions opt = remap_heavy_options();
     opt.threads = threads;
@@ -323,8 +326,7 @@ TEST(PlumReplay, CalibrationIsByteIdenticalAcrossEnginesAndThreads) {
     auto fw = make_dist(opt, 5);
     for (int i = 0; i < 3; ++i) fw.cycle();
     return std::make_tuple(fw.calibration().to_json().dump(),
-                           fw.trace().deterministic_json(),
-                           fw.metrics().deterministic_json().dump(),
+                           test::run_view(fw),
                            fw.replay_log().cycles.size());
   };
   const auto seq = run(1);
@@ -332,17 +334,23 @@ TEST(PlumReplay, CalibrationIsByteIdenticalAcrossEnginesAndThreads) {
   const auto par4 = run(4);
   EXPECT_EQ(std::get<0>(seq), std::get<0>(par2));
   EXPECT_EQ(std::get<0>(seq), std::get<0>(par4));
-  EXPECT_EQ(std::get<1>(seq), std::get<1>(par2));
-  EXPECT_EQ(std::get<1>(seq), std::get<1>(par4));
-  EXPECT_EQ(std::get<2>(seq), std::get<2>(par2));
-  EXPECT_EQ(std::get<2>(seq), std::get<2>(par4));
-  EXPECT_EQ(std::get<3>(seq), 3u);
-  EXPECT_EQ(std::get<3>(par4), 3u);
+  for (const auto* par : {&par2, &par4}) {
+    const test::RunView& vs = std::get<1>(seq);
+    const test::RunView& vp = std::get<1>(*par);
+    EXPECT_EQ(vp.entry, vs.entry);
+    EXPECT_EQ(vp.ledger, vs.ledger);
+    EXPECT_EQ(vp.heap, vs.heap);
+    EXPECT_EQ(vp.live_bytes, vs.live_bytes);
+  }
+  EXPECT_NE(std::get<1>(seq).entry.find("\"calib_t_iter\""),
+            std::string::npos);
+  EXPECT_EQ(std::get<2>(seq), 3u);
+  EXPECT_EQ(std::get<2>(par4), 3u);
 
-  // The replayed calibration actually moved: the solve constant follows the
-  // book's seconds, not the SP2 default.
+  // The replayed calibration actually moved: three cycles observed.
   EXPECT_GT(std::get<0>(seq).size(), 0u);
-  EXPECT_NE(std::get<0>(seq).find("plum-calibration/1"), std::string::npos);
+  EXPECT_NE(std::get<0>(seq).find("\"cycles_observed\":3"),
+            std::string::npos);
 }
 
 TEST(PlumReplay, ReplayedCalibrationReducesMeanAbsGateDrift) {

@@ -16,7 +16,9 @@
 #include "mesh/box_mesh.hpp"
 #include "obs/critical_path.hpp"
 #include "obs/gate_audit.hpp"
+#include "obs/run_entry.hpp"
 #include "obs/scope.hpp"
+#include "run_view.hpp"
 #include "runtime/engine.hpp"
 #include "runtime/transport.hpp"
 #include "solver/init_conditions.hpp"
@@ -40,8 +42,8 @@ DistFramework make_dist(FrameworkOptions opt, int boxn) {
 // Cross-transport determinism at the framework level: encoding every
 // payload into frames and decoding it back (framed transport) must leave
 // the whole adaption cycle bit-identical — element counts, solution
-// fields, ledger, deterministic trace, metrics and heap views — at a
-// strong-scaling size and at P=64 on a small box.
+// fields, the wall-free run entry, the full ledger and the per-row heap
+// counters — at a strong-scaling size and at P=64 on a small box.
 TEST(DistFramework, FramedTransportCyclesIdenticalToInProc) {
   auto run_cycles = [](rt::TransportKind transport, Rank nranks, int boxn) {
     FrameworkOptions opt;
@@ -59,10 +61,7 @@ TEST(DistFramework, FramedTransportCyclesIdenticalToInProc) {
       rho[static_cast<std::size_t>(r)] = fw.solver().density_field(r);
     }
     return std::make_tuple(std::move(reps), fw.elements_per_rank(),
-                           std::move(rho), fw.engine().ledger(),
-                           fw.trace().deterministic_json(),
-                           fw.metrics().deterministic_json().dump(),
-                           fw.memory().deterministic_json().dump());
+                           std::move(rho), test::run_view(fw));
   };
 
   for (const auto& [nranks, boxn] : {std::pair<Rank, int>{8, 5}, {64, 6}}) {
@@ -82,13 +81,16 @@ TEST(DistFramework, FramedTransportCyclesIdenticalToInProc) {
     }
     EXPECT_EQ(std::get<1>(framed), std::get<1>(inproc));  // elems per rank
     EXPECT_EQ(std::get<2>(framed), std::get<2>(inproc));  // density fields
-    EXPECT_EQ(std::get<3>(framed), std::get<3>(inproc));  // full ledger
-    EXPECT_EQ(std::get<4>(framed), std::get<4>(inproc));  // det. trace
-    EXPECT_EQ(std::get<5>(framed), std::get<5>(inproc));  // det. metrics
-    // plum-mem: the per-phase allocation profile is transport-invariant —
-    // and embedded in the trace bytes compared above.
-    EXPECT_EQ(std::get<6>(framed), std::get<6>(inproc));
-    EXPECT_NE(std::get<4>(inproc).find("\"plum-heap/1\""), std::string::npos);
+    const test::RunView& vi = std::get<3>(inproc);
+    const test::RunView& vf = std::get<3>(framed);
+    EXPECT_EQ(vf.entry, vi.entry);    // wall-free run entry
+    EXPECT_EQ(vf.ledger, vi.ledger);  // full ledger
+    // plum-mem: the per-row, per-phase allocation profile is
+    // transport-invariant; the entry carries only its per-phase totals.
+    EXPECT_EQ(vf.heap, vi.heap);
+    EXPECT_EQ(vf.live_bytes, vi.live_bytes);
+    EXPECT_NE(vi.entry.find("\"heap\""), std::string::npos);
+    EXPECT_NE(vi.entry.find("\"comm_by_class\""), std::string::npos);
   }
 }
 
@@ -165,8 +167,7 @@ TEST(DistFramework, SolvePhaseIsChargedAndOnTheCounterCriticalPath) {
   EXPECT_EQ(solve_steps, 4 * opt.solver_steps_per_cycle);
   EXPECT_GT(solve_units, 0);
 
-  const auto cp =
-      obs::analyze_critical_path(fw.trace(), obs::PathSource::kCounters);
+  const auto cp = obs::analyze_critical_path(fw.trace());
   const obs::PhasePath* solve = nullptr;
   for (const auto& ph : cp.phases) {
     if (ph.name == "solve") solve = &ph;
@@ -212,9 +213,21 @@ TEST(DistFramework, ObservabilityCommMatrixGaugesAndGateAudit) {
   EXPECT_EQ(row_total, ledger.total_bytes());
   EXPECT_EQ(col_total, ledger.total_bytes());
   EXPECT_GT(ledger.total_bytes(), 0);
-  // The trace-side matrix is the same accumulation.
-  EXPECT_EQ(fw.trace().comm_matrix(), cm);
-  EXPECT_FALSE(fw.trace().comm_by_class().empty());
+  // The run entry's tag-class split is folded from the same ledger cells:
+  // its classes partition the matrix's traffic.
+  const obs::Json entry = obs::run_entry(fw.trace(), fw.metrics(),
+                                         fw.memory(), &ledger, true);
+  const obs::Json* by_class = entry.find("comm_by_class");
+  ASSERT_NE(by_class, nullptr);
+  EXPECT_GT(by_class->size(), 0u);
+  std::int64_t class_msgs = 0;
+  std::int64_t class_bytes = 0;
+  for (const auto& [cls, t] : by_class->items()) {
+    class_msgs += t.find("msgs")->as_int();
+    class_bytes += t.find("bytes")->as_int();
+  }
+  EXPECT_EQ(class_msgs, cm.total_msgs());
+  EXPECT_EQ(class_bytes, cm.total_bytes());
 
   // --- per-cycle gauges ----------------------------------------------------
   const obs::MetricsRegistry& m = fw.metrics();

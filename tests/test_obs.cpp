@@ -1,7 +1,7 @@
 // plum-trace observability layer: JSON model round-trips, metric ordering
-// stability, TraceRecorder phase/superstep accounting, cross-engine
-// byte-identical deterministic traces, the plum-bench/1 schema validator,
-// and the Chrome trace exporter.
+// stability, TraceRecorder phase/superstep accounting, the run entry
+// (obs::run_entry) and its cross-engine byte identity, and the
+// plum-bench/3 schema validator.
 
 #include <gtest/gtest.h>
 
@@ -10,15 +10,16 @@
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "json_report.hpp"
 #include "obs/bench_schema.hpp"
-#include "obs/chrome_trace.hpp"
 #include "obs/critical_path.hpp"
 #include "obs/json.hpp"
 #include "obs/memory.hpp"
 #include "obs/metrics.hpp"
+#include "obs/run_entry.hpp"
 #include "obs/scope.hpp"
 #include "obs/trace.hpp"
 #include "runtime/collectives.hpp"
@@ -166,24 +167,39 @@ TEST(TraceRecorder, PhaseAndSuperstepAccounting) {
 }
 
 TEST(TraceRecorder, DeterministicJsonIdenticalAcrossEngines) {
+  using StepView =
+      std::tuple<int, std::string, std::vector<rt::StepCounters>>;
   auto run = [](rt::Engine& eng) {
     obs::TraceRecorder rec;
     eng.set_observer(&rec);
-    obs::PhaseScope ph(rec, "storm");
-    eng.run(tick);
-    return rec;
+    {
+      obs::PhaseScope ph(rec, "storm");
+      eng.run(tick);
+    }
+    std::vector<StepView> steps;
+    for (const auto& st : rec.supersteps()) {
+      steps.emplace_back(st.step, st.phase, st.counters);
+    }
+    // The wall-free run entry, with empty metrics and heap.
+    const obs::MetricsRegistry none;
+    const obs::MemoryTracker mem(eng.nranks());
+    return std::make_pair(
+        obs::run_entry(rec, none, mem, &eng.ledger(), /*wall=*/false).dump(),
+        steps);
   };
 
   rt::Engine seq(5);
-  const std::string want = run(seq).deterministic_json();
-  EXPECT_FALSE(want.empty());
-  // Wall-clock fields must not leak into the deterministic view.
-  EXPECT_EQ(want.find("wall_s"), std::string::npos);
-  EXPECT_EQ(want.find("seconds"), std::string::npos);
+  const auto want = run(seq);
+  EXPECT_FALSE(want.first.empty());
+  EXPECT_EQ(want.second.size(), 2u);
+  // Wall-clock fields must not leak into the wall-free entry.
+  EXPECT_EQ(want.first.find("wall_s"), std::string::npos);
+  EXPECT_EQ(want.first.find("seconds"), std::string::npos);
+  EXPECT_EQ(want.first.find("rss"), std::string::npos);
 
   for (int threads : {1, 2, 4}) {
     rt::ParallelEngine par(5, threads);
-    EXPECT_EQ(run(par).deterministic_json(), want) << "threads=" << threads;
+    EXPECT_EQ(run(par), want) << "threads=" << threads;
   }
 }
 
@@ -196,9 +212,7 @@ TEST(CriticalPath, CounterDecompositionOfTickWorkload) {
     eng.run(tick);  // 2 supersteps; rank r charges r+1 units each step
   }
 
-  const auto cp =
-      obs::analyze_critical_path(rec, obs::PathSource::kCounters);
-  EXPECT_EQ(cp.source, obs::PathSource::kCounters);
+  const auto cp = obs::analyze_critical_path(rec);
   ASSERT_EQ(cp.steps.size(), 2u);
   for (const auto& sp : cp.steps) {
     EXPECT_EQ(sp.phase, "solve");
@@ -229,9 +243,10 @@ TEST(CriticalPath, CounterDecompositionOfTickWorkload) {
   EXPECT_EQ(cp.phases[0].worst_rank, 2);
   EXPECT_EQ(cp.phases[0].worst_rank_steps, 2);
 
-  // The JSON mirror carries the same numbers and no wall-clock vocabulary.
+  // The JSON mirror carries the same numbers and no wall-clock vocabulary
+  // (compute units are the only source, so no "source" field either).
   const std::string json = cp.to_json().dump();
-  EXPECT_NE(json.find("\"source\":\"counters\""), std::string::npos);
+  EXPECT_EQ(json.find("\"source\""), std::string::npos);
   EXPECT_NE(json.find("\"critical_total\":6"), std::string::npos);
   EXPECT_EQ(json.find("seconds"), std::string::npos);
   EXPECT_EQ(json.find("wall"), std::string::npos);
@@ -247,8 +262,7 @@ TEST(CriticalPath, TieOnWorkGoesToLowestRankAndEmptyTraceIsZero) {
     out.charge(5);
     return false;
   });
-  const auto cp =
-      obs::analyze_critical_path(rec, obs::PathSource::kCounters);
+  const auto cp = obs::analyze_critical_path(rec);
   ASSERT_EQ(cp.steps.size(), 1u);
   EXPECT_EQ(cp.steps[0].critical_rank, 0);
   EXPECT_EQ(cp.steps[0].wait, 0.0);
@@ -256,31 +270,10 @@ TEST(CriticalPath, TieOnWorkGoesToLowestRankAndEmptyTraceIsZero) {
   EXPECT_EQ(cp.wait_fraction(), 0.0);
 
   const obs::TraceRecorder empty;
-  const auto none =
-      obs::analyze_critical_path(empty, obs::PathSource::kCounters);
+  const auto none = obs::analyze_critical_path(empty);
   EXPECT_TRUE(none.steps.empty());
   EXPECT_TRUE(none.ranks.empty());
   EXPECT_EQ(none.wait_fraction(), 0.0);
-}
-
-TEST(CriticalPath, WallSourceUsesMeasuredRankSeconds) {
-  rt::Engine eng(3);
-  obs::TraceRecorder rec;
-  eng.set_observer(&rec);
-  eng.run(tick);
-
-  const auto cp =
-      obs::analyze_critical_path(rec, obs::PathSource::kWallClock);
-  ASSERT_EQ(cp.steps.size(), 2u);
-  // Whatever the scheduler did, the invariants hold: the critical value is
-  // the max, busy sums the rank values, and wait is their difference.
-  for (const auto& sp : cp.steps) {
-    EXPECT_GE(sp.critical, 0.0);
-    EXPECT_GE(sp.busy, 0.0);
-    EXPECT_NEAR(sp.wait, 3.0 * sp.critical - sp.busy, 1e-12);
-  }
-  const std::string json = cp.to_json().dump();
-  EXPECT_NE(json.find("\"source\":\"wall\""), std::string::npos);
 }
 
 TEST(CriticalPath, EmbeddedInBothTraceSerializations) {
@@ -289,13 +282,15 @@ TEST(CriticalPath, EmbeddedInBothTraceSerializations) {
   eng.set_observer(&rec);
   eng.run(tick);
 
-  const std::string det = rec.deterministic_json();
-  EXPECT_NE(det.find("\"critical_path\""), std::string::npos);
-  EXPECT_EQ(det.find("\"critical_path_wall\""), std::string::npos);
-
-  const std::string full = rec.to_json().dump();
-  EXPECT_NE(full.find("\"critical_path\""), std::string::npos);
-  EXPECT_NE(full.find("\"critical_path_wall\""), std::string::npos);
+  // Both forms of the run entry carry the same counter-sourced section.
+  const obs::MetricsRegistry m;
+  const obs::MemoryTracker mem(2);
+  const std::string want = obs::analyze_critical_path(rec).to_json().dump();
+  for (const bool wall : {false, true}) {
+    const Json entry = obs::run_entry(rec, m, mem, nullptr, wall);
+    ASSERT_NE(entry.find("critical_path"), nullptr) << "wall=" << wall;
+    EXPECT_EQ(entry.find("critical_path")->dump(), want) << "wall=" << wall;
+  }
 }
 
 TEST(TraceRecorder, NullRecorderScopesAreNoOps) {
@@ -309,34 +304,34 @@ TEST(TraceRecorder, CommMatrixAndTagClassesFromWorkload) {
   eng.set_observer(&rec);
   eng.run(tick);  // 2 steps, every rank sends one int32 to rank 0, tag 7
 
-  const rt::CommMatrix& cm = rec.comm_matrix();
-  ASSERT_EQ(cm.nranks, 3);
-  for (Rank from = 0; from < 3; ++from) {
-    EXPECT_EQ(cm.bytes_at(from, 0), 8);  // 4 bytes x 2 supersteps
-    EXPECT_EQ(cm.msgs_at(from, 0), 2);
-    EXPECT_EQ(cm.bytes_at(from, 1), 0);
-    EXPECT_EQ(cm.bytes_at(from, 2), 0);
+  // The comm matrix renders from the ledger.
+  const Json cm = obs::comm_matrix_json(eng.ledger().comm_matrix());
+  ASSERT_EQ(cm.find("nranks")->as_int(), 3);
+  for (std::size_t from = 0; from < 3; ++from) {
+    const Json& bytes = cm.find("bytes")->at(from);
+    const Json& msgs = cm.find("msgs")->at(from);
+    EXPECT_EQ(bytes.at(0).as_int(), 8);  // 4 bytes x 2 supersteps
+    EXPECT_EQ(msgs.at(0).as_int(), 2);
+    EXPECT_EQ(bytes.at(1).as_int(), 0);
+    EXPECT_EQ(bytes.at(2).as_int(), 0);
   }
-  EXPECT_EQ(cm.total_bytes(), 24);
-  EXPECT_EQ(cm.total_bytes(), eng.ledger().total_bytes());
-  EXPECT_EQ(cm, eng.ledger().comm_matrix());
 
-  const auto& by_class = rec.comm_by_class();
-  ASSERT_EQ(by_class.size(), 1u);
-  ASSERT_TRUE(by_class.count("tag7"));
-  EXPECT_EQ(by_class.at("tag7").msgs, 6);
-  EXPECT_EQ(by_class.at("tag7").bytes, 24);
-
-  // Both serializations carry the matrix; clear() resets it.
-  for (const std::string& json :
-       {rec.deterministic_json(), rec.to_json().dump()}) {
-    EXPECT_NE(json.find("\"comm_matrix\""), std::string::npos);
-    EXPECT_NE(json.find("\"comm_by_class\""), std::string::npos);
-    EXPECT_NE(json.find("\"gate_audit\""), std::string::npos);
+  // The run entry folds the same ledger cells into tag classes.
+  const obs::MetricsRegistry m;
+  const obs::MemoryTracker mem(3);
+  for (const bool wall : {false, true}) {
+    const Json entry = obs::run_entry(rec, m, mem, &eng.ledger(), wall);
+    const Json* by_class = entry.find("comm_by_class");
+    ASSERT_NE(by_class, nullptr);
+    ASSERT_EQ(by_class->size(), 1u);
+    ASSERT_NE(by_class->find("tag7"), nullptr);
+    EXPECT_EQ(by_class->find("tag7")->find("msgs")->as_int(), 6);
+    EXPECT_EQ(by_class->find("tag7")->find("bytes")->as_int(), 24);
+    EXPECT_NE(entry.find("gate_audit"), nullptr);
   }
-  rec.clear();
-  EXPECT_EQ(rec.comm_matrix().total_bytes(), 0);
-  EXPECT_TRUE(rec.comm_by_class().empty());
+  // Without a ledger there is no traffic to fold.
+  EXPECT_EQ(obs::run_entry(rec, m, mem, nullptr, true).find("comm_by_class"),
+            nullptr);
 }
 
 TEST(TraceRecorder, TagClassNames) {
@@ -393,13 +388,20 @@ TEST(GateAudit, DriftAndRecordSerialization) {
   ASSERT_EQ(audit.size(), 2u);
   EXPECT_EQ(audit.at(1).find("evaluated")->as_bool(), false);
 
-  // Recorder round-trip: records land in both JSON views.
+  // Recorder round-trip: records land in both forms of the run entry.
   obs::TraceRecorder tr;
   tr.add_gate_record(rec);
   ASSERT_EQ(tr.gate_records().size(), 1u);
   EXPECT_EQ(tr.gate_records()[0], rec);
-  EXPECT_NE(tr.deterministic_json().find("\"predicted_move_bytes\":4096"),
-            std::string::npos);
+  const obs::MetricsRegistry m;
+  const obs::MemoryTracker mem(1);
+  for (const bool wall : {false, true}) {
+    EXPECT_NE(obs::run_entry(tr, m, mem, nullptr, wall)
+                  .find("gate_audit")
+                  ->dump()
+                  .find("\"predicted_move_bytes\":4096"),
+              std::string::npos);
+  }
   tr.clear();
   EXPECT_TRUE(tr.gate_records().empty());
 }
@@ -528,7 +530,7 @@ Json valid_report() {
            Json::object().set("speedup", Json::number(9.3)))
       .set("phases", Json::array().push(std::move(phase)));
   Json doc = Json::object();
-  doc.set("schema", Json::str("plum-bench/1"))
+  doc.set("schema", Json::str("plum-bench/3"))
       .set("bench", Json::str("bench_fig4"))
       .set("runs", Json::array().push(std::move(run)));
   return doc;
@@ -580,9 +582,8 @@ TEST(BenchSchema, RejectsViolations) {
 
 Json valid_v2_report() {
   Json doc = valid_report();
-  doc.set("schema", Json::str("plum-bench/2"));
   Json run = doc.find("runs")->at(0);
-  // Gauge series: arrays of numbers are v2-only.
+  // Gauge series: arrays of numbers.
   Json metrics = *run.find("metrics");
   metrics.set("imbalance",
               Json::array().push(Json::number(1.5)).push(Json::number(1.1)));
@@ -613,15 +614,6 @@ Json valid_v2_report() {
 
 TEST(BenchSchema, V2AcceptsGaugesCommMatrixAndGateAudit) {
   EXPECT_EQ(obs::validate_bench_report(valid_v2_report()), "");
-}
-
-TEST(BenchSchema, V2OnlyFieldsRejectedUnderV1) {
-  // The same document under schema v1 must fail on each v2-only field.
-  Json doc = valid_v2_report();
-  doc.set("schema", Json::str("plum-bench/1"));
-  const std::string err = obs::validate_bench_report(doc);
-  EXPECT_NE(err, "");
-  EXPECT_NE(err.find("plum-bench/2"), std::string::npos) << err;
 }
 
 TEST(BenchSchema, V2RejectsMalformedCommMatrixAndGateAudit) {
@@ -656,11 +648,34 @@ TEST(BenchSchema, V2RejectsMalformedCommMatrixAndGateAudit) {
     doc.set("runs", Json::array().push(std::move(run)));
     EXPECT_NE(obs::validate_bench_report(doc), "");
   }
+  {
+    // Tag-class traffic must be non-negative integer counts.
+    Json doc = valid_v2_report();
+    Json run = doc.find("runs")->at(0);
+    Json bc = Json::object();
+    bc.set("solver", Json::object()
+                         .set("msgs", Json::integer(3))
+                         .set("bytes", Json::number(2.5)));
+    run.set("comm_by_class", std::move(bc));
+    doc.set("runs", Json::array().push(std::move(run)));
+    const std::string err = obs::validate_bench_report(doc);
+    EXPECT_NE(err.find("comm_by_class"), std::string::npos) << err;
+  }
+  {
+    // The heap section goes through obs::validate_heap_section.
+    Json doc = valid_v2_report();
+    Json run = doc.find("runs")->at(0);
+    run.set("heap", Json::object());
+    doc.set("runs", Json::array().push(std::move(run)));
+    const std::string err = obs::validate_bench_report(doc);
+    EXPECT_NE(err.find("heap"), std::string::npos) << err;
+  }
 }
 
 TEST(BenchSchema, V2AcceptsHistogramsAndCriticalPath) {
   // Build the document the real producers build: a registry histogram and
-  // a recorder's counter-sourced critical path, both through JsonReport.
+  // a run entry's critical path, heap and tag-class traffic, both through
+  // JsonReport.
   rt::Engine eng(2);
   obs::TraceRecorder rec;
   eng.set_observer(&rec);
@@ -669,25 +684,20 @@ TEST(BenchSchema, V2AcceptsHistogramsAndCriticalPath) {
   obs::MetricsRegistry m;
   m.define_histogram("rank_wait_fraction", {0.1, 0.5, 1.0});
   m.add_hist_sample("rank_wait_fraction", 0.25);
+  const obs::MemoryTracker mem(2);
 
-  Json doc = valid_v2_report();
-  Json run = doc.find("runs")->at(0);
-  Json metrics = *run.find("metrics");
-  metrics.set("rank_wait_fraction",
-              *m.to_json().find("rank_wait_fraction"));
-  run.set("metrics", std::move(metrics));
-  run.set("critical_path",
-          obs::analyze_critical_path(rec, obs::PathSource::kCounters)
-              .to_json());
-  doc.set("runs", Json::array().push(std::move(run)));
+  bench::JsonReport report("unit");
+  report.add_run("caseA", 2)
+      .metric("speedup", 2.0)
+      .entry(obs::run_entry(rec, m, mem, &eng.ledger(), /*wall=*/true));
+  const Json doc = report.to_json();
   EXPECT_EQ(obs::validate_bench_report(doc), "") << doc.dump(2);
-
-  // Both are v2-only.
-  Json v1 = doc;
-  v1.set("schema", Json::str("plum-bench/1"));
-  const std::string err = obs::validate_bench_report(v1);
-  EXPECT_NE(err, "");
-  EXPECT_NE(err.find("plum-bench/2"), std::string::npos) << err;
+  const Json& run = doc.find("runs")->at(0);
+  for (const char* section :
+       {"critical_path", "gate_audit", "heap", "comm_by_class"}) {
+    EXPECT_NE(run.find(section), nullptr) << section;
+  }
+  EXPECT_NE(run.find("metrics")->find("rank_wait_fraction"), nullptr);
 }
 
 TEST(BenchSchema, V2RejectsMalformedHistogramAndCriticalPath) {
@@ -717,15 +727,15 @@ TEST(BenchSchema, V2RejectsMalformedHistogramAndCriticalPath) {
     Json doc = valid_v2_report();
     Json run = doc.find("runs")->at(0);
     Json cp = Json::object();
-    cp.set("source", Json::str("counters"));  // missing everything else
+    cp.set("critical_total", Json::number(1.0));  // missing everything else
     run.set("critical_path", std::move(cp));
     doc.set("runs", Json::array().push(std::move(run)));
     EXPECT_NE(obs::validate_bench_report(doc), "");
   }
 }
 
-/// The shape sim::Calibration::to_json() emits (plum-calibration/1); built
-/// by hand here because obs must not depend on sim.
+/// The shape sim::Calibration::to_json() emits; built by hand here because
+/// obs must not depend on sim.
 Json valid_calibration_section() {
   Json params = Json::object();
   params.set("t_iter", Json::number(65e-6))
@@ -736,8 +746,7 @@ Json valid_calibration_section() {
       .set("bytes_per_set", Json::number(96.0))
       .set("gate_margin", Json::number(1.0));
   Json cal = Json::object();
-  cal.set("schema", Json::str("plum-calibration/1"))
-      .set("enabled", Json::boolean(true))
+  cal.set("enabled", Json::boolean(true))
       .set("cycles_observed", Json::integer(3))
       .set("remap_samples", Json::integer(2))
       .set("mean_abs_drift", Json::number(0.12))
@@ -765,26 +774,9 @@ TEST(BenchSchema, V2AcceptsCalibrationSectionAndGateRegressors) {
   run.set("gate_audit", obs::gate_audit_json({g}));
   doc.set("runs", Json::array().push(std::move(run)));
   EXPECT_EQ(obs::validate_bench_report(doc), "") << doc.dump(2);
-
-  // Calibration is v2-only.
-  Json v1 = doc;
-  v1.set("schema", Json::str("plum-bench/1"));
-  const std::string err = obs::validate_bench_report(v1);
-  EXPECT_NE(err, "");
-  EXPECT_NE(err.find("plum-bench/2"), std::string::npos) << err;
 }
 
 TEST(BenchSchema, V2RejectsMalformedCalibration) {
-  {
-    // Wrong embedded schema tag.
-    Json doc = valid_v2_report();
-    Json run = doc.find("runs")->at(0);
-    Json cal = valid_calibration_section();
-    cal.set("schema", Json::str("plum-calibration/2"));
-    run.set("calibration", std::move(cal));
-    doc.set("runs", Json::array().push(std::move(run)));
-    EXPECT_NE(obs::validate_bench_report(doc), "");
-  }
   {
     // Params must carry every calibrated constant.
     Json doc = valid_v2_report();
@@ -807,66 +799,6 @@ TEST(BenchSchema, V2RejectsMalformedCalibration) {
     doc.set("runs", Json::array().push(std::move(run)));
     EXPECT_NE(obs::validate_bench_report(doc), "");
   }
-}
-
-TEST(ChromeTrace, ParsesAndCoversPhasesAndRanks) {
-  rt::Engine eng(2);
-  obs::TraceRecorder rec;
-  eng.set_observer(&rec);
-  {
-    obs::PhaseScope ph(rec, "solve");
-    eng.run(tick);
-  }
-
-  const Json doc = obs::chrome_trace_json(rec, "unit test");
-  const Json* events = doc.find("traceEvents");
-  ASSERT_NE(events, nullptr);
-  ASSERT_TRUE(events->is_array());
-
-  int phase_spans = 0, rank_spans = 0, wait_spans = 0, meta = 0,
-      counters = 0;
-  for (std::size_t i = 0; i < events->size(); ++i) {
-    const Json& ev = events->at(i);
-    const std::string ph = ev.find("ph")->as_string();
-    if (ph == "M") {
-      ++meta;
-      continue;
-    }
-    if (ph == "C") {
-      // Per-superstep traffic counter track.
-      ++counters;
-      ASSERT_NE(ev.find("ts"), nullptr);
-      const Json* args = ev.find("args");
-      ASSERT_NE(args, nullptr);
-      ASSERT_NE(args->find("msgs"), nullptr);
-      ASSERT_NE(args->find("bytes"), nullptr);
-      continue;
-    }
-    ASSERT_EQ(ph, "X");
-    ASSERT_NE(ev.find("ts"), nullptr);
-    ASSERT_NE(ev.find("dur"), nullptr);
-    if (ev.find("tid")->as_int() == 0) {
-      ++phase_spans;
-    } else if (ev.find("name")->as_string() == "wait") {
-      ++wait_spans;
-      const Json* args = ev.find("args");
-      ASSERT_NE(args, nullptr);
-      ASSERT_NE(args->find("critical_rank"), nullptr);
-      ASSERT_NE(args->find("wait_s"), nullptr);
-    } else {
-      ++rank_spans;
-    }
-  }
-  EXPECT_EQ(phase_spans, 1);
-  EXPECT_EQ(rank_spans, 2 * 2);  // 2 supersteps x 2 ranks
-  EXPECT_EQ(wait_spans, 2 * 1);  // per superstep, every non-critical rank
-  EXPECT_EQ(counters, 2);        // one traffic counter event per superstep
-  EXPECT_GE(meta, 3);            // process_name + >= 2 thread_names
-
-  // Round-trips through the strict parser.
-  Json back;
-  std::string err;
-  EXPECT_TRUE(Json::parse(doc.dump(2), &back, &err)) << err;
 }
 
 TEST(JsonReport, WritesValidatedFileHonoringDirOverride) {
@@ -898,6 +830,34 @@ TEST(JsonReport, WritesValidatedFileHonoringDirOverride) {
   EXPECT_EQ(run.find("P")->as_int(), 4);
   EXPECT_EQ(run.find("metrics")->find("elements")->as_int(), 123);
   EXPECT_EQ(run.find("phases")->at(0).find("supersteps")->as_int(), 3);
+}
+
+TEST(JsonReport, EntryMetricsOverrideBenchScalarsAndSectionsCopy) {
+  obs::TraceRecorder trace;
+  { obs::PhaseScope ph(trace, "solve"); }
+  obs::MetricsRegistry m;
+  m.add_sample_int("edge_cut", 40);
+  const obs::MemoryTracker mem(2);
+
+  bench::JsonReport report("unit");
+  report.add_run("caseB", 2)
+      .metric_int("edge_cut", 1)
+      .metric("speedup", 2.5)
+      .entry(obs::run_entry(trace, m, mem, nullptr, /*wall=*/true));
+  const Json doc = report.to_json();
+  ASSERT_EQ(obs::validate_bench_report(doc), "") << doc.dump(2);
+  const Json& run = doc.find("runs")->at(0);
+  // The framework's gauge replaces the bench scalar of the same name.
+  const Json* edge_cut = run.find("metrics")->find("edge_cut");
+  ASSERT_NE(edge_cut, nullptr);
+  ASSERT_TRUE(edge_cut->is_array());
+  EXPECT_EQ(edge_cut->at(0).as_int(), 40);
+  EXPECT_EQ(run.find("metrics")->find("speedup")->as_double(), 2.5);
+  ASSERT_EQ(run.find("phases")->size(), 1u);
+  EXPECT_EQ(run.find("phases")->at(0).find("name")->as_string(), "solve");
+  EXPECT_NE(run.find("phases")->at(0).find("wall_s"), nullptr);
+  EXPECT_NE(run.find("heap"), nullptr);
+  EXPECT_EQ(run.find("comm_by_class"), nullptr);  // no ledger
 }
 
 TEST(JsonReport, RefusesToWriteInvalidReport) {
@@ -1095,7 +1055,7 @@ TEST(Postmortem, BuilderEmitsValidatedDocumentWithCrashNotes) {
 
   {
     Json bad = doc;
-    bad.set("schema", Json::str("plum-bench/2"));
+    bad.set("schema", Json::str("plum-bench/3"));
     EXPECT_NE(obs::validate_postmortem(bad), "");
   }
   {
@@ -1147,10 +1107,6 @@ TEST(BenchSchema, V2AcceptsWallSeriesObjects) {
   run.set("metrics", std::move(metrics));
   doc.set("runs", Json::array().push(std::move(run)));
   EXPECT_EQ(obs::validate_bench_report(doc), "");
-
-  // Same object under schema v1 must be rejected.
-  doc.set("schema", Json::str("plum-bench/1"));
-  EXPECT_NE(obs::validate_bench_report(doc), "");
 }
 
 // --------------------------------------------------------------- plum-mem
@@ -1283,22 +1239,45 @@ TEST(MemoryTracker, PhaseAttributionHostRowAndClear) {
   EXPECT_EQ(mem.stats(0, 0).allocs, 0);
 }
 
+/// The run entry's heap section for `mem` (no trace, metrics or ledger).
+Json heap_section(const obs::MemoryTracker& mem, bool wall) {
+  const obs::TraceRecorder trace;
+  const obs::MetricsRegistry metrics;
+  return *obs::run_entry(trace, metrics, mem, nullptr, wall).find("heap");
+}
+
 TEST(MemoryTracker, HeapJsonValidatesAndOnlyWallViewCarriesRss) {
   obs::MemoryTracker mem(2);
   mem.set_phase("alpha");
   {
     obs::TrackedVec<char> v(64, 'x',
                             obs::TrackingAllocator<char>{mem.scratch(0)});
+    obs::TrackedVec<char> w(32, 'y',
+                            obs::TrackingAllocator<char>{mem.scratch(1)});
   }
   mem.clear_phase();
+  {
+    obs::TrackedVec<char> v(8, 'z',
+                            obs::TrackingAllocator<char>{mem.host_scratch()});
+  }
 
-  const Json det = mem.deterministic_json();
+  const Json det = heap_section(mem, false);
   EXPECT_EQ(obs::validate_heap_section(det), "");
   EXPECT_EQ(det.find("rss"), nullptr);
-  ASSERT_EQ(det.find("rows")->size(), 3u);  // 2 ranks + host
-  EXPECT_EQ(det.find("rows")->at(2).find("rank")->as_int(), -1);
+  // One entry per phase, summed over the rows (2 ranks + host): O(phases),
+  // not O(P x phases).
+  ASSERT_EQ(det.find("phases")->size(), 1u);
+  const Json& alpha = det.find("phases")->at(0);
+  EXPECT_EQ(alpha.find("name")->as_string(), "alpha");
+  EXPECT_EQ(alpha.find("allocs")->as_int(), 2);
+  EXPECT_EQ(alpha.find("frees")->as_int(), 2);
+  EXPECT_EQ(alpha.find("bytes")->as_int(), 96);
+  EXPECT_EQ(alpha.find("peak_live")->as_int(), 64);  // largest row peak
+  EXPECT_EQ(det.find("unphased")->find("allocs")->as_int(), 1);
+  EXPECT_EQ(det.find("unphased")->find("bytes")->as_int(), 8);
+  EXPECT_EQ(det.find("live_bytes")->as_int(), 0);
 
-  const Json full = mem.to_json();
+  const Json full = heap_section(mem, true);
   EXPECT_EQ(obs::validate_heap_section(full), "");
   ASSERT_NE(full.find("rss"), nullptr);
   EXPECT_GT(full.find("rss")->find("vm_rss_bytes")->as_int(), 0);
@@ -1306,26 +1285,43 @@ TEST(MemoryTracker, HeapJsonValidatesAndOnlyWallViewCarriesRss) {
 
 TEST(MemoryTracker, ValidateHeapSectionRejectsViolations) {
   obs::MemoryTracker mem(1);
-  const Json good = mem.deterministic_json();
+  mem.set_phase("alpha");
+  const Json good = heap_section(mem, false);
   ASSERT_EQ(obs::validate_heap_section(good), "");
+  ASSERT_EQ(good.find("phases")->size(), 1u);
+  // A copy of `good` whose alpha phase has `key` set to `value`.
+  auto with_alpha = [&](const char* key, Json value) {
+    Json alpha = good.find("phases")->at(0);
+    alpha.set(key, std::move(value));
+    Json bad = good;
+    bad.set("phases", Json::array().push(std::move(alpha)));
+    return bad;
+  };
   {
     Json bad = good;
-    bad.set("schema", Json::str("plum-heap/2"));
+    bad.set("phases", Json::object());  // must be an array
+    EXPECT_NE(obs::validate_heap_section(bad), "");
+  }
+  EXPECT_NE(obs::validate_heap_section(with_alpha("name", Json::integer(3))),
+            "");
+  // Counts must be integers: neither fractional nor negative.
+  EXPECT_NE(obs::validate_heap_section(with_alpha("allocs", Json::number(1.5))),
+            "");
+  EXPECT_NE(obs::validate_heap_section(with_alpha("frees", Json::number(-0.5))),
+            "");
+  EXPECT_NE(obs::validate_heap_section(with_alpha("bytes", Json::integer(-1))),
+            "");
+  {
+    Json bad = good;
+    Json unphased = *good.find("unphased");
+    unphased.set("allocs", Json::number(1.5));
+    unphased.set("frees", Json::number(-0.5));
+    bad.set("unphased", std::move(unphased));
     EXPECT_NE(obs::validate_heap_section(bad), "");
   }
   {
     Json bad = good;
-    bad.set("rows", Json::array());  // row count must be nranks + 1
-    EXPECT_NE(obs::validate_heap_section(bad), "");
-  }
-  {
-    Json bad = good;
-    Json row = bad.find("rows")->at(0);
-    row.set("rank", Json::integer(5));  // out of order / out of range
-    Json rows = Json::array();
-    rows.push(std::move(row));
-    rows.push(bad.find("rows")->at(1));
-    bad.set("rows", std::move(rows));
+    bad.set("live_bytes", Json::str("none"));
     EXPECT_NE(obs::validate_heap_section(bad), "");
   }
 }

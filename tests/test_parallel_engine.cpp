@@ -9,8 +9,15 @@
 
 #include <cstring>
 #include <numeric>
+#include <string>
+#include <tuple>
+#include <utility>
+#include <vector>
 
 #include "core/dist_framework.hpp"
+#include "obs/memory.hpp"
+#include "obs/metrics.hpp"
+#include "obs/run_entry.hpp"
 #include "obs/scope.hpp"
 #include "obs/trace.hpp"
 #include "mesh/box_mesh.hpp"
@@ -19,6 +26,7 @@
 #include "pmesh/migrate.hpp"
 #include "pmesh/parallel_adapt.hpp"
 #include "pmesh/parallel_solver.hpp"
+#include "run_view.hpp"
 #include "runtime/collectives.hpp"
 #include "runtime/engine.hpp"
 #include "solver/init_conditions.hpp"
@@ -106,11 +114,30 @@ TEST(CrossTransport, MessageStormIdenticalInboxesLedgersAndCommMatrices) {
   }
 }
 
+/// A trace as the determinism tests see it: the wall-free run entry (with
+/// the engine's ledger) and every superstep record's step, phase and
+/// per-rank counters.
+std::pair<std::string, std::vector<std::tuple<int, std::string,
+                                              std::vector<rt::StepCounters>>>>
+trace_view(const obs::TraceRecorder& trace, const Engine& eng) {
+  const obs::MetricsRegistry no_metrics;
+  const obs::MemoryTracker no_heap(eng.nranks());
+  std::vector<std::tuple<int, std::string, std::vector<rt::StepCounters>>>
+      steps;
+  for (const auto& st : trace.supersteps()) {
+    steps.emplace_back(st.step, st.phase, st.counters);
+  }
+  return {obs::run_entry(trace, no_metrics, no_heap, &eng.ledger(),
+                         /*wall=*/false)
+              .dump(),
+          std::move(steps)};
+}
+
 // plum-scope determinism contract: with a FlightRecorder attached as the
 // engine's RankScopeSink, the recorder's deterministic view (steps, phases,
 // ticks — wall_ns excluded) must be byte-identical across the sequential
 // engine and the parallel engine at every thread count, and attaching the
-// recorder must not perturb the trace's own deterministic view.
+// recorder must not perturb what the trace records.
 TEST(CrossEngine, FlightRecorderDeterministicViewByteIdentical) {
   const Rank p = 8;
   auto run_with_scope = [&](Engine& eng) {
@@ -126,7 +153,7 @@ TEST(CrossEngine, FlightRecorderDeterministicViewByteIdentical) {
     eng.set_observer(nullptr);
     eng.set_scope_sink(nullptr);
     return std::make_pair(scope.deterministic_json().dump(),
-                          trace.deterministic_json());
+                          trace_view(trace, eng));
   };
 
   Engine seq(p);
@@ -150,7 +177,7 @@ TEST(CrossEngine, FlightRecorderDeterministicViewByteIdentical) {
   }
 
   // The recorder must not change what the trace records: a recorder-free
-  // run serializes the identical deterministic trace.
+  // run records the identical trace.
   Engine bare(p);
   obs::TraceRecorder bare_trace;
   bare.set_observer(&bare_trace);
@@ -158,7 +185,7 @@ TEST(CrossEngine, FlightRecorderDeterministicViewByteIdentical) {
     obs::PhaseScope ph(bare_trace, "storm");
     run_storm(bare, 6);
   }
-  EXPECT_EQ(bare_trace.deterministic_json(), want.second);
+  EXPECT_EQ(trace_view(bare_trace, bare), want.second);
 }
 
 TEST(CrossEngine, RingPassMatches) {
@@ -361,15 +388,11 @@ TEST(CrossEngine, DistFrameworkCyclesIdentical) {
     for (Rank r = 0; r < opt.nranks; ++r) {
       rho[static_cast<std::size_t>(r)] = fw.solver().density_field(r);
     }
-    // Metrics: compare the deterministic view — the full to_json() now
-    // carries wall-clock histograms (rank_step_seconds, phase_wall_seconds)
-    // whose samples differ across engines by construction.
+    // The full metrics document carries wall-clock histograms
+    // (rank_step_seconds, phase_wall_seconds) whose samples differ across
+    // engines by construction; the wall-free entry leaves them out.
     return std::make_tuple(reps, fw.elements_per_rank(), std::move(rho),
-                           fw.engine().ledger(),
-                           fw.trace().deterministic_json(),
-                           fw.metrics().deterministic_json().dump(),
-                           fw.metrics().to_json().dump(),
-                           fw.memory().deterministic_json().dump());
+                           test::run_view(fw), fw.metrics().to_json().dump());
   };
 
   const auto seq = run_cycles(1);
@@ -393,46 +416,47 @@ TEST(CrossEngine, DistFrameworkCyclesIdentical) {
   }
   EXPECT_EQ(std::get<1>(par), std::get<1>(seq));
   EXPECT_EQ(std::get<2>(par), std::get<2>(seq));  // density bit-identical
-  EXPECT_EQ(std::get<3>(par), std::get<3>(seq));  // full ledger
-  // plum-trace: the deterministic view (phases + per-rank superstep
-  // counters, wall-clock fields excluded) is byte-identical across engines.
-  EXPECT_EQ(std::get<4>(par), std::get<4>(seq));
-  EXPECT_NE(std::get<4>(seq).find("\"subdivide\""), std::string::npos);
-  // The deterministic view now carries the comm matrix, per-tag-class
-  // traffic, and the gate-audit log — all byte-identical by the check above.
-  EXPECT_NE(std::get<4>(seq).find("\"comm_matrix\""), std::string::npos);
-  EXPECT_NE(std::get<4>(seq).find("\"comm_by_class\""), std::string::npos);
-  EXPECT_NE(std::get<4>(seq).find("\"gate_audit\""), std::string::npos);
-  // plum-path: the counter-sourced critical-path decomposition is part of
-  // the deterministic trace bytes compared above.
-  EXPECT_NE(std::get<4>(seq).find("\"critical_path\""), std::string::npos);
-  // Live paper-metric gauges agree across engines too (deterministic view:
-  // gauges + the counter-sourced wait-fraction histogram, wall ones out).
-  EXPECT_EQ(std::get<5>(par), std::get<5>(seq));
-  EXPECT_NE(std::get<5>(seq).find("\"imbalance\""), std::string::npos);
-  EXPECT_NE(std::get<5>(seq).find("\"edge_cut\""), std::string::npos);
-  EXPECT_NE(std::get<5>(seq).find("\"rank_wait_fraction\""),
-            std::string::npos);
-  EXPECT_EQ(std::get<5>(seq).find("\"rank_step_seconds\""),
-            std::string::npos);
+  const test::RunView& vs = std::get<3>(seq);
+  const test::RunView& vp = std::get<3>(par);
+  // The wall-free run entry (phases, counter-sourced critical path, gate
+  // audit, heap totals, tag-class traffic and the deterministic metrics) is
+  // byte-identical across engines.
+  EXPECT_EQ(vp.entry, vs.entry);
+  EXPECT_EQ(vp.ledger, vs.ledger);  // full ledger
+  EXPECT_NE(vs.entry.find("\"subdivide\""), std::string::npos);
+  EXPECT_NE(vs.entry.find("\"comm_by_class\""), std::string::npos);
+  EXPECT_NE(vs.entry.find("\"gate_audit\""), std::string::npos);
+  EXPECT_NE(vs.entry.find("\"critical_path\""), std::string::npos);
+  // Live paper-metric gauges are in it (deterministic view: gauges + the
+  // counter-sourced wait-fraction histogram, wall ones out).
+  EXPECT_NE(vs.entry.find("\"imbalance\""), std::string::npos);
+  EXPECT_NE(vs.entry.find("\"edge_cut\""), std::string::npos);
+  EXPECT_NE(vs.entry.find("\"rank_wait_fraction\""), std::string::npos);
+  EXPECT_EQ(vs.entry.find("\"rank_step_seconds\""), std::string::npos);
   // The full metrics document does carry the wall-clock histograms.
-  EXPECT_NE(std::get<6>(seq).find("\"rank_step_seconds\""),
+  EXPECT_NE(std::get<4>(seq).find("\"rank_step_seconds\""),
             std::string::npos);
-  EXPECT_NE(std::get<6>(seq).find("\"phase_wall_seconds\""),
+  EXPECT_NE(std::get<4>(seq).find("\"phase_wall_seconds\""),
             std::string::npos);
-  // plum-mem: the per-rank, per-phase allocation profile is embedded in
-  // the deterministic trace compared above AND byte-identical on its own —
-  // rank-bound taps under the claiming-worker rule make scratch churn
-  // engine-invariant. The deterministic view must exclude the RSS gauge.
-  EXPECT_EQ(std::get<7>(par), std::get<7>(seq));
-  EXPECT_NE(std::get<4>(seq).find("\"plum-heap/1\""), std::string::npos);
-  EXPECT_NE(std::get<7>(seq).find("\"repartition\""), std::string::npos);
-  EXPECT_EQ(std::get<7>(seq).find("\"rss\""), std::string::npos);
+  // plum-mem: the per-rank, per-phase allocation profile is byte-identical
+  // row by row — rank-bound taps under the claiming-worker rule make
+  // scratch churn engine-invariant. The entry's heap section carries the
+  // per-phase totals and, wall-free, no RSS gauge.
+  EXPECT_EQ(vp.heap, vs.heap);
+  EXPECT_EQ(vp.live_bytes, vs.live_bytes);
+  obs::Json entry;
+  std::string err;
+  ASSERT_TRUE(obs::Json::parse(vs.entry, &entry, &err)) << err;
+  const std::string heap = entry.find("heap")->dump();
+  EXPECT_NE(heap.find("\"repartition\""), std::string::npos);
+  EXPECT_EQ(heap.find("\"rss\""), std::string::npos);
   // Intermediate pool size: same bytes again.
   const auto par2 = run_cycles(2);
-  EXPECT_EQ(std::get<4>(par2), std::get<4>(seq));
-  EXPECT_EQ(std::get<5>(par2), std::get<5>(seq));
-  EXPECT_EQ(std::get<7>(par2), std::get<7>(seq));
+  const test::RunView& v2 = std::get<3>(par2);
+  EXPECT_EQ(v2.entry, vs.entry);
+  EXPECT_EQ(v2.ledger, vs.ledger);
+  EXPECT_EQ(v2.heap, vs.heap);
+  EXPECT_EQ(v2.live_bytes, vs.live_bytes);
   // Sanity: the workload actually exercised the remap machinery.
   EXPECT_TRUE(rs[0].evaluated_repartition || rs[1].evaluated_repartition);
 }

@@ -20,7 +20,7 @@ using diff::DiffResult;
 using diff::Options;
 using obs::Json;
 
-/// A plum-bench/2 report with one run exercising every compared section:
+/// A plum-bench/3 report with one run exercising every compared section:
 /// scalar/int/series/histogram metrics, phases, comm matrix, gate audit,
 /// and the critical-path document.
 Json report() {
@@ -85,8 +85,7 @@ Json report() {
       .set("drift", Json::number(0.1));
 
   Json cp = Json::object();
-  cp.set("source", Json::str("counters"))
-      .set("critical_total", Json::number(6.0))
+  cp.set("critical_total", Json::number(6.0))
       .set("busy_total", Json::number(12.0))
       .set("wait_total", Json::number(6.0))
       .set("wait_fraction", Json::number(1.0 / 3.0));
@@ -110,7 +109,7 @@ Json report() {
       .set("critical_path", std::move(cp));
 
   Json doc = Json::object();
-  doc.set("schema", Json::str("plum-bench/2"))
+  doc.set("schema", Json::str("plum-bench/3"))
       .set("bench", Json::str("bench_distributed"))
       .set("runs", Json::array().push(std::move(run)));
   return doc;
@@ -251,7 +250,7 @@ TEST(PlumDiff, CriticalPathAndCommMatrixGate) {
 TEST(PlumDiff, InvalidReportIsAnErrorNotABreach) {
   const Json base = report();
   Json bad = Json::object();
-  bad.set("schema", Json::str("plum-bench/2"));  // missing bench/runs
+  bad.set("schema", Json::str("plum-bench/3"));  // missing bench/runs
   const DiffResult r = diff::diff_reports(base, bad, Options{});
   EXPECT_FALSE(r.error.empty());
   EXPECT_EQ(diff::exit_status(r), 2);
@@ -276,7 +275,7 @@ TEST(PlumDiff, DirectoryModePairsByFilenameAndFlagsMissing) {
   write(bdir / "BENCH_bench_distributed.json", doc);
   write(cdir / "BENCH_bench_distributed.json", doc);
   // Non-BENCH files are ignored by the pairing.
-  write(cdir / "RUN_bench_distributed.json", doc);
+  write(cdir / "POSTMORTEM_bench_distributed.json", doc);
 
   DiffResult r =
       diff::diff_dirs(bdir.string(), cdir.string(), Options{});

@@ -1,24 +1,18 @@
-// check_bench_json: CI gate for the machine-readable bench reports.
+// check_bench_json: CI gate for the documents a bench run leaves behind.
 //
-//   check_bench_json BENCH_fig4.json [RUN_bench_distributed.json ...]
+//   check_bench_json BENCH_bench_distributed.json [scope.ndjson ...]
 //
-// Each file must parse as strict JSON and validate against its schema:
-//   plum-bench/1|2 — obs::validate_bench_report (the same validator the
-//                    unit tests exercise, so the gate and the tests cannot
-//                    drift). v2 adds gauge series, the per-run comm matrix,
-//                    and the gate-audit log; see src/obs/bench_schema.hpp.
-//   plum-run/1     — the trace+metrics document plum-report renders: a
-//                    string "name", a "trace" object holding "phases" and
-//                    "supersteps" arrays, and a "metrics" object.
-//   plum-replay/1  — the recorded timing book deterministic calibration
-//                    replays (sim::ReplayBook, the strict parser the
-//                    frameworks load through FrameworkOptions::replay_path).
+// Each file must parse as strict JSON and validate as one of three kinds:
+//   plum-bench/3      — BENCH_<bench>.json run documents,
+//                       obs::validate_bench_report (the same validator the
+//                       unit tests exercise, so the gate and the tests cannot
+//                       drift); see src/obs/bench_schema.hpp.
 //   plum-postmortem/1 — crash dumps written by the plum-scope abort hook
-//                    (obs::validate_postmortem).
-//   plum-scope/1   — live run streams: NDJSON, one record per cycle. A
-//                    file that fails whole-document parsing is retried
-//                    line by line; every line must validate
-//                    (obs::validate_scope_record).
+//                       (obs::validate_postmortem).
+//   plum-scope/1      — live run streams: NDJSON, one record per cycle. A
+//                       file that fails whole-document parsing is retried
+//                       line by line; every line must validate
+//                       (obs::validate_scope_record).
 // Exit code 0 iff every file is valid; each failure is reported on stderr.
 
 #include <cstdio>
@@ -28,43 +22,11 @@
 
 #include "obs/bench_schema.hpp"
 #include "obs/json.hpp"
-#include "obs/memory.hpp"
 #include "obs/scope.hpp"
-#include "sim/calibration.hpp"
 
 namespace {
 
 using plum::obs::Json;
-
-/// Structural validation of a "plum-run/1" document. Returns "" when valid.
-std::string validate_run_doc(const Json& doc) {
-  const Json* name = doc.find("name");
-  if (name == nullptr || !name->is_string()) {
-    return "missing or non-string \"name\"";
-  }
-  const Json* trace = doc.find("trace");
-  if (trace == nullptr || !trace->is_object()) {
-    return "missing or non-object \"trace\"";
-  }
-  for (const char* key : {"phases", "supersteps"}) {
-    const Json* arr = trace->find(key);
-    if (arr == nullptr || !arr->is_array()) {
-      return std::string("trace missing array \"") + key + "\"";
-    }
-  }
-  const Json* metrics = doc.find("metrics");
-  if (metrics == nullptr || !metrics->is_object()) {
-    return "missing or non-object \"metrics\"";
-  }
-  // A trace written with a MemoryTracker attached carries the plum-heap/1
-  // section; when present it must validate (same checker as the tests).
-  const Json* heap = trace->find("heap");
-  if (heap != nullptr) {
-    const std::string herr = plum::obs::validate_heap_section(*heap);
-    if (!herr.empty()) return "heap section: " + herr;
-  }
-  return "";
-}
 
 /// NDJSON validation of a plum-scope/1 stream: every non-empty line must
 /// parse and validate as one record. Returns the record count via *records;
@@ -97,7 +59,8 @@ std::string validate_scope_stream(const std::string& text,
 
 int main(int argc, char** argv) {
   if (argc < 2) {
-    std::fprintf(stderr, "usage: %s <BENCH_*.json|RUN_*.json>...\n", argv[0]);
+    std::fprintf(stderr, "usage: %s <BENCH_*.json|stream.ndjson>...\n",
+                 argv[0]);
     return 2;
   }
 
@@ -133,32 +96,6 @@ int main(int argc, char** argv) {
     }
 
     const Json* schema = doc.is_object() ? doc.find("schema") : nullptr;
-    if (schema != nullptr && schema->is_string() &&
-        schema->as_string() == "plum-run/1") {
-      err = validate_run_doc(doc);
-      if (!err.empty()) {
-        std::fprintf(stderr, "%s: schema violation: %s\n", path, err.c_str());
-        ++failures;
-        continue;
-      }
-      std::printf("%s: ok (plum-run/1, run \"%s\")\n", path,
-                  doc.find("name")->as_string().c_str());
-      continue;
-    }
-
-    if (schema != nullptr && schema->is_string() &&
-        schema->as_string() == "plum-replay/1") {
-      plum::sim::ReplayBook book;
-      if (!plum::sim::ReplayBook::parse(doc, &book, &err)) {
-        std::fprintf(stderr, "%s: schema violation: %s\n", path, err.c_str());
-        ++failures;
-        continue;
-      }
-      std::printf("%s: ok (plum-replay/1, %zu cycles)\n", path,
-                  book.cycles.size());
-      continue;
-    }
-
     if (schema != nullptr && schema->is_string() &&
         schema->as_string() == "plum-postmortem/1") {
       err = plum::obs::validate_postmortem(doc);

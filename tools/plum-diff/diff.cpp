@@ -366,7 +366,6 @@ class Differ {
 
   void compare_critical_path(const Json& b, const Json& c,
                              const std::string& where) {
-    compare_string(b.find("source"), c.find("source"), where + ".source");
     for (const char* field :
          {"critical_total", "busy_total", "wait_total", "wait_fraction"}) {
       compare_number(b.find(field), c.find(field), where + "." + field,

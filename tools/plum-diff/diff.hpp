@@ -1,7 +1,7 @@
 #pragma once
-// plum-diff core: metric-by-metric comparison of two plum-bench/1|2
-// reports, built as a static library so tests/test_plum_diff.cpp can drive
-// the comparison (and the exit-status mapping) in-process.
+// plum-diff core: metric-by-metric comparison of two plum-bench/3 run
+// documents, built as a static library so tests/test_plum_diff.cpp can
+// drive the comparison (and the exit-status mapping) in-process.
 //
 // Comparison contract:
 //   - Runs are matched by (case, P). A run present in the baseline but not
@@ -17,6 +17,9 @@
 //     REPORT-ONLY: their deltas appear in the table but never breach.
 //   - Gauge series must have identical lengths; samples are compared
 //     element-wise under the same rules as scalars.
+//   - Gated sections: metrics, phases, comm_matrix, gate_audit and
+//     critical_path. heap, comm_by_class and calibration are validated but
+//     not compared.
 //
 // Exit-status mapping (exit_status): 0 = no breach, 1 = any breach,
 // 2 = usage / IO / parse / shape error.
@@ -69,7 +72,7 @@ DiffResult diff_files(const std::string& baseline_path,
 
 /// Compares every BENCH_*.json in `baseline_dir` against the same filename
 /// in `current_dir` (CI mode). A BENCH_*.json present on one side only is
-/// a breach; other files (TRACE_/RUN_/GATE_) are ignored.
+/// a breach; other files (streams, postmortems) are ignored.
 DiffResult diff_dirs(const std::string& baseline_dir,
                      const std::string& current_dir, const Options& opt);
 

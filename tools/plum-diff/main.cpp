@@ -1,5 +1,5 @@
-// plum-diff: the bench regression gate. Compares two plum-bench/1|2
-// reports (or two directories of BENCH_*.json files) metric by metric,
+// plum-diff: the bench regression gate. Compares two plum-bench/3
+// run documents (or two directories of BENCH_*.json files) metric by metric,
 // prints a delta table, and exits nonzero when a deterministic metric
 // drifts past its threshold.
 //

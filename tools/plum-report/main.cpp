@@ -1,25 +1,19 @@
 // plum-report: renders plum observability JSON into a human-readable run
-// report. Accepts any mix of:
+// report. Accepts any mix of the three kinds a run leaves behind:
 //
-//   RUN_*.json    — "plum-run/1" documents ({"trace": ..., "metrics": ...})
-//                   written by bench_distributed,
-//   BENCH_*.json  — "plum-bench/1" / "plum-bench/2" reports,
-//   GATE_*.json   — "plum-gate-audit/1" standalone gate logs,
-//   REPLAY_*.json — "plum-replay/1" recorded timing books,
-//   SCOPE streams — "plum-scope/1" NDJSON live-run streams (one record
-//                   per cycle; rendered as a cycle timeline),
+//   BENCH_*.json      — "plum-bench/3" run documents (obs/bench_schema.hpp),
+//   SCOPE streams     — "plum-scope/1" NDJSON live-run streams (one record
+//                       per cycle; rendered as a cycle timeline),
 //   POSTMORTEM_*.json — "plum-postmortem/1" crash dumps (reason, last-N
-//                   ring events per rank),
-//   bare trace documents (obs::TraceRecorder::to_json() output).
+//                       ring events per rank).
 //
-// For each input it prints the per-phase table, the P x P comm matrix with
-// row/column sums, the per-tag-class traffic split, the gauge timelines
-// (imbalance / edge cut / remap volumes), the gate history with
-// predicted-vs-measured drift, and the calibrated cost-model constants
-// ("plum-calibration/1" sections, sim/calibration.hpp).
+// For each run of a document it prints the metrics and gauge timelines
+// (imbalance / edge cut / remap volumes, histograms), the per-phase table,
+// the counter-sourced critical path, the P x P comm matrix with row/column
+// sums, the gate history with predicted-vs-measured drift, the calibrated
+// cost-model constants, the heap table and the per-tag-class traffic.
 //
-//   plum-report bench-json/RUN_bench_distributed.json
-//   plum-report bench-json/BENCH_*.json
+//   plum-report bench-json/BENCH_*.json bench-json/scope_weak.ndjson
 //
 // Exit status: 0 on success, 1 when any input fails to parse or has none of
 // the recognized shapes, 2 on usage/IO errors.
@@ -173,8 +167,7 @@ void print_metrics(const Json& metrics) {
 
 void print_critical_path(const Json& cp) {
   if (!cp.is_object()) return;
-  std::printf("\nCritical path (%s):\n",
-              str_or(cp.find("source"), "?").c_str());
+  std::printf("\nCritical path (compute units):\n");
   std::printf("  critical %.6g  busy %.6g  wait %.6g  (wait fraction %.1f%%)\n",
               num_or(cp.find("critical_total"), 0),
               num_or(cp.find("busy_total"), 0),
@@ -225,38 +218,6 @@ void print_critical_path(const Json& cp) {
                   static_cast<long long>(int_or(ph.find("supersteps"), 0)));
     }
   }
-}
-
-// Per-rank skew summary over the measured per-superstep rank_seconds: total
-// step seconds per rank, reported as min/median/max plus the worst rank.
-// Only full trace documents carry "seconds"; deterministic views skip this.
-void print_rank_skew(const Json& supersteps) {
-  if (!supersteps.is_array() || supersteps.size() == 0) return;
-  std::vector<double> totals;
-  for (std::size_t i = 0; i < supersteps.size(); ++i) {
-    const Json* ranks = supersteps.at(i).find("ranks");
-    if (!ranks || !ranks->is_array()) continue;
-    if (ranks->size() > totals.size()) totals.resize(ranks->size(), 0.0);
-    for (std::size_t r = 0; r < ranks->size(); ++r) {
-      const Json* s = ranks->at(r).find("seconds");
-      if (s && s->is_number()) totals[r] += s->as_double();
-    }
-  }
-  if (totals.empty()) return;
-  bool any = false;
-  for (const double t : totals) any = any || t > 0;
-  if (!any) return;
-
-  std::size_t worst = 0;
-  for (std::size_t r = 1; r < totals.size(); ++r) {
-    if (totals[r] > totals[worst]) worst = r;
-  }
-  std::vector<double> sorted = totals;
-  std::sort(sorted.begin(), sorted.end());
-  const double median = sorted[sorted.size() / 2];
-  std::printf("\nPer-rank step seconds (measured): min %.6f  median %.6f  "
-              "max %.6f  worst rank %zu\n",
-              sorted.front(), median, sorted.back(), worst);
 }
 
 // --- gate audit ------------------------------------------------------------
@@ -325,72 +286,38 @@ void print_calibration(const Json& cal) {
   }
 }
 
-int report_replay_doc(const Json& doc) {
-  const Json* cycles = doc.find("cycles");
-  if (!cycles || !cycles->is_array()) {
-    std::fprintf(stderr, "replay book missing \"cycles\" array\n");
-    return 1;
-  }
-  std::printf("Replay book: %zu cycles\n", cycles->size());
-  if (cycles->size() == 0) return 0;
-  std::printf("  %5s %12s %12s %12s %6s\n", "cycle", "solve_s", "remap_s",
-              "subdiv_s", "ranks");
-  for (std::size_t i = 0; i < cycles->size(); ++i) {
-    const Json& c = cycles->at(i);
-    if (!c.is_object()) continue;
-    const Json* rs = c.find("rank_solve_seconds");
-    std::printf("  %5lld %12.6f %12.6f %12.6f %6zu\n",
-                static_cast<long long>(int_or(c.find("cycle"),
-                                              static_cast<std::int64_t>(i))),
-                num_or(c.find("solve_seconds"), 0),
-                num_or(c.find("remap_seconds"), 0),
-                num_or(c.find("subdivide_seconds"), 0),
-                rs && rs->is_array() ? rs->size() : std::size_t{0});
-  }
-  return 0;
-}
-
 // --- plum-mem (heap profile) ------------------------------------------------
 
-/// The plum-heap/1 section: per-phase allocation table (rank rows summed),
-/// top-churn ranking, and per-row live/RSS gauges when present.
+/// The run entry's heap section: per-phase allocation totals over every
+/// row, the top-churn ranking, live bytes and (wall form) RSS.
 void print_heap(const Json& heap) {
   const Json* phases = heap.find("phases");
-  const Json* rows = heap.find("rows");
-  if (!phases || !phases->is_array() || !rows || !rows->is_array()) return;
+  if (!phases || !phases->is_array()) return;
 
   struct PhaseSum {
     std::string name;
     std::int64_t allocs = 0;
     std::int64_t frees = 0;
     std::int64_t bytes = 0;
-    std::int64_t peak = 0;  ///< max over rows — rows peak independently
+    std::int64_t peak = 0;  ///< largest row peak
   };
-  std::vector<PhaseSum> sums(phases->size() + 1);
+  auto read = [](std::string name, const Json& cell) {
+    return PhaseSum{std::move(name), int_or(cell.find("allocs"), 0),
+                    int_or(cell.find("frees"), 0),
+                    int_or(cell.find("bytes"), 0),
+                    int_or(cell.find("peak_live"), 0)};
+  };
+  std::vector<PhaseSum> sums;
+  sums.reserve(phases->size() + 1);
   for (std::size_t p = 0; p < phases->size(); ++p) {
-    sums[p].name = str_or(&phases->at(p), "?");
+    sums.push_back(read(str_or(phases->at(p).find("name"), "?"),
+                        phases->at(p)));
   }
-  sums.back().name = "(unphased)";
-
-  auto fold = [](PhaseSum& dst, const Json& cell) {
-    dst.allocs += int_or(cell.find("allocs"), 0);
-    dst.frees += int_or(cell.find("frees"), 0);
-    dst.bytes += int_or(cell.find("bytes"), 0);
-    dst.peak = std::max(dst.peak, int_or(cell.find("peak_live"), 0));
-  };
-  for (std::size_t r = 0; r < rows->size(); ++r) {
-    const Json& row = rows->at(r);
-    const Json* by_phase = row.find("phases");
-    for (std::size_t p = 0; by_phase && by_phase->is_array() &&
-                            p < by_phase->size() && p < phases->size();
-         ++p) {
-      fold(sums[p], by_phase->at(p));
-    }
-    if (const Json* up = row.find("unphased")) fold(sums.back(), *up);
+  if (const Json* up = heap.find("unphased")) {
+    sums.push_back(read("(unphased)", *up));
   }
 
-  std::printf("\nHeap profile (plum-heap/1, %lld ranks + host):\n",
-              static_cast<long long>(int_or(heap.find("nranks"), 0)));
+  std::printf("\nHeap profile (all ranks + host):\n");
   std::printf("  %-14s %10s %10s %14s %14s\n", "phase", "allocs", "frees",
               "bytes_req", "peak_live_B");
   for (const PhaseSum& s : sums) {
@@ -425,10 +352,7 @@ void print_heap(const Json& heap) {
     std::printf("\n");
   }
 
-  std::int64_t live_total = 0;
-  for (std::size_t r = 0; r < rows->size(); ++r) {
-    live_total += int_or(rows->at(r).find("live_bytes"), 0);
-  }
+  const std::int64_t live_total = int_or(heap.find("live_bytes"), 0);
   if (live_total != 0) {
     std::printf("  live tracked bytes: %lld\n",
                 static_cast<long long>(live_total));
@@ -581,33 +505,7 @@ int report_postmortem_doc(const Json& doc) {
   return 0;
 }
 
-// --- document shapes -------------------------------------------------------
-
-void print_trace_doc(const Json& trace) {
-  if (const Json* phases = trace.find("phases")) print_phases(*phases);
-  if (const Json* ss = trace.find("supersteps")) {
-    if (ss->is_array()) {
-      std::printf("\nSupersteps: %zu\n", ss->size());
-      print_rank_skew(*ss);
-    }
-  }
-  if (const Json* cp = trace.find("critical_path")) print_critical_path(*cp);
-  if (const Json* cpw = trace.find("critical_path_wall")) {
-    print_critical_path(*cpw);
-  }
-  if (const Json* cm = trace.find("comm_matrix")) print_comm_matrix(*cm);
-  if (const Json* heap = trace.find("heap")) print_heap(*heap);
-  if (const Json* bc = trace.find("comm_by_class")) print_comm_by_class(*bc);
-  if (const Json* ga = trace.find("gate_audit")) print_gate_audit(*ga);
-  if (const Json* cal = trace.find("calibration")) print_calibration(*cal);
-}
-
-int report_run_doc(const Json& doc) {
-  std::printf("Run: %s\n", str_or(doc.find("name"), "(unnamed)").c_str());
-  if (const Json* trace = doc.find("trace")) print_trace_doc(*trace);
-  if (const Json* metrics = doc.find("metrics")) print_metrics(*metrics);
-  return 0;
-}
+// --- run documents ---------------------------------------------------------
 
 int report_bench_doc(const Json& doc) {
   const std::string err = plum::obs::validate_bench_report(doc);
@@ -628,6 +526,8 @@ int report_bench_doc(const Json& doc) {
     if (const Json* cm = run.find("comm_matrix")) print_comm_matrix(*cm);
     if (const Json* ga = run.find("gate_audit")) print_gate_audit(*ga);
     if (const Json* cal = run.find("calibration")) print_calibration(*cal);
+    if (const Json* heap = run.find("heap")) print_heap(*heap);
+    if (const Json* bc = run.find("comm_by_class")) print_comm_by_class(*bc);
   }
   return 0;
 }
@@ -672,30 +572,11 @@ int report_file(const std::string& path) {
   print_rule('=');
 
   const std::string schema = str_or(doc.find("schema"), "");
-  if (schema == "plum-run/1") return report_run_doc(doc);
+  if (schema == "plum-bench/3") return report_bench_doc(doc);
   if (schema == "plum-postmortem/1") return report_postmortem_doc(doc);
   if (schema == "plum-scope/1") {
     // Single-record stream that parsed as one document.
     return report_scope_stream(buf.str(), path);
-  }
-  if (schema.rfind("plum-bench/", 0) == 0) return report_bench_doc(doc);
-  if (schema == "plum-replay/1") return report_replay_doc(doc);
-  if (schema == "plum-calibration/1") {
-    print_calibration(doc);
-    return 0;
-  }
-  if (schema == "plum-gate-audit/1") {
-    if (const Json* records = doc.find("records")) {
-      print_gate_audit(*records);
-      return 0;
-    }
-    std::fprintf(stderr, "%s: missing \"records\"\n", path.c_str());
-    return 1;
-  }
-  if (doc.find("phases") && doc.find("supersteps")) {
-    // Bare TraceRecorder::to_json() document.
-    print_trace_doc(doc);
-    return 0;
   }
   std::fprintf(stderr, "%s: unrecognized document shape\n", path.c_str());
   return 1;
@@ -706,7 +587,8 @@ int report_file(const std::string& path) {
 int main(int argc, char** argv) {
   if (argc < 2) {
     std::fprintf(stderr,
-                 "usage: plum-report <run-or-bench-or-trace.json> [...]\n");
+                 "usage: plum-report <BENCH_*.json|stream.ndjson|"
+                 "POSTMORTEM_*.json> [...]\n");
     return 2;
   }
   int status = 0;

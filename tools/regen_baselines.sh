@@ -42,10 +42,5 @@ export PLUM_BENCH_JSON_DIR="${out_dir}"
 # (the framed cross-transport tests in ctest pin that at P=64).
 "${build_dir}/bench/bench_distributed" --weak --threads 2
 
-# The benches also drop trace / run / gate / replay side files next to the
-# reports; only the BENCH_*.json reports are baselines.
-rm -f "${out_dir}"/TRACE_*.json "${out_dir}"/RUN_*.json \
-  "${out_dir}"/GATE_*.json "${out_dir}"/REPLAY_*.json
-
 echo "baselines:"
 ls -l "${out_dir}"
