@@ -15,44 +15,29 @@ namespace plum::core {
 
 namespace {
 
-/// Per-rank error fields from the parallel solution.
-std::vector<std::vector<double>> rank_errors(
-    const pmesh::DistMesh& dm, const pmesh::ParallelEulerSolver& solver) {
-  // plum-scale: host-only -- host driver gather of per-rank error lists
-  std::vector<std::vector<double>> err(static_cast<std::size_t>(dm.nranks()));
-  for (Rank r = 0; r < dm.nranks(); ++r) {
-    err[static_cast<std::size_t>(r)] = adapt::edge_error(
-        dm.local(r).mesh, solver.density_field(r), 1.0);
-  }
-  return err;
-}
-
-/// Per-rank refinement seeds: active local edges with error > threshold.
-/// Shared copies mark consistently because the error field is replicated.
-std::vector<std::vector<char>> threshold_marks(
-    const pmesh::DistMesh& dm,
-    const std::vector<std::vector<double>>& err_per_rank, double threshold) {
-  // plum-scale: host-only -- host driver staging for the initial scatter, never rank-resident
-  std::vector<std::vector<char>> seeds(static_cast<std::size_t>(dm.nranks()));
-  for (Rank r = 0; r < dm.nranks(); ++r) {
-    seeds[static_cast<std::size_t>(r)] = adapt::mark_above(
-        dm.local(r).mesh, err_per_rank[static_cast<std::size_t>(r)],
-        threshold);
-  }
-  return seeds;
+/// Rank r's edge error field from its share of the solution.
+std::vector<double> error_field(const pmesh::DistMesh& dm,
+                                const pmesh::ParallelEulerSolver& solver,
+                                Rank r) {
+  return adapt::edge_error(dm.local(r).mesh, solver.density_field(r), 1.0);
 }
 
 /// Every active edge's error exactly once, gathered to the host: each rank
-/// contributes the edges it owns (lowest SPL rank) — the same gather
-/// pattern as the similarity matrix (§4.3). This is the population the
-/// shared marking rule (adapt::refine_threshold) counts.
-std::vector<double> gather_owned_errors(
+/// computes its error field into err[r] inside the gather's first
+/// superstep and sends the errors of the edges it owns (lowest SPL rank) —
+/// the same gather pattern as the similarity matrix (§4.3). This is the
+/// population the shared marking rule (adapt::refine_threshold) counts.
+std::vector<double> gather_error_population(
     rt::Engine& eng, const pmesh::DistMesh& dm,
-    const std::vector<std::vector<double>>& err) {
-  // plum-scale: host-only -- host driver gather of owned errors
-  std::vector<std::vector<double>> owned(static_cast<std::size_t>(dm.nranks()));
-  for (Rank r = 0; r < dm.nranks(); ++r) {
+    const pmesh::ParallelEulerSolver& solver,
+    std::vector<std::vector<double>>& err) {
+  // plum-scale: dist(P) -- each rank's error field, written by that rank's superstep
+  err.assign(static_cast<std::size_t>(dm.nranks()), {});
+  const auto rows = rt::gather(eng, [&](Rank r, rt::Outbox&) {
     const auto& lm = dm.local(r);
+    auto& mine = err[static_cast<std::size_t>(r)];
+    mine = error_field(dm, solver, r);
+    std::vector<double> owned;
     for (Index e = 0; e < lm.mesh.num_edges(); ++e) {
       if (lm.mesh.edge_elements(e).empty()) continue;
       auto it = lm.shared_edges.find(e);
@@ -61,14 +46,12 @@ std::vector<double> gather_owned_errors(
         for (const auto& c : it->second) owner = std::min(owner, c.rank);
         if (owner != r) continue;
       }
-      owned[static_cast<std::size_t>(r)].push_back(
-          err[static_cast<std::size_t>(r)][static_cast<std::size_t>(e)]);
+      owned.push_back(mine[static_cast<std::size_t>(e)]);
     }
-  }
+    return owned;
+  });
   std::vector<double> all;
-  for (const auto& v : rt::gather(eng, owned, 0)) {
-    all.insert(all.end(), v.begin(), v.end());
-  }
+  for (const auto& v : rows) all.insert(all.end(), v.begin(), v.end());
   return all;
 }
 
@@ -83,13 +66,11 @@ RootLoads gather_root_loads(rt::Engine& eng, const pmesh::DistMesh& dm,
     Weight wremap_pred;
     Weight wremap_cur;
   };
-  // plum-scale: host-only -- host-side gather of per-rank predicted root weights
-  std::vector<std::vector<RootW>> rows(static_cast<std::size_t>(dm.nranks()));
-  for (Rank r = 0; r < dm.nranks(); ++r) {
+  // Each rank builds its row inside the gather's first superstep.
+  const auto rows = rt::gather(eng, [&](Rank r, rt::Outbox&) {
     const auto& lm = dm.local(r);
     const auto cur = lm.mesh.root_weights();
-    auto& mine = rows[static_cast<std::size_t>(r)];
-    mine.resize(lm.root_global.size());
+    std::vector<RootW> mine(lm.root_global.size());
     for (std::size_t lr = 0; lr < lm.root_global.size(); ++lr) {
       mine[lr] = {lm.root_global[lr], cur.wcomp[lr], cur.wremap[lr],
                   cur.wremap[lr]};
@@ -104,11 +85,12 @@ RootLoads gather_root_loads(rt::Engine& eng, const pmesh::DistMesh& dm,
       mine[static_cast<std::size_t>(el.root)].wcomp_pred += kids - 1;
       mine[static_cast<std::size_t>(el.root)].wremap_pred += kids;
     }
-  }
+    return mine;
+  });
   const auto n = static_cast<std::size_t>(nroots);
   RootLoads w{std::vector<Weight>(n, 0), std::vector<Weight>(n, 0),
               std::vector<Weight>(n, 0)};
-  for (const auto& row : rt::gather(eng, rows, 0)) {
+  for (const auto& row : rows) {
     for (const auto& rw : row) {
       const auto v = static_cast<std::size_t>(rw.groot);
       w.wcomp_pred[v] = rw.wcomp_pred;
@@ -137,30 +119,10 @@ DistFramework::DistFramework(mesh::TetMesh initial_global,
 
   dm_ = std::make_unique<pmesh::DistMesh>(initial_global, balancer_.owner(),
                                           opt_.nranks);
-  rebind_solver();
+  solver_ = std::make_unique<pmesh::ParallelEulerSolver>(dm_.get(), eng_.get());
 }
 
 DistFramework::~DistFramework() { obs::uninstall_postmortem(); }
-
-std::vector<std::vector<solver::State>>* DistFramework::save_states() {
-  states_.clear();
-  for (Rank r = 0; r < opt_.nranks; ++r) {
-    states_.push_back(solver_->solution(r));
-  }
-  return &states_;
-}
-
-void DistFramework::rebind_solver() {
-  solver_ = std::make_unique<pmesh::ParallelEulerSolver>(dm_.get(), eng_.get());
-  if (!states_.empty()) {
-    for (Rank r = 0; r < opt_.nranks; ++r) {
-      auto& dst = solver_->solution(r);
-      const auto& src = states_[static_cast<std::size_t>(r)];
-      PLUM_ASSERT(dst.size() == src.size());
-      dst = src;
-    }
-  }
-}
 
 CycleReport DistFramework::cycle() {
   const Rank P = opt_.nranks;
@@ -181,20 +143,22 @@ CycleReport DistFramework::cycle() {
   }
 
   // --- 1b. distributed coarsening phase (Fig. 1) -------------------------------
+  std::vector<std::vector<double>> err;  // per rank, filled on the ranks
   if (opt_.coarsen_fraction > 0) {
     obs::PhaseScope ph(trace_, "coarsen");
-    const auto err = rank_errors(*dm_, *solver_);
     const double low = adapt::coarsen_threshold(
-        gather_owned_errors(*eng_, *dm_, err), opt_.coarsen_fraction);
+        gather_error_population(*eng_, *dm_, *solver_, err),
+        opt_.coarsen_fraction);
     if (low > std::numeric_limits<double>::lowest()) {
+      // The coarsening itself still gathers the mesh to the host.
       // plum-scale: host-only -- host driver staging of coarsen marks
       std::vector<std::vector<char>> marks(static_cast<std::size_t>(P));
       for (Rank r = 0; r < P; ++r) {
         marks[static_cast<std::size_t>(r)] = adapt::mark_below(
             dm_->local(r).mesh, err[static_cast<std::size_t>(r)], low);
       }
-      pmesh::parallel_coarsen(*dm_, *eng_, marks, save_states());
-      rebind_solver();
+      pmesh::parallel_coarsen(*dm_, *eng_, marks, solver_->states());
+      solver_->rebind();
       rep.elements_coarsened =
           rep.elements_before - dm_->total_active_elements();
     }
@@ -202,13 +166,19 @@ CycleReport DistFramework::cycle() {
 
   // --- 2-3. error indicator, the shared threshold, parallel marking -------------
   // (pm outlives the phase — the remap path re-derives it — so this phase
-  // uses the explicit begin/end API rather than a scope.)
+  // uses the explicit begin/end API rather than a scope.) Each rank builds
+  // its seeds inside the marking program's first superstep.
   const std::size_t mark_phase = trace_.begin_phase("mark");
-  auto err = rank_errors(*dm_, *solver_);
   const double threshold = adapt::refine_threshold(
-      gather_owned_errors(*eng_, *dm_, err), opt_.refine_fraction);
-  auto pm = pmesh::parallel_mark(*dm_, *eng_,
-                                 threshold_marks(*dm_, err, threshold), &mem_);
+      gather_error_population(*eng_, *dm_, *solver_, err),
+      opt_.refine_fraction);
+  auto pm = pmesh::parallel_mark(
+      *dm_, *eng_,
+      [&](Rank r, rt::Outbox&) {
+        return adapt::mark_above(dm_->local(r).mesh,
+                                 err[static_cast<std::size_t>(r)], threshold);
+      },
+      &mem_);
   rep.mark_rounds = pm.comm_rounds;
   trace_.set_modeled_seconds(
       mark_phase, mp.t_mark * static_cast<double>(dm_->total_active_elements()) *
@@ -231,15 +201,19 @@ CycleReport DistFramework::cycle() {
         }
         obs::PhaseScope ph(trace_, "remap");
         ph.set_modeled_seconds(rep.cost_seconds);
-        const auto ms =
-            pmesh::migrate(*dm_, *eng_, new_owner, save_states(), &mem_);
+        const auto ms = pmesh::migrate(*dm_, *eng_, new_owner,
+                                       solver_->states(), &mem_);
         rep.elements_migrated = ms.elements_moved;
-        rebind_solver();
+        solver_->rebind();
         // Re-derive the marks on the new distribution (deterministic: same
         // states, same threshold => the same global mark set).
         pm = pmesh::parallel_mark(
             *dm_, *eng_,
-            threshold_marks(*dm_, rank_errors(*dm_, *solver_), threshold),
+            [&](Rank r, rt::Outbox&) {
+              return adapt::mark_above(dm_->local(r).mesh,
+                                       error_field(*dm_, *solver_, r),
+                                       threshold);
+            },
             &mem_);
         // Measured data movement: the bytes the migration really packed
         // and sent through the engine.
@@ -274,15 +248,15 @@ CycleReport DistFramework::cycle() {
   }
   // Rebind with the grown solution arrays, moved first when the remap
   // follows subdivision.
-  save_states();
   if (!remap_after.empty()) {
     obs::PhaseScope ph(trace_, "remap");
     ph.set_modeled_seconds(rep.cost_seconds);
-    const auto ms = pmesh::migrate(*dm_, *eng_, remap_after, &states_, &mem_);
+    const auto ms = pmesh::migrate(*dm_, *eng_, remap_after,
+                                   solver_->states(), &mem_);
     rep.elements_migrated = ms.elements_moved;
     gate.measured_move_bytes = vec_sum(ms.bytes_sent);
   }
-  rebind_solver();
+  solver_->rebind();
   rep.elements_after = dm_->total_active_elements();
 
   log_.end(rep, gate, solve_epr, trace_, mem_, cycle_timer.seconds());

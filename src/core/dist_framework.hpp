@@ -12,6 +12,15 @@
 //   -> accepted: migrate subtrees + solution (remap before subdivision)
 //   -> parallel refinement with SPL repair
 //
+// The per-rank glue runs on the ranks: each rank computes its error field
+// and error row inside the gather's first superstep (rt::gather's row
+// form), its seeds inside parallel_mark's first superstep and its root-load
+// row inside the weights gather's. One ParallelEulerSolver lives as long as
+// the framework: migrate and coarsening carry its states, subdivision
+// interpolates into them, and rebind() rebuilds its setup on the ranks.
+// The host only reduces gathered rows and runs the Balancer; coarsening,
+// which still gathers the whole mesh, also marks on the host.
+//
 // Complements core::Framework (the single-address-space driver): both make
 // their decisions through the same Balancer, marking rule and CycleLog, so
 // on the same flow field they agree exactly. Everything here moves through
@@ -57,21 +66,15 @@ class DistFramework : public Driver {
   [[nodiscard]] const obs::FlightRecorder& scope() const { return scope_; }
 
  private:
-  /// Copies the solver's per-rank states into `states_`, for a change of
-  /// the local meshes to carry along before rebind_solver().
-  std::vector<std::vector<solver::State>>* save_states();
-  /// Rebinds the parallel solver to the current distribution, keeping the
-  /// per-rank states in `states_`.
-  void rebind_solver();
-
   // Declared before eng_ (like the base's trace_ and mem_): the engine
   // holds raw observer/sink pointers to the recorders, so they must be
   // destroyed after the engine.
   obs::FlightRecorder scope_;
   std::unique_ptr<rt::Engine> eng_;
   std::unique_ptr<pmesh::DistMesh> dm_;
+  /// One solver for the framework's life: mesh changes carry its states
+  /// and then rebind() it.
   std::unique_ptr<pmesh::ParallelEulerSolver> solver_;
-  std::vector<std::vector<solver::State>> states_;
 };
 
 }  // namespace plum::core

@@ -320,6 +320,12 @@ std::string check_run(const Json& run, std::size_t i) {
       return run_error(i,
                        where + " field \"supersteps\" must be an int >= 0");
     }
+    // Optional: the wall seconds of the phase's supersteps.
+    const Json* sw = ph.find("superstep_s");
+    if (sw && (!sw->is_number() || sw->as_double() < 0)) {
+      return run_error(i,
+                       where + " field \"superstep_s\" must be a number >= 0");
+    }
   }
 
   if (const Json* cm = run.find("comm_matrix")) {

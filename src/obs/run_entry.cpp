@@ -87,7 +87,10 @@ Json run_entry(const TraceRecorder& trace, const MetricsRegistry& metrics,
   for (const PhaseRecord& ph : trace.phases()) {
     Json p = Json::object();
     p.set("name", Json::str(ph.name));
-    if (wall) p.set("wall_s", Json::number(ph.wall_s));
+    if (wall) {
+      p.set("wall_s", Json::number(ph.wall_s))
+          .set("superstep_s", Json::number(ph.superstep_s));
+    }
     p.set("modeled_s", Json::number(ph.modeled_s))
         .set("supersteps", Json::integer(ph.supersteps))
         .set("depth", Json::integer(ph.depth))

@@ -7,9 +7,10 @@
 //   {
 //     "metrics":       MetricsRegistry::to_json(), or deterministic_json()
 //                      in the wall-free form,
-//     "phases":        [{"name", "wall_s"*, "modeled_s", "supersteps",
-//                        "depth", "compute_units", "msgs_sent",
-//                        "bytes_sent"}, ...]  (TraceRecorder phases),
+//     "phases":        [{"name", "wall_s"*, "superstep_s"*, "modeled_s",
+//                        "supersteps", "depth", "compute_units",
+//                        "msgs_sent", "bytes_sent"}, ...]
+//                      (TraceRecorder phases; host time = wall - superstep),
 //     "critical_path": CriticalPathAnalysis::to_json() (compute units),
 //     "gate_audit":    gate_audit_json(trace.gate_records()),
 //     "heap":          {"phases": [{"name", "allocs", "frees", "bytes",

@@ -28,6 +28,7 @@ void TraceRecorder::on_superstep(int step,
   }
   for (const std::size_t idx : open_) {
     PhaseRecord& ph = phases_[idx];
+    ph.superstep_s += wall_seconds;
     ph.supersteps += 1;
     ph.compute_units += compute;
     ph.msgs_sent += msgs;

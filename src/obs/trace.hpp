@@ -9,7 +9,8 @@
 // the Fig. 1 phases (solve, mark, repartition, reassign, gate, remap,
 // subdivide) open named PhaseScopes; each phase captures its wall seconds,
 // the modeled SP2 seconds from sim::CostModel, and the superstep/compute/
-// message deltas that occurred while it was open.
+// message deltas that occurred while it was open — superstep wall seconds
+// included, so wall_s - superstep_s is the phase's host-serial time.
 //
 // The recorder serializes nothing itself: obs::run_entry (obs/run_entry.hpp)
 // folds its phases, critical path and gate records into a run's
@@ -39,6 +40,8 @@ struct PhaseRecord {
   double wall_s = 0;      ///< filled when the phase closes
   double modeled_s = 0;   ///< sim::CostModel seconds (0 when not modeled)
   // Deltas accumulated while the phase was open:
+  double superstep_s = 0;  ///< wall seconds of its supersteps (the rest
+                           ///< of wall_s is host-serial time)
   int supersteps = 0;
   std::int64_t compute_units = 0;
   std::int64_t msgs_sent = 0;

@@ -58,23 +58,30 @@ ParallelMarkResult parallel_mark(
     DistMesh& dm, rt::Engine& eng,
     const std::vector<std::vector<char>>& seed_marks,
     obs::MemoryTracker* mem) {
+  PLUM_ASSERT(static_cast<Rank>(seed_marks.size()) == dm.nranks());
+  return parallel_mark(
+      dm, eng,
+      [&](Rank r, rt::Outbox&) {
+        return seed_marks[static_cast<std::size_t>(r)];
+      },
+      mem);
+}
+
+ParallelMarkResult parallel_mark(DistMesh& dm, rt::Engine& eng,
+                                 const SeedRowFn& seed_row,
+                                 obs::MemoryTracker* mem) {
   const Rank P = dm.nranks();
-  PLUM_ASSERT(static_cast<Rank>(seed_marks.size()) == P);
 
   ParallelMarkResult out;
   // plum-scale: dist(P) -- driver output: one refinement summary per rank
   out.per_rank.resize(static_cast<std::size_t>(P));
 
-  // Per-rank accumulated seeds and the set of shared marks already sent.
-  std::vector<std::vector<char>> seeds = seed_marks;
+  // Per-rank accumulated seeds and the set of shared marks already sent,
+  // both filled by the rank's first superstep.
+  // plum-scale: dist(P) -- per-rank accumulated seed marks, written by that rank
+  std::vector<std::vector<char>> seeds(static_cast<std::size_t>(P));
   // plum-scale: dist(P) -- per-destination dedup marks for mark-propagation sends
   std::vector<std::vector<char>> sent(static_cast<std::size_t>(P));
-  for (Rank r = 0; r < P; ++r) {
-    seeds[static_cast<std::size_t>(r)].resize(
-        static_cast<std::size_t>(dm.local(r).mesh.num_edges()), 0);
-    sent[static_cast<std::size_t>(r)].assign(
-        static_cast<std::size_t>(dm.local(r).mesh.num_edges()), 0);
-  }
 
   // Rank-safe program: rank r touches only its own slots of seeds / sent /
   // out.per_rank / exchanged, so both engines run it identically.
@@ -84,9 +91,16 @@ ParallelMarkResult parallel_mark(
   eng.run([&](Rank r, const rt::Inbox& inbox, rt::Outbox& outbox) {
     LocalMesh& lm = dm.local(r);
     auto& my_seeds = seeds[static_cast<std::size_t>(r)];
+    auto& my_sent = sent[static_cast<std::size_t>(r)];
 
-    // Absorb cross-partition marks.
-    bool new_input = outbox.step() == 0;  // first round: initial seeds
+    // First round: this rank's seeds. Then absorb cross-partition marks.
+    bool new_input = outbox.step() == 0;
+    if (new_input) {
+      const auto ne = static_cast<std::size_t>(lm.mesh.num_edges());
+      my_seeds = seed_row(r, outbox);
+      my_seeds.resize(ne, 0);
+      my_sent.assign(ne, 0);
+    }
     for (const auto* m : inbox.with_tag(kTagMark)) {
       for (const auto& rec : rt::unpack<MarkMsg>(*m)) {
         if (!my_seeds[static_cast<std::size_t>(rec.edge)]) {
@@ -116,7 +130,6 @@ ParallelMarkResult parallel_mark(
         static_cast<std::size_t>(P),
         obs::TrackedVec<MarkMsg>{obs::TrackingAllocator<MarkMsg>{ms}},
         obs::TrackingAllocator<obs::TrackedVec<MarkMsg>>{ms});
-    auto& my_sent = sent[static_cast<std::size_t>(r)];
     bool sent_any = false;
     for (Index e : result.marked_edges) {
       if (my_sent[static_cast<std::size_t>(e)]) continue;

@@ -15,6 +15,7 @@
 //    the SPL; face-crossing edges are matched by exchanging their (shared)
 //    endpoint correspondences.
 
+#include <functional>
 #include <vector>
 
 #include "adapt/marking.hpp"
@@ -33,10 +34,19 @@ struct ParallelMarkResult {
   std::int64_t marks_exchanged = 0;
 };
 
-/// Runs distributed marking from per-rank seed marks (indexed by local edge
-/// id). The engine's ledger accumulates the traffic. A non-null `mem`
-/// arena-backs each rank's per-destination mark staging buckets through
-/// that rank's scratch row (plum-mem ownership rule).
+/// Rank r's seed marks (indexed by local edge id), built by `r` inside the
+/// marking program's first superstep.
+using SeedRowFn = std::function<std::vector<char>(Rank, rt::Outbox&)>;
+
+/// Runs distributed marking from per-rank seed marks. The engine's ledger
+/// accumulates the traffic. A non-null `mem` arena-backs each rank's
+/// per-destination mark staging buckets through that rank's scratch row
+/// (plum-mem ownership rule).
+ParallelMarkResult parallel_mark(DistMesh& dm, rt::Engine& eng,
+                                 const SeedRowFn& seed_row,
+                                 obs::MemoryTracker* mem = nullptr);
+
+/// As above, with the seeds built beforehand (one row per rank).
 ParallelMarkResult parallel_mark(
     DistMesh& dm, rt::Engine& eng,
     const std::vector<std::vector<char>>& seed_marks,

@@ -41,6 +41,21 @@ Rank min_rank(Rank self, const std::vector<SharedCopy>& spl) {
   return m;
 }
 
+/// A vertex's primitives as the flux loop reads them: velocity, pressure
+/// and maximum wave speed.
+struct Primitives {
+  Vec3 vel;
+  double p;
+  double c;
+};
+
+/// Empties `v` and makes room for `n` elements without reallocating below.
+template <class T>
+void reserve_empty(std::vector<T>& v, std::size_t n) {
+  v.clear();
+  v.reserve(n);
+}
+
 }  // namespace
 
 ParallelEulerSolver::ParallelEulerSolver(DistMesh* dm, rt::Engine* eng,
@@ -55,59 +70,67 @@ ParallelEulerSolver::ParallelEulerSolver(DistMesh* dm, rt::Engine* eng,
   // plum-scale: dist(P) -- the in-process harness keeps one solver state per simulated rank
   vert_owned_.resize(static_cast<std::size_t>(P));
   // plum-scale: dist(P) -- the in-process harness keeps one solver state per simulated rank
-  u_.resize(static_cast<std::size_t>(P));
-
-  for (Rank r = 0; r < P; ++r) {
-    const auto& lm = dm_->local(r);
-    metrics_[static_cast<std::size_t>(r)] =
-        solver::build_dual_metrics(lm.mesh);
-    u_[static_cast<std::size_t>(r)].assign(
-        static_cast<std::size_t>(lm.mesh.num_vertices()),
-        State{1.0, 0.0, 0.0, 0.0, 1.0 / (opt_.gamma - 1.0)});
-
-    auto& eo = edge_owned_[static_cast<std::size_t>(r)];
-    eo.assign(static_cast<std::size_t>(lm.mesh.num_edges()), 1);
-    for (const auto& [e, spl] : lm.shared_edges) {
-      eo[static_cast<std::size_t>(e)] = (min_rank(r, spl) == r);
-    }
-    auto& vo = vert_owned_[static_cast<std::size_t>(r)];
-    vo.assign(static_cast<std::size_t>(lm.mesh.num_vertices()), 1);
-    for (const auto& [v, spl] : lm.shared_verts) {
-      vo[static_cast<std::size_t>(v)] = (min_rank(r, spl) == r);
-    }
-  }
-  exchange_setup();
-  // Volumes are global only after the exchange, so the active set is too.
-  // plum-scale: dist(P) -- the in-process harness keeps one solver state per simulated rank
   active_.resize(static_cast<std::size_t>(P));
+  // plum-scale: dist(P) -- the in-process harness keeps one solver state per simulated rank
+  u_.resize(static_cast<std::size_t>(P));
   for (Rank r = 0; r < P; ++r) {
-    active_[static_cast<std::size_t>(r)] =
-        metrics_[static_cast<std::size_t>(r)].active_vertices();
+    u_[static_cast<std::size_t>(r)].assign(
+        static_cast<std::size_t>(dm_->local(r).mesh.num_vertices()),
+        State{1.0, 0.0, 0.0, 0.0, 1.0 / (opt_.gamma - 1.0)});
   }
+  rebind();
 }
 
-void ParallelEulerSolver::exchange_setup() {
+void ParallelEulerSolver::rebind() {
   const Rank P = dm_->nranks();
-
   // Slot lookup: local edge id -> metrics slot, per rank.
-  // plum-scale: dist(P) -- per-destination slot maps used to stage the halo exchange
-  std::vector<std::vector<Index>> slot(static_cast<std::size_t>(P));
+  // plum-scale: dist(P) -- per-rank slot maps used to stage the halo exchange
+  std::vector<std::vector<Index>> slots(static_cast<std::size_t>(P));
+  // Reserve on the coordinating thread: arrays a worker thread grows land
+  // in that thread's malloc arena and stay resident there.
   for (Rank r = 0; r < P; ++r) {
-    const auto& m = metrics_[static_cast<std::size_t>(r)];
-    slot[static_cast<std::size_t>(r)].assign(
-        static_cast<std::size_t>(dm_->local(r).mesh.num_edges()),
-        kInvalidIndex);
-    for (std::size_t k = 0; k < m.edges.size(); ++k) {
-      slot[static_cast<std::size_t>(r)][static_cast<std::size_t>(m.edges[k])] =
-          static_cast<Index>(k);
-    }
+    const auto i = static_cast<std::size_t>(r);
+    const auto& mesh = dm_->local(r).mesh;
+    const auto nv = static_cast<std::size_t>(mesh.num_vertices());
+    const auto ne = static_cast<std::size_t>(mesh.num_edges());
+    PLUM_ASSERT_MSG(u_[i].size() == nv, "states must follow the local mesh");
+    auto& m = metrics_[i];
+    reserve_empty(m.edges, ne);
+    reserve_empty(m.edge_area, ne);
+    reserve_empty(m.cell_volume, nv);
+    reserve_empty(m.boundary_area, nv);
+    reserve_empty(m.min_edge_length, nv);
+    reserve_empty(edge_owned_[i], ne);
+    reserve_empty(vert_owned_[i], nv);
+    slots[i].reserve(ne);
+    reserve_empty(active_[i], nv);
   }
 
   eng_->run([&](Rank r, const rt::Inbox& inbox, rt::Outbox& out) {
     const auto& lm = dm_->local(r);
     auto& m = metrics_[static_cast<std::size_t>(r)];
+    auto& slot = slots[static_cast<std::size_t>(r)];
 
     if (out.step() == 0) {
+      // Local metrics, owned flags and the slot map, charged per element.
+      solver::build_dual_metrics(lm.mesh, &m);
+      out.charge(lm.mesh.num_active_elements());
+      slot.assign(static_cast<std::size_t>(lm.mesh.num_edges()),
+                  kInvalidIndex);
+      for (std::size_t k = 0; k < m.edges.size(); ++k) {
+        slot[static_cast<std::size_t>(m.edges[k])] = static_cast<Index>(k);
+      }
+      auto& eo = edge_owned_[static_cast<std::size_t>(r)];
+      eo.assign(static_cast<std::size_t>(lm.mesh.num_edges()), 1);
+      for (const auto& [e, spl] : lm.shared_edges) {
+        eo[static_cast<std::size_t>(e)] = (min_rank(r, spl) == r);
+      }
+      auto& vo = vert_owned_[static_cast<std::size_t>(r)];
+      vo.assign(static_cast<std::size_t>(lm.mesh.num_vertices()), 1);
+      for (const auto& [v, spl] : lm.shared_verts) {
+        vo[static_cast<std::size_t>(v)] = (min_rank(r, spl) == r);
+      }
+
       // Send partial vertex quantities and partial edge areas to copies.
       // plum-scale: dist(P) -- per-destination staging buckets for vertex scalars
       std::vector<std::vector<VertScalarMsg>> vout(static_cast<std::size_t>(P));
@@ -122,7 +145,7 @@ void ParallelEulerSolver::exchange_setup() {
       // plum-scale: dist(P) -- per-destination staging buckets for edge areas
       std::vector<std::vector<EdgeAreaMsg>> eout(static_cast<std::size_t>(P));
       for (const auto& [e, spl] : lm.shared_edges) {
-        const Index s = slot[static_cast<std::size_t>(r)][static_cast<std::size_t>(e)];
+        const Index s = slot[static_cast<std::size_t>(e)];
         if (s == kInvalidIndex) continue;  // not active locally
         const Index v0 = lm.mesh.edge(e).v0;
         for (const auto& c : spl) {
@@ -162,15 +185,19 @@ void ParallelEulerSolver::exchange_setup() {
     }
     for (const auto* msg : inbox.with_tag(kTagMetric + 100)) {
       for (const auto& rec : rt::unpack<EdgeAreaMsg>(*msg)) {
-        const Index s =
-            slot[static_cast<std::size_t>(r)][static_cast<std::size_t>(rec.local_id)];
+        const Index s = slot[static_cast<std::size_t>(rec.local_id)];
         PLUM_ASSERT_MSG(s != kInvalidIndex,
                         "peer active edge inactive locally");
-        const bool aligned =
-            dm_->local(r).mesh.edge(rec.local_id).v0 == rec.your_v0;
+        const bool aligned = lm.mesh.edge(rec.local_id).v0 == rec.your_v0;
         m.edge_area[static_cast<std::size_t>(s)] +=
             aligned ? rec.area : rec.area * -1.0;
       }
+    }
+    // Volumes are global only now, so the active set is too (the rule of
+    // DualMetrics::active_vertices, filled in place).
+    auto& active = active_[static_cast<std::size_t>(r)];
+    for (Index v = 0; v < static_cast<Index>(m.cell_volume.size()); ++v) {
+      if (m.cell_volume[static_cast<std::size_t>(v)] > 0) active.push_back(v);
     }
     return false;
   });
@@ -182,11 +209,10 @@ double ParallelEulerSolver::pressure(const State& s) const {
   return (opt_.gamma - 1.0) * (s[4] - ke);
 }
 
-double ParallelEulerSolver::max_wave_speed(const State& s) const {
+double ParallelEulerSolver::max_wave_speed(const State& s, double p) const {
   const double rho = std::max(s[0], 1e-12);
   const double vel = std::sqrt(s[1] * s[1] + s[2] * s[2] + s[3] * s[3]) / rho;
-  const double p = std::max(pressure(s), 1e-12);
-  return vel + std::sqrt(opt_.gamma * p / rho);
+  return vel + std::sqrt(opt_.gamma * std::max(p, 1e-12) / rho);
 }
 
 ParallelEulerSolver::StepInfo ParallelEulerSolver::step() {
@@ -200,14 +226,26 @@ ParallelEulerSolver::StepInfo ParallelEulerSolver::step() {
   std::vector<std::vector<State>> res(static_cast<std::size_t>(P));
   // plum-scale: dist(P) -- the harness keeps one RK2 stage state per simulated rank
   std::vector<std::vector<State>> u1(static_cast<std::size_t>(P));
+  // plum-scale: dist(P) -- the harness keeps one primitives array per simulated rank
+  std::vector<std::vector<Primitives>> prim(static_cast<std::size_t>(P));
 
   // Owner-computes flux loop over uu into rr, charged to rank r; then the
-  // partial residuals of shared vertices go to every copy.
+  // partial residuals of shared vertices go to every copy. Every edge
+  // endpoint is active, so the primitives are filled over the active set.
   auto flux_stage = [&](Rank r, const std::vector<State>& uu,
                         std::vector<State>& rr, rt::Outbox& out) {
     const auto& lm = dm_->local(r);
     const auto& m = metrics_[static_cast<std::size_t>(r)];
     const auto& owned = edge_owned_[static_cast<std::size_t>(r)];
+    auto& pv = prim[static_cast<std::size_t>(r)];
+    pv.resize(uu.size());
+    for (const Index v : active_[static_cast<std::size_t>(r)]) {
+      const State& s = uu[static_cast<std::size_t>(v)];
+      const double p = pressure(s);
+      pv[static_cast<std::size_t>(v)] = {
+          Vec3{s[1] / s[0], s[2] / s[0], s[3] / s[0]}, p,
+          max_wave_speed(s, p)};
+    }
     rr.assign(uu.size(), State{});
     std::int64_t evals = 0;
     for (std::size_t k = 0; k < m.edges.size(); ++k) {
@@ -220,18 +258,16 @@ ParallelEulerSolver::StepInfo ParallelEulerSolver::step() {
       if (area <= 0) continue;
       const State& ua = uu[static_cast<std::size_t>(a)];
       const State& ub = uu[static_cast<std::size_t>(b)];
-      const double pa = pressure(ua), pb = pressure(ub);
-      const Vec3 va{ua[1] / ua[0], ua[2] / ua[0], ua[3] / ua[0]};
-      const Vec3 vb{ub[1] / ub[0], ub[2] / ub[0], ub[3] / ub[0]};
-      const double vna = dot(va, n), vnb = dot(vb, n);
-      const State fa{ua[0] * vna, ua[1] * vna + pa * n.x,
-                     ua[2] * vna + pa * n.y, ua[3] * vna + pa * n.z,
-                     (ua[4] + pa) * vna};
-      const State fb{ub[0] * vnb, ub[1] * vnb + pb * n.x,
-                     ub[2] * vnb + pb * n.y, ub[3] * vnb + pb * n.z,
-                     (ub[4] + pb) * vnb};
-      const double lam =
-          std::max(max_wave_speed(ua), max_wave_speed(ub)) * area;
+      const Primitives& qa = pv[static_cast<std::size_t>(a)];
+      const Primitives& qb = pv[static_cast<std::size_t>(b)];
+      const double vna = dot(qa.vel, n), vnb = dot(qb.vel, n);
+      const State fa{ua[0] * vna, ua[1] * vna + qa.p * n.x,
+                     ua[2] * vna + qa.p * n.y, ua[3] * vna + qa.p * n.z,
+                     (ua[4] + qa.p) * vna};
+      const State fb{ub[0] * vnb, ub[1] * vnb + qb.p * n.x,
+                     ub[2] * vnb + qb.p * n.y, ub[3] * vnb + qb.p * n.z,
+                     (ub[4] + qb.p) * vnb};
+      const double lam = std::max(qa.c, qb.c) * area;
       for (int c = 0; c < solver::kNumVars; ++c) {
         const double f = 0.5 * (fa[c] + fb[c]) - 0.5 * lam * (ub[c] - ua[c]);
         rr[static_cast<std::size_t>(a)][c] -= f;
@@ -290,7 +326,8 @@ ParallelEulerSolver::StepInfo ParallelEulerSolver::step() {
         double local = std::numeric_limits<double>::max();
         for (Index v : active) {
           const double h = m.min_edge_length[static_cast<std::size_t>(v)];
-          const double c = max_wave_speed(u[static_cast<std::size_t>(v)]);
+          const State& s = u[static_cast<std::size_t>(v)];
+          const double c = max_wave_speed(s, pressure(s));
           local = std::min(local, opt_.cfl * h / std::max(c, 1e-12));
         }
         const std::vector<double> mine{local};

@@ -4,10 +4,19 @@
 // load balancer maintains; its per-processor cost is what Wcomp models).
 //
 // Scheme identical to solver::EulerSolver, parallelized the standard way
-// for vertex-centered edge-based codes:
-//   setup:  every copy of a shared edge/vertex assembles the *global*
-//           metric quantities (dual-face areas, cell volumes, boundary
-//           closure, CFL lengths) by exchanging partial sums over the SPLs;
+// for vertex-centered edge-based codes, with every rank's work inside its
+// own supersteps:
+//   setup:  rebind(), one BSP program of two supersteps, run by the
+//           constructor and again after every change of the local meshes:
+//             0  each rank builds its local dual metrics, owned flags and
+//                edge-slot map, charges its active elements, and sends the
+//                partial metric sums (dual-face areas, cell volumes,
+//                boundary closure, CFL lengths) of its shared vertices and
+//                edges to every copy;
+//             1  each rank adds the partials it received, which makes the
+//                quantities global, and lists its active vertices.
+//           The per-rank arrays are reserved on the coordinating thread
+//           first, so the ranks only fill them.
 //   step:   one BSP program of four supersteps, all rank work inside them:
 //             0  local CFL limit over the active vertices, sent to every
 //                rank (the traffic of an allreduce);
@@ -16,14 +25,16 @@
 //             2  sum the partials in sender-rank order, boundary closure,
 //                u1 = u + dt/2 * R(u)/vol; stage-2 flux loop; send partials;
 //             3  sum the partials, boundary closure, u += dt * R(u1)/vol.
+//           A flux stage first computes each active vertex's primitives
+//           (velocity, pressure, wave speed) once, then loops over edges.
 //           Each edge's flux is computed by its owner rank only and charged
 //           to it (Outbox::charge), so the counter critical path sees the
 //           solve. The time update runs redundantly on every copy, which
 //           keeps shared vertex states bit-replicated without a broadcast.
 //
 // The result matches the serial solver on the gathered mesh up to
-// floating-point summation order, and is bit-identical across engines and
-// thread counts.
+// floating-point summation order (bit for bit on one rank), and is
+// bit-identical across engines and thread counts.
 
 #include "pmesh/dist_mesh.hpp"
 #include "solver/dual_metrics.hpp"
@@ -33,8 +44,15 @@ namespace plum::pmesh {
 
 class ParallelEulerSolver {
  public:
+  /// Free-stream states on every rank, then rebind().
   ParallelEulerSolver(DistMesh* dm, rt::Engine* eng,
                       solver::EulerOptions opt = {});
+
+  /// Rebuilds the setup for the current local meshes and keeps the states,
+  /// which must already follow them (one per local vertex): migrate() and
+  /// parallel_coarsen() carry states(), subdivision interpolates into
+  /// solution(r). Adds the two setup supersteps to the engine's ledger.
+  void rebind();
 
   /// One RK2 step at the global CFL dt; returns dt and per-rank flux work.
   struct StepInfo {
@@ -53,6 +71,9 @@ class ParallelEulerSolver {
   std::vector<solver::State>& solution(Rank r) {
     return u_[static_cast<std::size_t>(r)];
   }
+  /// Every rank's states, for a change of the local meshes to carry along
+  /// (the `states` argument of migrate() and parallel_coarsen()).
+  std::vector<std::vector<solver::State>>* states() { return &u_; }
 
   /// Global totals (mass/momentum/energy), each dual cell counted once.
   [[nodiscard]] solver::State totals() const;
@@ -64,8 +85,6 @@ class ParallelEulerSolver {
   void validate_replication() const;
 
  private:
-  void exchange_setup();
-
   DistMesh* dm_;
   rt::Engine* eng_;
   solver::EulerOptions opt_;
@@ -78,7 +97,8 @@ class ParallelEulerSolver {
   std::vector<std::vector<solver::State>> u_;
 
   [[nodiscard]] double pressure(const solver::State& s) const;
-  [[nodiscard]] double max_wave_speed(const solver::State& s) const;
+  /// Maximum wave speed of `s`, whose pressure is `p`.
+  [[nodiscard]] double max_wave_speed(const solver::State& s, double p) const;
 };
 
 }  // namespace plum::pmesh

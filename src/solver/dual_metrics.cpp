@@ -19,8 +19,15 @@ std::vector<Index> DualMetrics::active_vertices() const {
 
 DualMetrics build_dual_metrics(const mesh::TetMesh& mesh) {
   DualMetrics m;
+  build_dual_metrics(mesh, &m);
+  return m;
+}
+
+void build_dual_metrics(const mesh::TetMesh& mesh, DualMetrics* out) {
+  DualMetrics& m = *out;
   const Index nv = mesh.num_vertices();
   const Index ne = mesh.num_edges();
+  m.edges.clear();
   m.cell_volume.assign(static_cast<std::size_t>(nv), 0.0);
   m.boundary_area.assign(static_cast<std::size_t>(nv), Vec3{});
   m.min_edge_length.assign(static_cast<std::size_t>(nv),
@@ -122,7 +129,6 @@ DualMetrics build_dual_metrics(const mesh::TetMesh& mesh) {
       m.boundary_area[static_cast<std::size_t>(v)] += area / 3.0;
     }
   }
-  return m;
 }
 
 }  // namespace plum::solver

@@ -36,4 +36,9 @@ struct DualMetrics {
 /// Builds metrics over the current computational mesh (leaf elements).
 DualMetrics build_dual_metrics(const mesh::TetMesh& mesh);
 
+/// As above, into `m`, reusing the capacity its arrays already hold: a
+/// caller that reserves them on one thread can fill them on another
+/// without the arrays moving to that thread's allocator.
+void build_dual_metrics(const mesh::TetMesh& mesh, DualMetrics* m);
+
 }  // namespace plum::solver

@@ -47,6 +47,14 @@ TEST(LintFixtures, SharedAccumulator) {
   EXPECT_EQ(r.unsuppressed_count(), 3) << plumlint::to_json(r);
 }
 
+TEST(LintFixtures, GatherRowFunctionIsASuperstep) {
+  // rt::gather's row function takes a Rank and an Outbox and runs inside
+  // the gather's first superstep, so its captured writes are checked.
+  const LintResult r = lint_fixture("bad_gather_row.cpp");
+  EXPECT_EQ(r.count_of("shared-accumulator"), 1) << plumlint::to_json(r);
+  EXPECT_EQ(r.unsuppressed_count(), 1) << plumlint::to_json(r);
+}
+
 TEST(LintFixtures, MetricRecordingInsideSuperstep) {
   const LintResult r = lint_fixture("bad_metrics_in_superstep.cpp");
   // add_sample / add_sample_int / set_int on the captured registry; the
@@ -148,7 +156,8 @@ TEST(LintFixtures, WholeDirectoryLintsWithSameTotals) {
         "bad_wallclock_in_superstep.cpp",
         "bad_raw_fd_in_superstep.cpp", "clean_superstep.cpp",
         "suppressed.cpp", "bad_suppression.cpp", "raw_strings.cpp",
-        "nested_lambdas.cpp", "multi_declarator.cpp"}) {
+        "nested_lambdas.cpp", "multi_declarator.cpp",
+        "bad_gather_row.cpp"}) {
     std::ifstream in(fixture_path(name));
     ASSERT_TRUE(in.is_open()) << name;
     std::ostringstream ss;
@@ -159,13 +168,13 @@ TEST(LintFixtures, WholeDirectoryLintsWithSameTotals) {
   EXPECT_EQ(r.count_of("rank-guard-mutation"), 3);  // 2 + raw_strings
   EXPECT_EQ(r.count_of("unordered-iteration"), 3);
   // 3 writes + 3 metric calls + 3 record_event calls + 3 raw_strings +
-  // 3 nested_lambdas + 1 multi_declarator.
-  EXPECT_EQ(r.count_of("shared-accumulator"), 16);
+  // 3 nested_lambdas + 1 multi_declarator + 1 gather row.
+  EXPECT_EQ(r.count_of("shared-accumulator"), 17);
   EXPECT_EQ(r.count_of("nondeterminism-source"), 5);  // 4 + rand() above
   EXPECT_EQ(r.count_of("wall-clock-in-superstep"), 2);
   EXPECT_EQ(r.count_of("raw-fd-in-superstep"), 3);
   EXPECT_EQ(r.suppressed_count(), 3);
-  EXPECT_EQ(r.files_scanned, 14);
+  EXPECT_EQ(r.files_scanned, 15);
 }
 
 // --- API-level cases ---------------------------------------------------------

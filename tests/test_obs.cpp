@@ -166,6 +166,37 @@ TEST(TraceRecorder, PhaseAndSuperstepAccounting) {
   EXPECT_TRUE(rec.supersteps().empty());
 }
 
+TEST(TraceRecorder, PhaseSuperstepSecondsSplitHostFromRankTime) {
+  rt::Engine eng(3);
+  obs::TraceRecorder rec;
+  eng.set_observer(&rec);
+  {
+    obs::PhaseScope ph(rec, "solve");
+    eng.run(tick);
+  }
+  { obs::PhaseScope idle(rec, "idle"); }
+
+  const auto& solve = rec.phases()[0];
+  const auto& idle = rec.phases()[1];
+  EXPECT_GT(solve.superstep_s, 0);
+  EXPECT_LE(solve.superstep_s, solve.wall_s);
+  EXPECT_EQ(solve.superstep_s,
+            rec.supersteps()[0].wall_s + rec.supersteps()[1].wall_s);
+  EXPECT_EQ(idle.superstep_s, 0);
+
+  // Only the wall form carries it.
+  const obs::MetricsRegistry m;
+  const obs::MemoryTracker mem(3);
+  const Json wall = obs::run_entry(rec, m, mem, nullptr, /*wall=*/true);
+  const Json& wp = wall.find("phases")->at(0);
+  ASSERT_NE(wp.find("superstep_s"), nullptr);
+  EXPECT_EQ(wp.find("superstep_s")->as_double(), solve.superstep_s);
+  EXPECT_EQ(wall.find("phases")->at(1).find("superstep_s")->as_double(), 0);
+  const Json bare = obs::run_entry(rec, m, mem, nullptr, /*wall=*/false);
+  EXPECT_EQ(bare.find("phases")->at(0).find("superstep_s"), nullptr);
+  EXPECT_EQ(bare.find("phases")->at(0).find("wall_s"), nullptr);
+}
+
 TEST(TraceRecorder, DeterministicJsonIdenticalAcrossEngines) {
   using StepView =
       std::tuple<int, std::string, std::vector<rt::StepCounters>>;
@@ -577,6 +608,18 @@ TEST(BenchSchema, RejectsViolations) {
     run.set("phases", Json::array().push(std::move(phase)));
     doc.set("runs", Json::array().push(std::move(run)));
     EXPECT_NE(obs::validate_bench_report(doc), "");
+  }
+  // A phase's superstep_s is optional, but a number >= 0 when present.
+  for (const auto& [value, ok] :
+       {std::pair{Json::number(0.125), true}, {Json::number(-1.0), false},
+        {Json::str("fast"), false}}) {
+    Json doc = valid_report();
+    Json run = doc.find("runs")->at(0);
+    Json phase = run.find("phases")->at(0);
+    phase.set("superstep_s", value);
+    run.set("phases", Json::array().push(std::move(phase)));
+    doc.set("runs", Json::array().push(std::move(run)));
+    EXPECT_EQ(obs::validate_bench_report(doc).empty(), ok) << value.dump();
   }
 }
 

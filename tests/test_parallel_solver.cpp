@@ -1,14 +1,19 @@
 // Tests for the distributed Euler solver: metric globalization, agreement
-// with the serial solver on the same mesh, state replication across shared
-// copies, conservation, and behavior on adapted distributions.
+// with the serial solver on the same mesh (bit for bit on one rank), state
+// replication across shared copies, conservation, behavior on adapted
+// distributions, and rebind() against a fresh construction.
 
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 
 #include "adapt/adaptor.hpp"
+#include "adapt/error_indicator.hpp"
 #include "mesh/box_mesh.hpp"
 #include "partition/multilevel.hpp"
+#include "pmesh/migrate.hpp"
+#include "pmesh/parallel_adapt.hpp"
 #include "pmesh/parallel_solver.hpp"
 #include "solver/init_conditions.hpp"
 
@@ -187,6 +192,142 @@ TEST(ParallelSolver, StepIsOneFourSuperstepProgramChargingItsFluxWork) {
     }
   }
 }
+
+TEST(ParallelSolver, SingleRankBitIdenticalToSerial) {
+  // With every root on rank 0 the local mesh is the global one, and the
+  // flux kernel performs the serial solver's operations on the same
+  // inputs in the same order: the states agree bit for bit.
+  auto global = mesh::make_box_mesh(mesh::small_box(5));
+  const partition::PartVec part(
+      static_cast<std::size_t>(global.num_initial_elements()), 0);
+  DistMesh dm(global, part, 1);
+  rt::Engine eng(1);
+
+  solver::EulerSolver serial(&global);
+  ParallelEulerSolver par(&dm, &eng);
+  init_both(global, serial, par, dm);
+  for (int s = 0; s < 5; ++s) {
+    const double dt_serial = serial.step().dt;
+    const double dt_par = par.step().dt;
+    ASSERT_EQ(std::memcmp(&dt_serial, &dt_par, sizeof(double)), 0);
+  }
+  const auto& a = serial.solution();
+  const auto& b = par.solution(0);
+  ASSERT_EQ(a.size(), b.size());
+  EXPECT_EQ(std::memcmp(a.data(), b.data(), a.size() * sizeof(solver::State)),
+            0);
+}
+
+TEST(ParallelSolver, SetupIsTwoSuperstepsChargingItsElements) {
+  // Construction and rebind() each run the two setup supersteps; in the
+  // first, every rank charges its active elements.
+  const Rank P = 4;
+  auto global = mesh::make_box_mesh(mesh::small_box(3));
+  const auto part = partition_roots(global, P);
+  DistMesh dm(global, part, P);
+  rt::Engine eng(P);
+  const auto& steps = eng.ledger().steps;
+  const auto expect_setup = [&](std::size_t lo) {
+    ASSERT_EQ(steps.size(), lo + 2);
+    for (Rank r = 0; r < P; ++r) {
+      EXPECT_EQ(steps[lo][static_cast<std::size_t>(r)].compute_units,
+                dm.local(r).mesh.num_active_elements())
+          << "rank " << r;
+      EXPECT_GT(steps[lo][static_cast<std::size_t>(r)].msgs_sent, 0)
+          << "rank " << r;
+    }
+  };
+  ParallelEulerSolver par(&dm, &eng);
+  expect_setup(0);
+  par.step();
+  const std::size_t lo = steps.size();
+  par.rebind();
+  expect_setup(lo);
+}
+
+class RebindSweep : public ::testing::TestWithParam<Rank> {};
+
+/// rebind() on `live` and a fresh solver given the same states add equal
+/// ledger steps; two steps on each then agree exactly.
+void expect_rebind_matches_fresh(DistMesh& dm, rt::Engine& eng,
+                                 ParallelEulerSolver& live) {
+  const Rank P = dm.nranks();
+  const auto& steps = eng.ledger().steps;
+  const std::size_t lo_live = steps.size();
+  live.rebind();
+  const std::size_t lo_fresh = steps.size();
+  ParallelEulerSolver fresh(&dm, &eng);
+  *fresh.states() = *live.states();
+  ASSERT_EQ(lo_fresh - lo_live, 2U);
+  ASSERT_EQ(steps.size() - lo_fresh, 2U);
+  for (std::size_t k = 0; k < 2; ++k) {
+    EXPECT_TRUE(steps[lo_live + k] == steps[lo_fresh + k]) << "setup step " << k;
+  }
+  for (int s = 0; s < 2; ++s) {
+    const auto a = live.step();
+    const auto b = fresh.step();
+    EXPECT_EQ(std::memcmp(&a.dt, &b.dt, sizeof(double)), 0) << "step " << s;
+    EXPECT_EQ(a.edge_flux_evals, b.edge_flux_evals) << "step " << s;
+  }
+  for (Rank r = 0; r < P; ++r) {
+    const auto& a = live.solution(r);
+    const auto& b = fresh.solution(r);
+    ASSERT_EQ(a.size(), b.size()) << "rank " << r;
+    EXPECT_EQ(
+        std::memcmp(a.data(), b.data(), a.size() * sizeof(solver::State)), 0)
+        << "rank " << r;
+  }
+  live.validate_replication();
+}
+
+TEST_P(RebindSweep, RebindMatchesFreshConstruction) {
+  const Rank P = GetParam();
+  auto global = mesh::make_box_mesh(mesh::small_box(3));
+  auto part = partition_roots(global, P);
+  DistMesh dm(global, part, P);
+  rt::Engine eng(P);
+  ParallelEulerSolver live(&dm, &eng);
+  for (Rank r = 0; r < P; ++r) {
+    solver::BlastSpec blast;
+    blast.radius = 0.3;
+    solver::init_blast(dm.local(r).mesh, live.solution(r), blast);
+  }
+  live.run(2);
+
+  // A migrate that carries the live states: every root moves one rank on.
+  for (auto& p : part) p = (p + 1) % P;
+  migrate(dm, eng, part, live.states());
+  expect_rebind_matches_fresh(dm, eng, live);
+
+  // A parallel refinement that interpolates into the live states.
+  std::vector<std::vector<char>> seeds(static_cast<std::size_t>(P));
+  for (Rank r = 0; r < P; ++r) {
+    const auto& m = dm.local(r).mesh;
+    seeds[static_cast<std::size_t>(r)] = adapt::mark_above(
+        m, adapt::edge_error(m, live.density_field(r), 1.0), 0.05);
+  }
+  const auto pm = parallel_mark(dm, eng, seeds);
+  for (Rank r = 0; r < P; ++r) {
+    dm.local(r).mesh.on_bisect = [&dm, &live, r](Index e, Index mid) {
+      auto& u = live.solution(r);
+      const auto& ed = dm.local(r).mesh.edge(e);
+      if (static_cast<std::size_t>(mid) >= u.size()) {
+        u.resize(static_cast<std::size_t>(mid) + 1);
+      }
+      for (int c = 0; c < solver::kNumVars; ++c) {
+        u[static_cast<std::size_t>(mid)][c] =
+            0.5 * (u[static_cast<std::size_t>(ed.v0)][c] +
+                   u[static_cast<std::size_t>(ed.v1)][c]);
+      }
+    };
+  }
+  parallel_refine(dm, eng, pm);
+  for (Rank r = 0; r < P; ++r) dm.local(r).mesh.on_bisect = nullptr;
+  ASSERT_GT(dm.total_active_elements(), global.num_active_elements());
+  expect_rebind_matches_fresh(dm, eng, live);
+}
+
+INSTANTIATE_TEST_SUITE_P(Ranks, RebindSweep, ::testing::Values<Rank>(4, 8));
 
 }  // namespace
 }  // namespace plum::pmesh

@@ -179,6 +179,26 @@ TEST(PlumDiff, WallClockMetricsNeverGate) {
   for (const auto& d : r.deltas) EXPECT_TRUE(d.wall) << d.where;
 }
 
+TEST(PlumDiff, PhaseSuperstepSecondsAreReportOnly) {
+  // superstep_s is wall clock: its drift shows in the table but never
+  // breaches.
+  const auto with_superstep_s = [](Json doc, double s) {
+    Json run = doc.find("runs")->at(0);
+    Json phase = run.find("phases")->at(0);
+    phase.set("superstep_s", Json::number(s));
+    run.set("phases", Json::array().push(std::move(phase)));
+    doc.set("runs", Json::array().push(std::move(run)));
+    return doc;
+  };
+  const DiffResult r =
+      diff::diff_reports(with_superstep_s(report(), 0.25),
+                         with_superstep_s(report(), 0.4), Options{});
+  EXPECT_EQ(r.breaches, 0);
+  ASSERT_EQ(r.deltas.size(), 1u);
+  EXPECT_EQ(r.deltas[0].where, "run[box8,P=4].phases[0].superstep_s");
+  EXPECT_TRUE(r.deltas[0].wall);
+}
+
 TEST(PlumDiff, MissingRunMetricAndSeriesLengthAreBreaches) {
   const Json base = report();
   {

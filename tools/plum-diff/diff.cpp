@@ -300,9 +300,11 @@ class Differ {
       }
       compare_number(bp.find("modeled_s"), cp.find("modeled_s"),
                      w + ".modeled_s", "modeled_s", /*wall=*/false);
-      if (bp.find("wall_s") || cp.find("wall_s")) {
-        compare_number(bp.find("wall_s"), cp.find("wall_s"), w + ".wall_s",
-                       "wall_s", /*wall=*/true);
+      for (const char* field : {"wall_s", "superstep_s"}) {
+        if (bp.find(field) || cp.find(field)) {
+          compare_number(bp.find(field), cp.find(field), w + "." + field,
+                         field, /*wall=*/true);
+        }
       }
     }
   }

@@ -74,6 +74,10 @@ void print_phases(const Json& phases) {
                 num_or(ph.find("modeled_s"), 0));
     if (const Json* wall = ph.find("wall_s")) {
       std::printf("  wall %.6fs", num_or(wall, 0));
+      if (const Json* ss = ph.find("superstep_s")) {
+        std::printf("  host ms %.3f",
+                    1e3 * (num_or(wall, 0) - num_or(ss, 0)));
+      }
     }
     std::printf("\n");
   }
