@@ -9,16 +9,19 @@
 // Two sweeps:
 //   strong (default)  P = {4, 8, 16, 32} on a fixed mesh — the per-rank
 //                     work shrinks with P while traffic grows slowly.
-//   --weak            P = {64, 128, 256} with the mesh grown so work per
-//                     rank stays fixed — the paper's Figs. 7/8 axes: remap
-//                     volume, imbalance, and critical-path wait fractions.
-//                     Each P runs under both gate metrics side by side:
-//                     TotalV prices the remap by its total volume and, from
-//                     P = 128 on, rejects it; MaxV prices the concurrent
-//                     remap by its bottleneck processor (paper §4.5). The
-//                     run fails unless MaxV accepts at every P, leaves the
-//                     predicted solver imbalance <= 1.15 and the
-//                     subdivision-work imbalance no worse than TotalV's.
+//   --weak            P = {64, 128, 256, 512} with the mesh grown so work
+//                     per rank stays fixed — the paper's Figs. 7/8 axes:
+//                     remap volume, imbalance, and critical-path wait
+//                     fractions. Each P runs under both gate metrics side
+//                     by side: TotalV prices the remap by its total volume
+//                     and, from P = 128 on, rejects it; MaxV prices the
+//                     concurrent remap by its bottleneck processor (paper
+//                     §4.5). The run fails unless MaxV accepts at every P,
+//                     leaves the predicted solver imbalance <= 1.15 and the
+//                     subdivision-work imbalance no worse than TotalV's,
+//                     and unless traffic stays O(P): the TotalV rows'
+//                     messages and comm-matrix cells per rank at the
+//                     largest P stay within 1.5x of P = 64's.
 //
 // A sweep writes one document, BENCH_bench_distributed[_weak].json, with
 // one run entry (obs/run_entry.hpp) per case; --leak-check writes none.
@@ -161,14 +164,14 @@ int main(int argc, char** argv) {
     return 0;
   }
 
-  // Weak scaling holds 6*boxn^3 / P roughly constant (~21-24 elements per
+  // Weak scaling holds 6*boxn^3 / P roughly constant (~21-26 elements per
   // rank small, ~47-52 full); strong scaling fixes the mesh.
   std::vector<Sweep> sweeps;
   if (cli.weak) {
     if (small) {
-      sweeps = {{64, 6}, {128, 8}, {256, 10}};
+      sweeps = {{64, 6}, {128, 8}, {256, 10}, {512, 13}};
     } else {
-      sweeps = {{64, 8}, {128, 10}, {256, 13}};
+      sweeps = {{64, 8}, {128, 10}, {256, 13}, {512, 16}};
     }
   } else {
     const int boxn = small ? 8 : 16;
@@ -198,6 +201,10 @@ int main(int argc, char** argv) {
   constexpr double kMaxSolveImbalance = 1.15;
   bool weak_claim_holds = true;
   double totalv_work_imb = 0;
+  // The O(P) claim: per-rank messages and comm-matrix cells of the TotalV
+  // rows, at the smallest and the largest P of the sweep.
+  constexpr double kMaxPerRankGrowth = 1.5;
+  std::pair<double, double> per_rank_first{0, 0}, per_rank_last{0, 0};
   std::vector<std::pair<Sweep, sim::CostMetric>> cases;
   for (const Sweep& sw : sweeps) {
     cases.emplace_back(sw, sim::CostMetric::kTotalV);
@@ -244,7 +251,14 @@ int main(int argc, char** argv) {
                                          : imbalance(rep.refine_work_per_rank);
     const double elems_per_rank =
         static_cast<double>(rep.elements_after) / static_cast<double>(P);
-    if (!maxv) totalv_work_imb = work_imb;
+    const std::int64_t cells =
+        fw.engine().ledger().comm_matrix().resident_cells();
+    if (!maxv) {
+      totalv_work_imb = work_imb;
+      per_rank_last = {static_cast<double>(msgs) / P,
+                       static_cast<double>(cells) / P};
+      if (P == sweeps.front().P) per_rank_first = per_rank_last;
+    }
     if (maxv && (!rep.accepted || rep.imbalance_new > kMaxSolveImbalance ||
                  work_imb > totalv_work_imb)) {
       std::fprintf(stderr,
@@ -315,8 +329,7 @@ int main(int argc, char** argv) {
         // what the accounting keeps in memory. Both are deterministic and
         // transport-invariant, so the weak baseline gates that the
         // accounting itself scales.
-        .metric_int("comm_resident_cells",
-                    fw.engine().ledger().comm_matrix().resident_cells())
+        .metric_int("comm_resident_cells", cells)
         .metric_int("comm_resident_bytes",
                     fw.engine().ledger().comm_matrix().resident_bytes())
         .metric_int("accepted", rep.accepted ? 1 : 0)
@@ -342,16 +355,31 @@ int main(int argc, char** argv) {
             << ", remap before subdivision, greedy mapper), engine threads = "
             << cli.threads << "\n";
   table.print(std::cout);
+  const auto [msgs_first, cells_first] = per_rank_first;
+  const auto [msgs_last, cells_last] = per_rank_last;
+  if (cli.weak && (msgs_last > kMaxPerRankGrowth * msgs_first ||
+                   cells_last > kMaxPerRankGrowth * cells_first)) {
+    std::fprintf(stderr,
+                 "O(P) traffic claim FAILED at P=%d under TotalV: msgs per "
+                 "rank %.1f, comm cells per rank %.1f (P=%d: %.1f, %.1f; "
+                 "limit %.1fx)\n",
+                 sweeps.back().P, msgs_last, cells_last, sweeps.front().P,
+                 msgs_first, cells_first, kMaxPerRankGrowth);
+    weak_claim_holds = false;
+  }
   if (cli.weak) {
     std::cout << "\nViability check (paper Figs. 7/8), fixed work per rank, "
-                 "P=64 to P=256: TotalV charges the\nremap its total volume, "
+                 "P=64 to P=512: TotalV charges the\nremap its total volume, "
                  "which grows with P, and rejects it from P=128 on (nothing "
                  "moves,\nsubdivision stays imbalanced). MaxV charges the "
                  "bottleneck processor of the concurrent\nremap (paper "
                  "§4.5): it must accept at every P and keep the "
                  "predicted solver\nimbalance <= 1.15. Subdivision work "
                  "stays less balanced (the partitioner balances the\n"
-                 "post-refinement leaves, not the children created).\n";
+                 "post-refinement leaves, not the children created).\n"
+                 "Traffic is O(P): each rank messages its SPL peers and "
+                 "rank 0, so TotalV's messages\nand comm cells per rank "
+                 "stay within 1.5x of P=64's.\n";
   } else {
     std::cout << "\nViability check: subdivision-work imbalance stays near 1 "
                  "after an accepted remap,\nand ledger traffic grows with P "

@@ -164,10 +164,6 @@ std::vector<double> MetricsRegistry::series(const std::string& name) const {
   return out;
 }
 
-void MetricsRegistry::merge_from(const MetricsRegistry& other) {
-  for (const auto& [name, v] : other.values_) values_[name] = v;
-}
-
 Json MetricsRegistry::to_json_impl(bool include_wall_clock) const {
   Json out = Json::object();
   for (const auto& [name, v] : values_) {

@@ -81,12 +81,6 @@ class MetricsRegistry {
   /// the histogram is empty. Asserts unless is_histogram.
   [[nodiscard]] double hist_quantile(const std::string& name, double q) const;
 
-  /// Copies every entry of `other` into this registry (overwriting scalars,
-  /// replacing series and histograms wholesale — samples are never
-  /// concatenated or summed across registries). Lets benches lift a
-  /// Framework's live gauges into their report run.
-  void merge_from(const MetricsRegistry& other);
-
   [[nodiscard]] std::size_t size() const { return values_.size(); }
   void clear() { values_.clear(); }
 

@@ -18,7 +18,9 @@
 // Distributed coarsening (parallel_coarsen.hpp) still redistributes from a
 // gathered mirror (DESIGN.md §3 documents that substitution).
 
+#include <algorithm>
 #include <map>
+#include <memory>
 #include <utility>
 #include <vector>
 
@@ -69,6 +71,57 @@ struct LocalMesh {
   [[nodiscard]] bool edge_is_shared(Index e) const {
     return shared_edges.count(e) > 0;
   }
+};
+
+/// One superstep's SPL send staging: a bucket per destination rank, made
+/// on first use and kept in ascending rank order. A rank addresses only
+/// its SPL peers, so staging is O(peers) where a bucket per rank is O(P),
+/// and a rank that sends nothing stages nothing. post() sends the
+/// non-empty buckets in ascending rank order, so the message stream does
+/// not depend on the order the buckets were first used in. `Alloc` lets
+/// arena-backed callers stage through their scratch.
+template <class T, class Alloc = std::allocator<T>>
+class PeerBuckets {
+ public:
+  using Bucket = std::vector<T, Alloc>;
+  using RankAlloc =
+      typename std::allocator_traits<Alloc>::template rebind_alloc<Rank>;
+
+  explicit PeerBuckets(const Alloc& alloc = Alloc())
+      : alloc_(alloc),
+        peers_(RankAlloc(alloc)),
+        buckets_(BucketAlloc(alloc)) {}
+
+  /// The bucket for rank `q`.
+  Bucket& operator[](Rank q) {
+    const auto it = std::lower_bound(peers_.begin(), peers_.end(), q);
+    const auto i = it - peers_.begin();
+    if (it == peers_.end() || *it != q) {
+      peers_.insert(it, q);
+      buckets_.insert(buckets_.begin() + i, Bucket(alloc_));
+    }
+    return buckets_[static_cast<std::size_t>(i)];
+  }
+
+  /// The ranks with a bucket, ascending.
+  [[nodiscard]] const std::vector<Rank, RankAlloc>& peers() const {
+    return peers_;
+  }
+
+  /// Sends each non-empty bucket as one `tag` message, ascending rank.
+  void post(rt::Outbox& out, int tag) const {
+    for (std::size_t i = 0; i < peers_.size(); ++i) {
+      if (!buckets_[i].empty()) out.send_vec(peers_[i], tag, buckets_[i]);
+    }
+  }
+
+ private:
+  using BucketAlloc =
+      typename std::allocator_traits<Alloc>::template rebind_alloc<Bucket>;
+
+  Alloc alloc_;
+  std::vector<Rank, RankAlloc> peers_;
+  std::vector<Bucket, BucketAlloc> buckets_;
 };
 
 // --- distribution rules shared by the constructor and migrate() ------------

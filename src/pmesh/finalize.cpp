@@ -59,23 +59,18 @@ std::vector<std::vector<Index>> number_objects(
   // Push ids to non-owning copies (one superstep of GidMsg batches).
   eng.run([&](Rank r, const rt::Inbox& inbox, rt::Outbox& out) {
     if (out.step() == 0) {
-      // plum-scale: dist(P) -- per-destination staging buckets; headers O(P), payload O(messages)
-      std::vector<std::vector<GidMsg>> outgoing(static_cast<std::size_t>(P));
+      PeerBuckets<GidMsg> outgoing;
       const Index n = count_of(r);
       for (Index i = 0; i < n; ++i) {
         const auto* spl = spl_of(r, i);
         if (!spl || owner_of(r, spl) != r) continue;
         for (const auto& c : *spl) {
-          outgoing[static_cast<std::size_t>(c.rank)].push_back(
+          outgoing[c.rank].push_back(
               {c.remote_id,
                gid[static_cast<std::size_t>(r)][static_cast<std::size_t>(i)]});
         }
       }
-      for (Rank q = 0; q < P; ++q) {
-        if (!outgoing[static_cast<std::size_t>(q)].empty()) {
-          out.send_vec(q, 0, outgoing[static_cast<std::size_t>(q)]);
-        }
-      }
+      outgoing.post(out, 0);
       return true;
     }
     for (const auto& m : inbox.messages()) {

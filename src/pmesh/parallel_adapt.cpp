@@ -125,11 +125,8 @@ ParallelMarkResult parallel_mark(DistMesh& dm, rt::Engine& eng,
     // claiming worker stages through its own rank's scratch row.
     const obs::MemScratch ms =
         mem != nullptr ? mem->scratch(r) : obs::MemScratch{};
-    // plum-scale: scratch -- per-destination mark staging buckets, arena-backed
-    obs::TrackedVec<obs::TrackedVec<MarkMsg>> outgoing(
-        static_cast<std::size_t>(P),
-        obs::TrackedVec<MarkMsg>{obs::TrackingAllocator<MarkMsg>{ms}},
-        obs::TrackingAllocator<obs::TrackedVec<MarkMsg>>{ms});
+    PeerBuckets<MarkMsg, obs::TrackingAllocator<MarkMsg>> outgoing(
+        obs::TrackingAllocator<MarkMsg>{ms});
     bool sent_any = false;
     for (Index e : result.marked_edges) {
       if (my_sent[static_cast<std::size_t>(e)]) continue;
@@ -137,17 +134,12 @@ ParallelMarkResult parallel_mark(DistMesh& dm, rt::Engine& eng,
       auto it = lm.shared_edges.find(e);
       if (it == lm.shared_edges.end()) continue;
       for (const auto& copy : it->second) {
-        outgoing[static_cast<std::size_t>(copy.rank)].push_back(
-            {copy.remote_id});
+        outgoing[copy.rank].push_back({copy.remote_id});
         ++exchanged[static_cast<std::size_t>(r)];
         sent_any = true;
       }
     }
-    for (Rank q = 0; q < P; ++q) {
-      if (!outgoing[static_cast<std::size_t>(q)].empty()) {
-        outbox.send_vec(q, kTagMark, outgoing[static_cast<std::size_t>(q)]);
-      }
-    }
+    outgoing.post(outbox, kTagMark);
     return sent_any;
   });
   out.comm_rounds = eng.ledger().num_supersteps() - steps_before;
@@ -207,11 +199,8 @@ ParallelRefineResult parallel_refine(DistMesh& dm, rt::Engine& eng,
           lm.mesh, marks.per_rank[static_cast<std::size_t>(r)], ms);
       out.work_per_rank[static_cast<std::size_t>(r)] = stats.work_units();
       outbox.charge(out.work_per_rank[static_cast<std::size_t>(r)]);
-      // plum-scale: scratch -- per-destination bisect staging, arena-backed
-      obs::TrackedVec<obs::TrackedVec<BisectMsg>> outgoing(
-          static_cast<std::size_t>(P),
-          obs::TrackedVec<BisectMsg>{obs::TrackingAllocator<BisectMsg>{ms}},
-          obs::TrackingAllocator<obs::TrackedVec<BisectMsg>>{ms});
+      PeerBuckets<BisectMsg, obs::TrackingAllocator<BisectMsg>> outgoing(
+          obs::TrackingAllocator<BisectMsg>{ms});
       for (const auto& [e, spl] : old_edge_spl[static_cast<std::size_t>(r)]) {
         const auto& ed = lm.mesh.edge(e);
         // Bisected this round: children are fresh edge ids.
@@ -223,15 +212,11 @@ ParallelRefineResult parallel_refine(DistMesh& dm, rt::Engine& eng,
           const Index v0_on_peer = vert_on(lm, ed.v0, copy.rank);
           PLUM_ASSERT_MSG(v0_on_peer != kInvalidIndex,
                           "shared edge endpoint not shared");
-          outgoing[static_cast<std::size_t>(copy.rank)].push_back(
+          outgoing[copy.rank].push_back(
               {copy.remote_id, v0_on_peer, ed.child[0], ed.child[1], ed.mid});
         }
       }
-      for (Rank q = 0; q < P; ++q) {
-        if (!outgoing[static_cast<std::size_t>(q)].empty()) {
-          outbox.send_vec(q, kTagBisect, outgoing[static_cast<std::size_t>(q)]);
-        }
-      }
+      outgoing.post(outbox, kTagBisect);
       return true;  // one more step to receive
     }
 
@@ -263,12 +248,8 @@ ParallelRefineResult parallel_refine(DistMesh& dm, rt::Engine& eng,
     if (outbox.step() == 0) {
       const obs::MemScratch ms =
           mem != nullptr ? mem->scratch(r) : obs::MemScratch{};
-      // plum-scale: scratch -- per-destination face-edge staging, arena-backed
-      obs::TrackedVec<obs::TrackedVec<FaceEdgeMsg>> outgoing(
-          static_cast<std::size_t>(P),
-          obs::TrackedVec<FaceEdgeMsg>{
-              obs::TrackingAllocator<FaceEdgeMsg>{ms}},
-          obs::TrackingAllocator<obs::TrackedVec<FaceEdgeMsg>>{ms});
+      PeerBuckets<FaceEdgeMsg, obs::TrackingAllocator<FaceEdgeMsg>> outgoing(
+          obs::TrackingAllocator<FaceEdgeMsg>{ms});
       for (Index e = old_ne[static_cast<std::size_t>(r)];
            e < lm.mesh.num_edges(); ++e) {
         const auto& ed = lm.mesh.edge(e);
@@ -282,17 +263,11 @@ ParallelRefineResult parallel_refine(DistMesh& dm, rt::Engine& eng,
         for (const auto& c0 : it0->second) {
           for (const auto& c1 : it1->second) {
             if (c0.rank != c1.rank) continue;
-            outgoing[static_cast<std::size_t>(c0.rank)].push_back(
-                {c0.remote_id, c1.remote_id, e});
+            outgoing[c0.rank].push_back({c0.remote_id, c1.remote_id, e});
           }
         }
       }
-      for (Rank q = 0; q < P; ++q) {
-        if (!outgoing[static_cast<std::size_t>(q)].empty()) {
-          outbox.send_vec(q, kTagFaceEdge,
-                          outgoing[static_cast<std::size_t>(q)]);
-        }
-      }
+      outgoing.post(outbox, kTagFaceEdge);
       return true;
     }
 

@@ -72,6 +72,8 @@ ParallelEulerSolver::ParallelEulerSolver(DistMesh* dm, rt::Engine* eng,
   // plum-scale: dist(P) -- the in-process harness keeps one solver state per simulated rank
   active_.resize(static_cast<std::size_t>(P));
   // plum-scale: dist(P) -- the in-process harness keeps one solver state per simulated rank
+  plan_.resize(static_cast<std::size_t>(P));
+  // plum-scale: dist(P) -- the in-process harness keeps one solver state per simulated rank
   u_.resize(static_cast<std::size_t>(P));
   for (Rank r = 0; r < P; ++r) {
     u_[static_cast<std::size_t>(r)].assign(
@@ -131,19 +133,25 @@ void ParallelEulerSolver::rebind() {
         vo[static_cast<std::size_t>(v)] = (min_rank(r, spl) == r);
       }
 
-      // Send partial vertex quantities and partial edge areas to copies.
-      // plum-scale: dist(P) -- per-destination staging buckets for vertex scalars
-      std::vector<std::vector<VertScalarMsg>> vout(static_cast<std::size_t>(P));
+      // The residual plan: each SPL peer's (local vertex, remote id) pairs
+      // in ascending local id, flattened in ascending peer order.
+      auto& plan = plan_[static_cast<std::size_t>(r)];
+      PeerBuckets<std::pair<Index, Index>> by_peer;
       for (const auto& [v, spl] : lm.shared_verts) {
-        for (const auto& c : spl) {
-          vout[static_cast<std::size_t>(c.rank)].push_back(
-              {c.remote_id, m.cell_volume[static_cast<std::size_t>(v)],
-               m.min_edge_length[static_cast<std::size_t>(v)],
-               m.boundary_area[static_cast<std::size_t>(v)]});
-        }
+        for (const auto& c : spl) by_peer[c.rank].push_back({v, c.remote_id});
       }
-      // plum-scale: dist(P) -- per-destination staging buckets for edge areas
-      std::vector<std::vector<EdgeAreaMsg>> eout(static_cast<std::size_t>(P));
+      plan.peers.assign(by_peer.peers().begin(), by_peer.peers().end());
+      plan.offsets.assign(1, 0);
+      plan.pairs.clear();
+      for (const Rank q : plan.peers) {
+        plan.pairs.insert(plan.pairs.end(), by_peer[q].begin(),
+                          by_peer[q].end());
+        plan.offsets.push_back(static_cast<Index>(plan.pairs.size()));
+      }
+
+      // Send partial vertex quantities (along the plan) and partial edge
+      // areas to copies.
+      PeerBuckets<EdgeAreaMsg> eout;
       for (const auto& [e, spl] : lm.shared_edges) {
         const Index s = slot[static_cast<std::size_t>(e)];
         if (s == kInvalidIndex) continue;  // not active locally
@@ -157,18 +165,23 @@ void ParallelEulerSolver::rebind() {
             if (vc.rank == c.rank) v0_on_peer = vc.remote_id;
           }
           PLUM_ASSERT(v0_on_peer != kInvalidIndex);
-          eout[static_cast<std::size_t>(c.rank)].push_back(
+          eout[c.rank].push_back(
               {c.remote_id, m.edge_area[static_cast<std::size_t>(s)],
                v0_on_peer});
         }
       }
-      for (Rank q = 0; q < P; ++q) {
-        if (!vout[static_cast<std::size_t>(q)].empty()) {
-          out.send_vec(q, kTagMetric, vout[static_cast<std::size_t>(q)]);
+      std::vector<VertScalarMsg> vout;
+      for (std::size_t i = 0; i < plan.peers.size(); ++i) {
+        vout.clear();
+        for (Index k = plan.offsets[i]; k < plan.offsets[i + 1]; ++k) {
+          const auto& [v, remote] = plan.pairs[static_cast<std::size_t>(k)];
+          vout.push_back({remote, m.cell_volume[static_cast<std::size_t>(v)],
+                          m.min_edge_length[static_cast<std::size_t>(v)],
+                          m.boundary_area[static_cast<std::size_t>(v)]});
         }
-        if (!eout[static_cast<std::size_t>(q)].empty()) {
-          out.send_vec(q, kTagMetric + 100, eout[static_cast<std::size_t>(q)]);
-        }
+        const Rank q = plan.peers[i];
+        out.send_vec(q, kTagMetric, vout);
+        if (!eout[q].empty()) out.send_vec(q, kTagMetric + 100, eout[q]);
       }
       return true;
     }
@@ -229,14 +242,9 @@ ParallelEulerSolver::StepInfo ParallelEulerSolver::step() {
   // plum-scale: dist(P) -- the harness keeps one primitives array per simulated rank
   std::vector<std::vector<Primitives>> prim(static_cast<std::size_t>(P));
 
-  // Owner-computes flux loop over uu into rr, charged to rank r; then the
-  // partial residuals of shared vertices go to every copy. Every edge
-  // endpoint is active, so the primitives are filled over the active set.
-  auto flux_stage = [&](Rank r, const std::vector<State>& uu,
-                        std::vector<State>& rr, rt::Outbox& out) {
-    const auto& lm = dm_->local(r);
-    const auto& m = metrics_[static_cast<std::size_t>(r)];
-    const auto& owned = edge_owned_[static_cast<std::size_t>(r)];
+  // Each active vertex's primitives of uu, once per flux stage. Every edge
+  // endpoint is active, so the flux loop reads only filled entries.
+  auto fill_primitives = [&](Rank r, const std::vector<State>& uu) {
     auto& pv = prim[static_cast<std::size_t>(r)];
     pv.resize(uu.size());
     for (const Index v : active_[static_cast<std::size_t>(r)]) {
@@ -246,6 +254,17 @@ ParallelEulerSolver::StepInfo ParallelEulerSolver::step() {
           Vec3{s[1] / s[0], s[2] / s[0], s[3] / s[0]}, p,
           max_wave_speed(s, p)};
     }
+  };
+
+  // Owner-computes flux loop over uu (whose primitives are filled) into rr,
+  // charged to rank r; then the partial residuals of shared vertices go to
+  // every copy along the residual plan.
+  auto flux_stage = [&](Rank r, const std::vector<State>& uu,
+                        std::vector<State>& rr, rt::Outbox& out) {
+    const auto& lm = dm_->local(r);
+    const auto& m = metrics_[static_cast<std::size_t>(r)];
+    const auto& owned = edge_owned_[static_cast<std::size_t>(r)];
+    const auto& pv = prim[static_cast<std::size_t>(r)];
     rr.assign(uu.size(), State{});
     std::int64_t evals = 0;
     for (std::size_t k = 0; k < m.edges.size(); ++k) {
@@ -277,18 +296,15 @@ ParallelEulerSolver::StepInfo ParallelEulerSolver::step() {
     }
     info.edge_flux_evals[static_cast<std::size_t>(r)] += evals;
     out.charge(evals);
-    // plum-scale: dist(P) -- per-destination staging buckets for residual messages
-    std::vector<std::vector<ResidualMsg>> outgoing(static_cast<std::size_t>(P));
-    for (const auto& [v, spl] : lm.shared_verts) {
-      for (const auto& c : spl) {
-        outgoing[static_cast<std::size_t>(c.rank)].push_back(
-            {c.remote_id, rr[static_cast<std::size_t>(v)]});
+    const auto& plan = plan_[static_cast<std::size_t>(r)];
+    std::vector<ResidualMsg> msg;
+    for (std::size_t i = 0; i < plan.peers.size(); ++i) {
+      msg.clear();
+      for (Index k = plan.offsets[i]; k < plan.offsets[i + 1]; ++k) {
+        const auto& [v, remote] = plan.pairs[static_cast<std::size_t>(k)];
+        msg.push_back({remote, rr[static_cast<std::size_t>(v)]});
       }
-    }
-    for (Rank q = 0; q < P; ++q) {
-      if (!outgoing[static_cast<std::size_t>(q)].empty()) {
-        out.send_vec(q, kTagResidual, outgoing[static_cast<std::size_t>(q)]);
-      }
+      out.send_vec(plan.peers[i], kTagResidual, msg);
     }
   };
 
@@ -314,6 +330,8 @@ ParallelEulerSolver::StepInfo ParallelEulerSolver::step() {
     }
   };
 
+  // R(u) does not depend on dt, so the CFL minimum is reduced through rank
+  // 0 while the stage-1 residual is exchanged: 2P messages, no superstep.
   eng_->run([&](Rank r, const rt::Inbox& inbox, rt::Outbox& out) {
     const auto& m = metrics_[static_cast<std::size_t>(r)];
     const auto& active = active_[static_cast<std::size_t>(r)];
@@ -322,29 +340,37 @@ ParallelEulerSolver::StepInfo ParallelEulerSolver::step() {
     auto& rr = res[static_cast<std::size_t>(r)];
     double& my_dt = dt[static_cast<std::size_t>(r)];
     switch (out.step()) {
-      case 0: {  // local CFL limit to every rank: an allreduce's traffic
+      case 0: {  // local CFL limit to rank 0, stage-1 residual R(u)
+        fill_primitives(r, u);
+        const auto& pv = prim[static_cast<std::size_t>(r)];
         double local = std::numeric_limits<double>::max();
         for (Index v : active) {
-          const double h = m.min_edge_length[static_cast<std::size_t>(v)];
-          const State& s = u[static_cast<std::size_t>(v)];
-          const double c = max_wave_speed(s, pressure(s));
-          local = std::min(local, opt_.cfl * h / std::max(c, 1e-12));
+          const auto i = static_cast<std::size_t>(v);
+          local = std::min(local, opt_.cfl * m.min_edge_length[i] /
+                                      std::max(pv[i].c, 1e-12));
         }
-        const std::vector<double> mine{local};
-        for (Rank q = 0; q < P; ++q) {
-          out.send_vec(q, rt::detail::kCollectiveTag, mine);
-        }
-        return true;
-      }
-      case 1:  // global dt, stage-1 residual R(u)
-        my_dt = std::numeric_limits<double>::max();
-        for (const auto* msg : inbox.with_tag(rt::detail::kCollectiveTag)) {
-          my_dt = std::min(my_dt, rt::unpack<double>(*msg)[0]);
-        }
+        out.send_vec(0, rt::detail::kCollectiveTag, std::vector<double>{local});
         flux_stage(r, u, rr, out);
         return true;
-      case 2:  // u1 = u + dt/2 * R(u) / vol, stage-2 residual R(u1)
+      }
+      case 1:  // rank 0 broadcasts the global dt; every rank closes stage 1
+        if (r == 0) {
+          double global = std::numeric_limits<double>::max();
+          for (const auto* msg : inbox.with_tag(rt::detail::kCollectiveTag)) {
+            global = std::min(global, rt::unpack<double>(*msg)[0]);
+          }
+          const std::vector<double> global_dt{global};
+          // plum-scale: allow(all-ranks-send) -- the root's broadcast of the
+          // CFL minimum: P messages per step, half of the reduction's 2P
+          for (Rank q = 0; q < P; ++q) {
+            out.send_vec(q, rt::detail::kCollectiveTag, global_dt);
+          }
+        }
         close_stage(r, inbox, u, rr);
+        return true;
+      case 2:  // u1 = u + dt/2 * R(u) / vol, stage-2 residual R(u1)
+        my_dt = rt::unpack<double>(
+            *inbox.with_tag(rt::detail::kCollectiveTag).front())[0];
         stage = u;
         for (Index v : active) {
           const auto i = static_cast<std::size_t>(v);
@@ -353,6 +379,7 @@ ParallelEulerSolver::StepInfo ParallelEulerSolver::step() {
             stage[i][c] += 0.5 * my_dt * rr[i][c] * inv_vol;
           }
         }
+        fill_primitives(r, stage);
         flux_stage(r, stage, rr, out);
         return true;
       default:  // u += dt * R(u1) / vol

@@ -8,23 +8,31 @@
 // own supersteps:
 //   setup:  rebind(), one BSP program of two supersteps, run by the
 //           constructor and again after every change of the local meshes:
-//             0  each rank builds its local dual metrics, owned flags and
-//                edge-slot map, charges its active elements, and sends the
-//                partial metric sums (dual-face areas, cell volumes,
-//                boundary closure, CFL lengths) of its shared vertices and
-//                edges to every copy;
+//             0  each rank builds its local dual metrics, owned flags,
+//                edge-slot map and residual plan (its SPL peers, ascending,
+//                each with the shared vertices it sends them), charges its
+//                active elements, and sends the partial metric sums
+//                (dual-face areas, cell volumes, boundary closure, CFL
+//                lengths) of its shared vertices and edges to every copy;
 //             1  each rank adds the partials it received, which makes the
 //                quantities global, and lists its active vertices.
-//           The per-rank arrays are reserved on the coordinating thread
-//           first, so the ranks only fill them.
+//           The per-rank metric arrays are reserved on the coordinating
+//           thread first, so the ranks only fill them; the plan, O(shared
+//           copies) per rank, keeps its capacity from one rebind to the
+//           next.
 //   step:   one BSP program of four supersteps, all rank work inside them:
-//             0  local CFL limit over the active vertices, sent to every
-//                rank (the traffic of an allreduce);
-//             1  global dt = min of the inbox; stage-1 flux loop; send the
-//                shared-vertex partial residuals to every copy;
-//             2  sum the partials in sender-rank order, boundary closure,
-//                u1 = u + dt/2 * R(u)/vol; stage-2 flux loop; send partials;
+//             0  primitives of u; local CFL limit over the active vertices,
+//                sent to rank 0; stage-1 flux loop; send the shared-vertex
+//                partial residuals to every copy along the plan;
+//             1  rank 0 sends every rank dt = min of its inbox; every rank
+//                sums the partials in sender-rank order and adds the
+//                boundary closure;
+//             2  u1 = u + dt/2 * R(u)/vol; primitives of u1; stage-2 flux
+//                loop; send partials;
 //             3  sum the partials, boundary closure, u += dt * R(u1)/vol.
+//           R(u) does not depend on dt, so the CFL minimum costs 2P
+//           messages per step and no superstep of its own, and every rank
+//           sends only to rank 0 and its SPL peers (rank 0 also to all).
 //           A flux stage first computes each active vertex's primitives
 //           (velocity, pressure, wave speed) once, then loops over edges.
 //           Each edge's flux is computed by its owner rank only and charged
@@ -35,6 +43,9 @@
 // The result matches the serial solver on the gathered mesh up to
 // floating-point summation order (bit for bit on one rank), and is
 // bit-identical across engines and thread counts.
+
+#include <utility>
+#include <vector>
 
 #include "pmesh/dist_mesh.hpp"
 #include "solver/dual_metrics.hpp"
@@ -94,6 +105,15 @@ class ParallelEulerSolver {
   std::vector<std::vector<char>> edge_owned_;  ///< flux responsibility
   std::vector<std::vector<char>> vert_owned_;  ///< for global reductions
   std::vector<std::vector<Index>> active_;     ///< vertices with volume > 0
+  /// A rank's residual exchange: its SPL peers in ascending rank order and,
+  /// per peer, the (local vertex, remote id) pairs it sends them in
+  /// ascending local id. Peer i's pairs are pairs[offsets[i], offsets[i+1]).
+  struct ResidualPlan {
+    std::vector<Rank> peers;
+    std::vector<Index> offsets;
+    std::vector<std::pair<Index, Index>> pairs;
+  };
+  std::vector<ResidualPlan> plan_;
   std::vector<std::vector<solver::State>> u_;
 
   [[nodiscard]] double pressure(const solver::State& s) const;

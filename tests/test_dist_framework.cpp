@@ -4,10 +4,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <set>
 #include <sstream>
 #include <vector>
 
@@ -92,6 +94,42 @@ TEST(DistFramework, FramedTransportCyclesIdenticalToInProc) {
     EXPECT_NE(vi.entry.find("\"heap\""), std::string::npos);
     EXPECT_NE(vi.entry.find("\"comm_by_class\""), std::string::npos);
   }
+}
+
+// Every rank talks to its SPL peers and to rank 0, and rank 0 to every
+// rank, so per-superstep outbox cells and the run's comm-matrix cells stay
+// within P(d+1) + P, d the largest SPL peer count over both cycles. One
+// all-to-all superstep would take both to P^2 = 4096.
+TEST(DistFramework, QueueCellsStayLinearInP) {
+  FrameworkOptions opt;
+  opt.nranks = 64;
+  opt.metric = sim::CostMetric::kTotalV;
+  opt.refine_fraction = 0.08;
+  opt.imbalance_trigger = 1.05;
+  opt.solver_steps_per_cycle = 6;
+  auto fw = make_dist(opt, 6);
+  std::size_t d = 0;
+  const auto sample_peers = [&] {
+    for (Rank r = 0; r < opt.nranks; ++r) {
+      std::set<Rank> peers;
+      for (const auto& [v, spl] : fw.dist_mesh().local(r).shared_verts) {
+        for (const auto& c : spl) peers.insert(c.rank);
+      }
+      d = std::max(d, peers.size());
+    }
+  };
+  sample_peers();
+  for (int i = 0; i < 2; ++i) {
+    EXPECT_TRUE(fw.cycle().accepted) << "cycle " << i;
+    sample_peers();
+  }
+  const auto P = static_cast<std::size_t>(opt.nranks);
+  const std::size_t bound = P * (d + 1) + P;
+  EXPECT_GT(d, 0U);
+  EXPECT_LE(fw.engine().transport().peak_queue_cells(), bound);
+  EXPECT_LE(static_cast<std::size_t>(
+                fw.engine().ledger().comm_matrix().resident_cells()),
+            bound);
 }
 
 TEST(DistFramework, CycleRefinesAndStaysConsistent) {

@@ -437,7 +437,7 @@ TEST(GateAudit, DriftAndRecordSerialization) {
   EXPECT_TRUE(tr.gate_records().empty());
 }
 
-TEST(Metrics, GaugeSeriesAppendAndMerge) {
+TEST(Metrics, GaugeSeriesAppendAndRender) {
   obs::MetricsRegistry m;
   m.add_sample("imbalance", 1.5);
   m.add_sample("imbalance", 1.25);
@@ -452,37 +452,6 @@ TEST(Metrics, GaugeSeriesAppendAndMerge) {
   // Series render as arrays (ints stay integers), scalars as before.
   EXPECT_EQ(m.to_json().dump(),
             R"({"edge_cut":[40,36],"imbalance":[1.5,1.25],"speedup":2})");
-
-  obs::MetricsRegistry dst;
-  dst.set_int("elements", 100);
-  dst.merge_from(m);
-  EXPECT_EQ(dst.size(), 4u);
-  EXPECT_EQ(dst.series("imbalance"), m.series("imbalance"));
-  EXPECT_EQ(dst.get("elements"), 100.0);
-  // merge_from replaces series wholesale (no concatenation).
-  dst.merge_from(m);
-  EXPECT_EQ(dst.series("edge_cut"), (std::vector<double>{40.0, 36.0}));
-}
-
-TEST(Metrics, MergeFromReplacesSeriesAndOverwritesScalars) {
-  obs::MetricsRegistry src;
-  src.add_sample("imbalance", 1.4);
-  src.set("speedup", 3.0);
-
-  obs::MetricsRegistry dst;
-  dst.add_sample("imbalance", 9.0);  // longer, stale series
-  dst.add_sample("imbalance", 8.0);
-  dst.add_sample("imbalance", 7.0);
-  dst.set("speedup", 1.0);
-  dst.merge_from(src);
-  // Replacement semantics: the destination's series is discarded, not
-  // appended to — the merged registry reads exactly like the source.
-  EXPECT_EQ(dst.series("imbalance"), (std::vector<double>{1.4}));
-  EXPECT_EQ(dst.get("speedup"), 3.0);
-  // Names only the destination had survive untouched.
-  dst.set_int("only_here", 5);
-  dst.merge_from(src);
-  EXPECT_EQ(dst.get("only_here"), 5.0);
 }
 
 TEST(Metrics, HistogramCountsQuantilesAndOverflow) {
@@ -538,14 +507,6 @@ TEST(Metrics, HistogramJsonAndDeterministicView) {
   EXPECT_EQ(det.find("step_s"), std::string::npos) << det;
   EXPECT_NE(det.find("\"work\""), std::string::npos);
   EXPECT_NE(det.find("\"speedup\""), std::string::npos);
-
-  // Histograms merge by replacement, like series.
-  obs::MetricsRegistry dst;
-  dst.define_histogram("work", {1.0, 2.0});
-  dst.add_hist_sample("work", 0.5);
-  dst.merge_from(m);
-  EXPECT_EQ(dst.hist_count("work"), 1);
-  EXPECT_EQ(dst.hist_max("work"), 1.5);
 }
 
 Json valid_report() {

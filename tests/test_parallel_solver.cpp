@@ -1,12 +1,15 @@
 // Tests for the distributed Euler solver: metric globalization, agreement
 // with the serial solver on the same mesh (bit for bit on one rank), state
 // replication across shared copies, conservation, behavior on adapted
-// distributions, and rebind() against a fresh construction.
+// distributions, the step's O(P) traffic, and rebind() against a fresh
+// construction.
 
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <cstring>
+#include <set>
+#include <string>
 
 #include "adapt/adaptor.hpp"
 #include "adapt/error_indicator.hpp"
@@ -15,6 +18,7 @@
 #include "pmesh/migrate.hpp"
 #include "pmesh/parallel_adapt.hpp"
 #include "pmesh/parallel_solver.hpp"
+#include "runtime/collectives.hpp"
 #include "solver/init_conditions.hpp"
 
 namespace plum::pmesh {
@@ -168,8 +172,9 @@ TEST(ParallelSolver, FluxWorkIsDisjointAcrossRanks) {
 }
 
 TEST(ParallelSolver, StepIsOneFourSuperstepProgramChargingItsFluxWork) {
-  // One step = CFL min, stage-1 flux, stage-1 update + stage-2 flux, final
-  // update; the flux supersteps charge exactly the edges they evaluate.
+  // One step = CFL limit to rank 0 + stage-1 flux, dt broadcast + stage-1
+  // closure, stage-1 update + stage-2 flux, final update; the flux
+  // supersteps (0 and 2) charge exactly the edges they evaluate.
   const Rank P = 4;
   auto global = mesh::make_box_mesh(mesh::small_box(3));
   const auto part = partition_roots(global, P);
@@ -189,6 +194,61 @@ TEST(ParallelSolver, StepIsOneFourSuperstepProgramChargingItsFluxWork) {
       EXPECT_GT(units, 0) << "rank " << r;
       EXPECT_EQ(units, info.edge_flux_evals[static_cast<std::size_t>(r)])
           << "rank " << r;
+    }
+  }
+}
+
+/// The ranks holding a copy of any of `lm`'s shared vertices.
+std::set<Rank> vertex_peers(const LocalMesh& lm) {
+  std::set<Rank> peers;
+  for (const auto& [v, spl] : lm.shared_verts) {
+    for (const auto& c : spl) peers.insert(c.rank);
+  }
+  return peers;
+}
+
+TEST(ParallelSolver, StepTrafficIsLinearInP) {
+  // The CFL minimum is reduced through rank 0 inside the step: in superstep
+  // 0 every rank sends one collective message, to rank 0, and in superstep
+  // 1 rank 0 alone sends one to every rank — 2P per step, where an
+  // allreduce's all-to-all is P^2. Every other message goes to an SPL peer.
+  for (const Rank P : {1, 4, 16, 64}) {
+    SCOPED_TRACE("P=" + std::to_string(P));
+    auto global = mesh::make_box_mesh(mesh::small_box(4));
+    const auto part = partition_roots(global, P);
+    DistMesh dm(global, part, P);
+    rt::Engine eng(P);
+    ParallelEulerSolver par(&dm, &eng);
+    const std::size_t lo = eng.ledger().steps.size();
+    par.step();
+    const auto& steps = eng.ledger().steps;
+    ASSERT_EQ(steps.size(), lo + 4);
+    std::int64_t collective = 0, peer_msgs = 0;
+    for (std::size_t k = 0; k < 4; ++k) {
+      for (Rank r = 0; r < P; ++r) {
+        const std::set<Rank> peers = vertex_peers(dm.local(r));
+        std::int64_t mine = 0;
+        for (const auto& c : steps[lo + k][static_cast<std::size_t>(r)].sends) {
+          if (c.tag != rt::detail::kCollectiveTag) {
+            EXPECT_TRUE(peers.count(c.to)) << "step " << k << " rank " << r
+                                           << " sent to " << c.to;
+            peer_msgs += c.msgs;
+            continue;
+          }
+          if (k == 0) {
+            EXPECT_EQ(c.to, 0) << "rank " << r;
+          }
+          mine += c.msgs;
+        }
+        const std::int64_t expected =
+            k == 0 ? 1 : (k == 1 && r == 0 ? std::int64_t{P} : 0);
+        EXPECT_EQ(mine, expected) << "step " << k << " rank " << r;
+        collective += mine;
+      }
+    }
+    EXPECT_EQ(collective, 2 * std::int64_t{P});
+    if (P > 1) {
+      EXPECT_GT(peer_msgs, 0);
     }
   }
 }

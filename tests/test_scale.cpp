@@ -35,7 +35,8 @@ FileInput fixture_input(const std::string& name) {
 }
 
 std::vector<FileInput> all_fixtures() {
-  return {fixture_input("dense_rank.cpp"), fixture_input("helpers_tu.cpp"),
+  return {fixture_input("all_ranks_send.cpp"), fixture_input("dense_rank.cpp"),
+          fixture_input("helpers_tu.cpp"),
           fixture_input("replicated_state.cpp"),
           fixture_input("scratch_arena.cpp"),
           fixture_input("superstep_tu.cpp")};
@@ -212,15 +213,34 @@ TEST(ScaleFixtures, ScratchAnnotationExactCounts) {
   EXPECT_EQ(r.suppressed_count(), 1);
 }
 
+TEST(ScaleFixtures, AllRanksSendExactCounts) {
+  const LintResult r =
+      plumlint::scale_files({fixture_input("all_ranks_send.cpp")});
+  // The all-to-all and the guarded P-bucket loop are flagged, the root
+  // broadcast is suppressed by its allow(); the peer-list loops and the
+  // host loop outside any superstep lambda stay clean.
+  EXPECT_EQ(r.count_of("all-ranks-send", true), 3)
+      << plumlint::scale_to_json(r);
+  EXPECT_EQ(r.count_of("all-ranks-send"), 2);
+  EXPECT_EQ(r.suppressed_count(), 1);
+  EXPECT_EQ(r.diagnostics.size(), 3u);
+  std::vector<int> lines;
+  for (const auto& d : r.diagnostics) {
+    if (!d.suppressed) lines.push_back(d.line);
+  }
+  EXPECT_EQ(lines, (std::vector<int>{20, 31}));
+}
+
 TEST(ScaleFixtures, WholeDirectoryTotals) {
   const LintResult r = plumlint::scale_files(all_fixtures());
-  EXPECT_EQ(r.files_scanned, 5);
+  EXPECT_EQ(r.files_scanned, 6);
   EXPECT_EQ(r.count_of("dense-rank-container", true), 9);
   EXPECT_EQ(r.count_of("replicated-global-state", true), 2);
   EXPECT_EQ(r.count_of("interprocedural-superstep-mutation", true), 2);
+  EXPECT_EQ(r.count_of("all-ranks-send", true), 3);
   EXPECT_EQ(r.count_of("bad-annotation", true), 3);
   EXPECT_EQ(r.count_of("unused-annotation", true), 1);
-  EXPECT_EQ(r.suppressed_count(), 4) << plumlint::scale_to_json(r);
+  EXPECT_EQ(r.suppressed_count(), 5) << plumlint::scale_to_json(r);
 }
 
 TEST(ScaleFixtures, JsonReportCarriesScaleCounts) {
@@ -231,6 +251,7 @@ TEST(ScaleFixtures, JsonReportCarriesScaleCounts) {
   EXPECT_NE(json.find("\"replicated-global-state\": 2"), std::string::npos);
   EXPECT_NE(json.find("\"interprocedural-superstep-mutation\": 2"),
             std::string::npos);
+  EXPECT_NE(json.find("\"all-ranks-send\": 3"), std::string::npos);
 }
 
 }  // namespace

@@ -14,6 +14,7 @@ namespace {
 constexpr const char* kDense = "dense-rank-container";
 constexpr const char* kReplicated = "replicated-global-state";
 constexpr const char* kInterproc = "interprocedural-superstep-mutation";
+constexpr const char* kAllRanksSend = "all-ranks-send";
 constexpr const char* kBadAnnot = "bad-annotation";
 constexpr const char* kUnusedAnnot = "unused-annotation";
 
@@ -313,6 +314,100 @@ void check_interprocedural(const SymbolIndex& index, const std::string& file,
   }
 }
 
+// --- check: all-ranks-send ----------------------------------------------------
+
+/// The variable a `for` init clause starting at `i` declares or assigns.
+std::string loop_var(const Tokens& t, std::size_t i) {
+  const DeclNames d = try_parse_decl(t, i);
+  if (!d.names.empty()) return d.names.front();
+  if (t[i].kind == Tok::Ident && is(t[i + 1], "=")) return t[i].text;
+  return "";
+}
+
+/// True if the condition [begin, end) bounds `var` by a rank count:
+/// `q < P`, `q <= nranks - 1`, `q != eng.nranks()`.
+bool bounded_by_rank_count(const SymbolIndex& index, const std::string& file,
+                           const Tokens& t, std::size_t begin, std::size_t end,
+                           const std::string& var) {
+  for (std::size_t j = begin + 1; j < end; ++j) {
+    if (!is(t[j], "<") && !is(t[j], "<=") && !is(t[j], "!=")) continue;
+    if (t[j - 1].text != var) continue;
+    for (std::size_t k = j + 1; k < end; ++k) {
+      if (t[k].kind == Tok::Ident && index.is_rank_count(file, t[k].text)) {
+        return true;
+      }
+    }
+  }
+  return false;
+}
+
+/// End of the statement starting at `i`: the `}` closing a block, else
+/// the first `;` outside nested braces and parentheses.
+std::size_t statement_end(const Tokens& t, std::size_t i) {
+  if (is(t[i], "{")) return match_forward(t, i, "{", "}");
+  for (; t[i].kind != Tok::End && !is(t[i], ";"); ++i) {
+    if (is(t[i], "{")) i = match_forward(t, i, "{", "}");
+    if (is(t[i], "(")) i = match_forward(t, i, "(", ")");
+  }
+  return i;
+}
+
+/// True if [begin, end) calls `.send(` / `.send_vec(` (or through `->`)
+/// with `var` in the destination argument.
+bool sends_to(const Tokens& t, std::size_t begin, std::size_t end,
+              const std::string& var) {
+  for (std::size_t j = begin + 1; j < end; ++j) {
+    if (!is(t[j], "send") && !is(t[j], "send_vec")) continue;
+    if (!is(t[j - 1], ".") && !is(t[j - 1], "->")) continue;
+    if (!is(t[j + 1], "(")) continue;
+    const std::size_t pclose = match_forward(t, j + 1, "(", ")");
+    const std::size_t arg_end = first_arg_end(t, j + 1, pclose);
+    for (std::size_t k = j + 2; k < arg_end; ++k) {
+      if (t[k].text == var) return true;
+    }
+  }
+  return false;
+}
+
+void check_all_ranks_send(const SymbolIndex& index, const std::string& file,
+                          const Tokens& t, std::vector<Diagnostic>& out) {
+  const auto lambdas = find_superstep_lambdas(t);
+  for (const auto& lam : lambdas) {
+    const SkipSpans skip = nested_superstep_spans(lambdas, lam);
+    for (std::size_t i = lam.body_begin + 1; i < lam.body_end; ++i) {
+      const std::size_t jump = skip_to(skip, i);
+      if (jump != i) {
+        i = jump;
+        continue;
+      }
+      if (!is(t[i], "for") || !is(t[i + 1], "(")) continue;
+      const std::size_t popen = i + 1;
+      const std::size_t pclose = match_forward(t, popen, "(", ")");
+      // init ; cond ; step — a range-for has no condition to bound.
+      std::size_t semi1 = popen + 1;
+      while (semi1 < pclose && !is(t[semi1], ";")) ++semi1;
+      std::size_t semi2 = semi1 + 1;
+      while (semi2 < pclose && !is(t[semi2], ";")) ++semi2;
+      if (semi2 >= pclose) continue;
+      const std::string var = loop_var(t, popen + 1);
+      if (var.empty() ||
+          !bounded_by_rank_count(index, file, t, semi1 + 1, semi2, var)) {
+        continue;
+      }
+      if (!sends_to(t, pclose, statement_end(t, pclose + 1), var)) continue;
+      out.push_back(
+          {file, t[i].line, kAllRanksSend,
+           "loop over every rank ('" + var + "') posts a send per rank "
+           "inside a superstep: O(P) messages and staging per rank, O(P^2) "
+           "per superstep; send only to the ranks that hold the data (stage "
+           "by SPL peer with pmesh::PeerBuckets), or annotate `plum-scale: "
+           "allow(all-ranks-send) -- <why>`",
+           false,
+           ""});
+    }
+  }
+}
+
 // --- annotations --------------------------------------------------------------
 
 struct Annotation {
@@ -424,6 +519,9 @@ const std::vector<CheckInfo>& scale_checks() {
       {kInterproc,
        "helpers that mutate non-const-ref params, called from superstep "
        "lambdas with captured non-rank-indexed arguments"},
+      {kAllRanksSend,
+       "for loops bounded by a rank count that send to the loop variable "
+       "inside a superstep lambda (all-to-all traffic or P-sized staging)"},
       {kBadAnnot, "malformed or unjustified plum-scale annotations"},
       {kUnusedAnnot, "annotations that no longer match any diagnostic"},
   };
@@ -443,6 +541,7 @@ LintResult scale_files(const std::vector<FileInput>& files,
     auto& diags = by_file[f.path];
     check_dense_rank_container(index, f.path, lexed.tokens, diags);
     check_interprocedural(index, f.path, lexed.tokens, diags);
+    check_all_ranks_send(index, f.path, lexed.tokens, diags);
   }
   check_replicated_global_state(index, by_file);
 

@@ -1,7 +1,7 @@
 #pragma once
 // plum-scale: project-wide replicated-state & scalability analyzer. Where
 // plum-lint judges one superstep lambda at a time, plum-scale runs over
-// the SymbolIndex (index.hpp) so it can reason across files. Three checks:
+// the SymbolIndex (index.hpp) so it can reason across files. Four checks:
 //
 //   dense-rank-container   a container sized by a rank count — `resize(
 //                          nranks)`, `assign(P * P, ..)`, `vector<T> x(
@@ -27,6 +27,13 @@
 //                          the same shared-accumulator bug plum-lint
 //                          catches for direct writes, but hidden behind a
 //                          call (possibly into another file).
+//   all-ranks-send         a `for` loop bounded by a rank count (`q < P`,
+//                          `q < eng.nranks()`) inside a superstep lambda
+//                          whose body sends to the loop variable, guarded
+//                          by `!empty()` or not: all-to-all traffic or a
+//                          P-sized staging walk per rank, O(P^2) per
+//                          superstep. Send to SPL peers (pmesh::PeerBuckets)
+//                          or to a root instead; only allow() suppresses it.
 //
 // Annotations (the scaling contract, see DESIGN.md):
 //   // plum-scale: dist(P) -- <why this state is deliberately per-rank>
@@ -52,11 +59,11 @@
 
 namespace plumlint {
 
-/// The three scaling checks plus the two meta checks, in report order.
+/// The four scaling checks plus the two meta checks, in report order.
 const std::vector<CheckInfo>& scale_checks();
 
 /// Analyzes the files as one project: builds the symbol index, then runs
-/// the three checks and applies annotations. Diagnostics are sorted.
+/// the four checks and applies annotations. Diagnostics are sorted.
 LintResult scale_files(const std::vector<FileInput>& files);
 
 /// As above but over a prebuilt index (tests that probe index/check
