@@ -40,7 +40,6 @@
 #include "io/table.hpp"
 #include "json_report.hpp"
 #include "obs/run_entry.hpp"
-#include "sim/calibration.hpp"
 #include "util/stats.hpp"
 #include "util/timer.hpp"
 
@@ -185,16 +184,6 @@ int main(int argc, char** argv) {
                    "msgs", "MB_sent", "supersteps", "wall_s"});
   bench::JsonReport report(bench_name);
 
-  // Retrospective calibration across the sweep's accepted remaps: the byte
-  // fit consumes deterministic counters only (timing fits off), so the
-  // drift columns below are deterministic and baseline-gated like every
-  // other modeled metric. The running calibrator accumulates evidence from
-  // one P to the next, mirroring how a long-lived run would converge.
-  sim::CalibrationOptions copt;
-  copt.enabled = true;
-  copt.fit_timings = false;
-  sim::Calibration calib(core::FrameworkOptions{}.machine, copt);
-
   // The weak-scaling claim: under MaxV every P accepts its remap, which
   // balances the solver load and does not unbalance the subdivision work
   // more than the TotalV run of the same P.
@@ -288,23 +277,13 @@ int main(int argc, char** argv) {
              std::int64_t{fw.engine().ledger().num_supersteps()}),
          io::Table::fmt(wall_s, 3)});
 
-    // Feed this run's accepted remaps to the calibrator and record the
-    // drift the static constants made vs. what the calibrated constants
-    // would make on the same moves.
-    double drift_static = 0, drift_cal = 0;
+    // Mean |drift| of this run's accepted remaps: how far the bytes the
+    // machine constants predicted sat from the bytes the migration sent.
+    double drift_static = 0;
     int naccepted = 0;
     for (const auto& grec : fw.trace().gate_records()) {
       if (!grec.evaluated || !grec.accepted) continue;
-      sim::CalibrationSample cs;
-      cs.cycle = grec.cycle;
-      cs.remap_executed = true;
-      cs.moved_elems = grec.moved_elems;
-      cs.moved_sets = grec.moved_sets;
-      cs.predicted_move_bytes = grec.predicted_move_bytes;
-      cs.measured_move_bytes = grec.measured_move_bytes;
-      calib.observe(cs);
       drift_static += std::abs(grec.drift);
-      drift_cal += calib.recalibrated_abs_drift(cs);
       ++naccepted;
     }
 
@@ -335,11 +314,8 @@ int main(int argc, char** argv) {
         .metric_int("accepted", rep.accepted ? 1 : 0)
         .metric("gate_drift_mean_abs_static",
                 naccepted > 0 ? drift_static / naccepted : 0.0)
-        .metric("gate_drift_mean_abs_calibrated",
-                naccepted > 0 ? drift_cal / naccepted : 0.0)
         .entry(obs::run_entry(fw.trace(), fw.metrics(), fw.memory(),
-                              &fw.engine().ledger(), /*wall=*/true))
-        .calibration(calib.to_json());
+                              &fw.engine().ledger(), /*wall=*/true));
     // The dense P x P comm matrix is ~P^2 JSON rows — fine at the strong
     // sweep's P<=32, but 65k rows per run at P=256 would bloat the weak
     // baseline; row/col totals are already covered by bytes_sent and the

@@ -15,18 +15,15 @@
 // total movement; optimal BMCM slowest with larger total volume but the
 // smallest per-processor bottleneck.
 
-#include <cmath>
 #include <iostream>
 
 #include "common.hpp"
 #include "io/table.hpp"
 #include "json_report.hpp"
-#include "obs/gate_audit.hpp"
 #include "partition/multilevel.hpp"
 #include "partition/quality.hpp"
 #include "remap/mapping.hpp"
 #include "remap/volume.hpp"
-#include "sim/calibration.hpp"
 
 int main() {
   using namespace plum;
@@ -43,21 +40,6 @@ int main() {
                    "HeuMWBG elems", "HeuMWBG s", "OptBMCM elems",
                    "OptBMCM s"});
   bench::JsonReport report("bench_table2");
-
-  // Synthetic calibration demo: each P's heuristic remap is priced with the
-  // stock SP2 byte constants, then "measured" on a machine whose element
-  // payload is 25% heavier and whose per-set framing is double. Everything
-  // is a counter, so the calibrated drift column is deterministic and the
-  // baseline gates that the fit actually converges.
-  sim::MachineParams truth;
-  truth.bytes_per_element =
-      static_cast<double>(truth.words_per_element) * 8.0 * 1.25;
-  truth.bytes_per_set *= 2.0;
-  const sim::CostModel truth_model(truth);
-  sim::CalibrationOptions copt;
-  copt.enabled = true;
-  copt.fit_timings = false;
-  sim::Calibration calib(sim::MachineParams{}, copt);
 
   for (Rank P : bench::kProcCounts) {
     // Old partitioning: balanced on the pre-adaption mesh.
@@ -111,27 +93,6 @@ int main() {
     for (const auto& [name, value] : remap::volume_fields(v_heu)) {
       run.metric_int(name, value);
     }
-
-    // Calibration demo on the heuristic remap's TotalV regressors.
-    const auto elems = static_cast<std::int64_t>(v_heu.total_elems);
-    const auto sets = static_cast<std::int64_t>(v_heu.total_sets);
-    sim::CalibrationSample cs;
-    cs.remap_executed = true;
-    cs.moved_elems = elems;
-    cs.moved_sets = sets;
-    cs.predicted_move_bytes = calib.predicted_bytes(elems, sets);
-    cs.measured_move_bytes = std::llround(
-        truth_model.move_bytes_per_element() * static_cast<double>(elems) +
-        truth.bytes_per_set * static_cast<double>(sets));
-    const double drift_static = std::abs(obs::gate_drift(
-        sim::CostModel(sim::MachineParams{})
-            .predicted_move_bytes(v_heu, sim::CostMetric::kTotalV),
-        cs.measured_move_bytes));
-    calib.observe(cs);
-    run.metric("calib_drift_abs_static", drift_static)
-        .metric("calib_drift_abs_calibrated",
-                calib.recalibrated_abs_drift(cs))
-        .calibration(calib.to_json());
   }
 
   std::cout << "Table 2: mapper comparison on Real_2 (remap before "

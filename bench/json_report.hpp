@@ -15,15 +15,14 @@
 //         "phases":  [ { "name": "solve", "wall_s": ..., "modeled_s": ...,
 //                        "supersteps": ..., ... }, ... ],
 //         "critical_path": {...}, "gate_audit": [...], "heap": {...},
-//         "comm_by_class": {...}, "comm_matrix": {...},
-//         "calibration": {...} },
+//         "comm_by_class": {...}, "comm_matrix": {...} },
 //       ...
 //     ]
 //   }
 //
 // A framework run gets its metrics, phases, critical path, gate audit, heap
 // and tag-class traffic from obs::run_entry (Run::entry); the bench adds
-// its own scalars, "calibration" and, where P is small, "comm_matrix".
+// its own scalars and, where P is small, "comm_matrix".
 //
 // The output directory defaults to the working directory and is overridden
 // by PLUM_BENCH_JSON_DIR. tools/check_bench_json validates the files in CI
@@ -96,12 +95,6 @@ class JsonReport {
     /// the "comm_matrix" section.
     Run& comm_matrix_from(const rt::CommMatrix& m) {
       sections_.set("comm_matrix", obs::comm_matrix_json(m));
-      return *this;
-    }
-
-    /// Attaches a sim::Calibration::to_json() document as "calibration".
-    Run& calibration(obs::Json doc) {
-      sections_.set("calibration", std::move(doc));
       return *this;
     }
 

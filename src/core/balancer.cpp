@@ -1,6 +1,5 @@
 #include "core/balancer.hpp"
 
-#include "core/cycle_log.hpp"
 #include "remap/mapping.hpp"
 #include "util/assert.hpp"
 #include "util/stats.hpp"
@@ -44,6 +43,10 @@ void check_options(const FrameworkOptions& opt) {
   PLUM_ASSERT(opt.refine_fraction >= 0 && opt.refine_fraction <= 1);
   PLUM_ASSERT(opt.coarsen_fraction >= 0 && opt.coarsen_fraction <= 1);
   PLUM_ASSERT(opt.solver_steps_per_cycle >= 0);
+  PLUM_ASSERT_MSG(!opt.calibration.enabled,
+                  "calibration is an inert stub; only its default is valid");
+  PLUM_ASSERT_MSG(opt.replay_path.empty(),
+                  "replay_path is an inert stub; only its default is valid");
 }
 
 Balancer::Balancer(const mesh::TetMesh& initial, const FrameworkOptions& opt,
@@ -58,26 +61,21 @@ Balancer::Balancer(const mesh::TetMesh& initial, const FrameworkOptions& opt,
   mem.reset_arenas();  // constructor scratch dies here
 }
 
-obs::GateRecord Balancer::run(const FrameworkOptions& opt, const CycleLog& log,
+obs::GateRecord Balancer::run(const FrameworkOptions& opt, int cycle,
                               const RootLoads& w, obs::TraceRecorder& trace,
                               obs::MemoryTracker& mem, CycleReport& rep,
                               const Move& move) {
   const Rank P = opt.nranks;
-  const sim::CostModel cm = log.model();
-  // Optional calibration feedback: scale each owner's predicted Wcomp by
-  // its measured per-element solve seconds (no-op unless
-  // calibration.blend_measured_weights has observed per-rank data).
-  auto wcomp = w.wcomp_pred;
-  sim::blend_weights(wcomp, owner_, log.weight_scale());
+  const sim::CostModel cm(opt.machine);
   // Predicted weights drive both the repartitioner and the end-of-cycle
   // quality gauges, so install them unconditionally.
-  dual_.set_weights(wcomp, w.wremap_pred);
-  const auto loads_old = proc_sums(owner_, wcomp, P);
+  dual_.set_weights(w.wcomp_pred, w.wremap_pred);
+  const auto loads_old = proc_sums(owner_, w.wcomp_pred, P);
   rep.imbalance_old = imbalance(loads_old);
   rep.wmax_old = vec_max(loads_old);
 
   obs::GateRecord g;
-  g.cycle = log.cycle();
+  g.cycle = cycle;
   g.metric = sim::cost_metric_name(opt.metric);
   g.imbalance_old = rep.imbalance_old;
   if (rep.imbalance_old <= opt.imbalance_trigger) return g;
@@ -124,7 +122,7 @@ obs::GateRecord Balancer::run(const FrameworkOptions& opt, const CycleLog& log,
   }
 
   // --- gain vs cost (§4.5) ---------------------------------------------------
-  const auto loads_new = proc_sums(new_owner, wcomp, P);
+  const auto loads_new = proc_sums(new_owner, w.wcomp_pred, P);
   rep.imbalance_new = imbalance(loads_new);
   rep.wmax_new = vec_max(loads_new);
   // Subdivision work per processor = predicted growth of the trees.

@@ -20,8 +20,6 @@
 
 namespace plum::core {
 
-class CycleLog;
-
 /// Per-root weights (indexed by initial element) a decision reads.
 struct RootLoads {
   std::vector<Weight> wcomp_pred;   ///< leaves after the pending subdivision
@@ -55,11 +53,12 @@ class Balancer {
   using Move = std::function<std::int64_t(const partition::PartVec& new_owner,
                                           const std::vector<Weight>& move_w)>;
 
-  /// One gate (the "gate" phase and its repartition/reassign children):
+  /// One gate of cycle `cycle` (the "gate" phase and its
+  /// repartition/reassign children), priced by sim::CostModel(opt.machine):
   /// fills the gate fields of `rep`, runs `move` when the gain beats the
   /// cost, then installs the new ownership. Returns the cycle's GateRecord
   /// (CycleLog::end records it).
-  obs::GateRecord run(const FrameworkOptions& opt, const CycleLog& log,
+  obs::GateRecord run(const FrameworkOptions& opt, int cycle,
                       const RootLoads& w, obs::TraceRecorder& trace,
                       obs::MemoryTracker& mem, CycleReport& rep,
                       const Move& move);

@@ -127,16 +127,16 @@ DistFramework::~DistFramework() { obs::uninstall_postmortem(); }
 CycleReport DistFramework::cycle() {
   const Rank P = opt_.nranks;
   const Timer cycle_timer;  // wall_s of the plum-scope stream record
-  const sim::MachineParams mp = begin_cycle();
+  begin_cycle();
+  const sim::MachineParams& mp = opt_.machine;
   CycleReport rep;
   rep.elements_before = dm_->total_active_elements();
 
   // --- 1. parallel flow solver ------------------------------------------------
-  std::vector<Index> solve_epr;
   {
     obs::PhaseScope ph(trace_, "solve");
     rep.solver_work = solver_->run(opt_.solver_steps_per_cycle);
-    solve_epr = dm_->active_elements_per_rank();
+    const auto solve_epr = dm_->active_elements_per_rank();
     ph.set_modeled_seconds(mp.t_iter *
                            static_cast<double>(opt_.solver_steps_per_cycle) *
                            static_cast<double>(vec_max(solve_epr)));
@@ -190,7 +190,7 @@ CycleReport DistFramework::cycle() {
   //          remap_before_subdivision off) after it -------------------------
   partition::PartVec remap_after;  // the ownership to move to once subdivided
   obs::GateRecord gate = balancer_.run(
-      opt_, log_,
+      opt_, log_.cycle(),
       gather_root_loads(*eng_, *dm_, pm, balancer_.dual().num_vertices()),
       trace_, mem_, rep,
       [&](const partition::PartVec& new_owner,
@@ -259,7 +259,7 @@ CycleReport DistFramework::cycle() {
   solver_->rebind();
   rep.elements_after = dm_->total_active_elements();
 
-  log_.end(rep, gate, solve_epr, trace_, mem_, cycle_timer.seconds());
+  log_.end(rep, gate, trace_, mem_, cycle_timer.seconds());
   return rep;
 }
 

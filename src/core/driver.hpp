@@ -48,23 +48,6 @@ class Driver {
   [[nodiscard]] obs::MemoryTracker& memory() { return mem_; }
   [[nodiscard]] const obs::MemoryTracker& memory() const { return mem_; }
 
-  /// The online calibrator (sim/calibration.hpp). Holds the static machine
-  /// constants while calibration is disabled; under replay it is the
-  /// deterministic control loop the gate prices with.
-  [[nodiscard]] const sim::Calibration& calibration() const {
-    return log_.calibration();
-  }
-
-  /// Timing book recorded by this run, one entry per completed cycle (with
-  /// the per-rank solve decomposition when the solver ran in the engine).
-  /// Save it (sim::ReplayBook::save) and feed it back through
-  /// FrameworkOptions::replay_path to replay this run's calibration
-  /// deterministically. No bench writes one: its per-rank wall seconds
-  /// would change every run.
-  [[nodiscard]] const sim::ReplayBook& replay_log() const {
-    return log_.replay_log();
-  }
-
  protected:
   Driver(const mesh::TetMesh& initial, FrameworkOptions opt)
       : opt_(std::move(opt)),
@@ -77,12 +60,8 @@ class Driver {
 
   /// Top of cycle(): phase scratch never outlives a cycle, so rewinding
   /// the arenas here makes steady-state cycles reuse-only (zero chunk
-  /// traffic). Returns the machine constants this cycle prices with.
-  sim::MachineParams begin_cycle() {
-    mem_.reset_arenas();
-    log_.begin(trace_);
-    return log_.model().params();
-  }
+  /// traffic).
+  void begin_cycle() { mem_.reset_arenas(); }
 
   FrameworkOptions opt_;
   obs::TraceRecorder trace_;

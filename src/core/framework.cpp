@@ -27,16 +27,16 @@ std::vector<Weight> Framework::processor_loads() const {
 
 CycleReport Framework::cycle() {
   const Timer cycle_timer;  // wall_s of the plum-scope stream record
-  const sim::MachineParams mp = begin_cycle();
+  begin_cycle();
+  const sim::MachineParams& mp = opt_.machine;
   CycleReport rep;
   rep.elements_before = mesh_->num_active_elements();
 
   // --- 1. flow solver -------------------------------------------------------
-  std::vector<Weight> solve_loads;
   {
     obs::PhaseScope ph(trace_, "solve");
     rep.solver_work = solver_->run(opt_.solver_steps_per_cycle);
-    solve_loads = processor_loads();
+    const auto solve_loads = processor_loads();
     // Modeled SP2 time: iterations on the bottleneck processor.
     ph.set_modeled_seconds(mp.t_iter *
                            static_cast<double>(opt_.solver_steps_per_cycle) *
@@ -82,7 +82,7 @@ CycleReport Framework::cycle() {
   // Ownership during subdivision: the new one when the remap precedes it.
   partition::PartVec refine_owner = balancer_.owner();
   const obs::GateRecord gate = balancer_.run(
-      opt_, log_, w, trace_, mem_, rep,
+      opt_, log_.cycle(), w, trace_, mem_, rep,
       [&](const partition::PartVec& new_owner,
           const std::vector<Weight>& move_w) -> std::int64_t {
         obs::PhaseScope ph(trace_, "remap");
@@ -91,10 +91,8 @@ CycleReport Framework::cycle() {
         // Measured data movement: this driver keeps everything in one
         // address space, so "moved" is the remap weight of every root whose
         // owner changed plus one framing header per (old, new) owner pair,
-        // in the bytes the *static* machine constants price — the ground
-        // truth a calibrated prediction is judged against (equal to the
-        // prediction under TotalV while uncalibrated; MaxV prices only the
-        // bottleneck processor).
+        // in the bytes the machine constants price (equal to the prediction
+        // under TotalV; MaxV prices only the bottleneck processor).
         const auto& owner = balancer_.owner();
         std::set<std::pair<Rank, Rank>> pairs;
         for (std::size_t v = 0; v < owner.size(); ++v) {
@@ -127,8 +125,7 @@ CycleReport Framework::cycle() {
   }
   rep.elements_after = mesh_->num_active_elements();
 
-  log_.end(rep, gate, {solve_loads.begin(), solve_loads.end()}, trace_, mem_,
-           cycle_timer.seconds());
+  log_.end(rep, gate, trace_, mem_, cycle_timer.seconds());
   return rep;
 }
 

@@ -10,7 +10,6 @@
 #include "obs/memory.hpp"
 #include "remap/volume.hpp"
 #include "runtime/transport.hpp"
-#include "sim/calibration.hpp"
 #include "sim/machine.hpp"
 
 namespace plum::core {
@@ -42,10 +41,10 @@ struct FrameworkOptions {
   sim::MachineParams machine;
   std::uint64_t seed = 12345;
   // --- engine fields -------------------------------------------------------
-  // threads, transport, transport_procs and scope_ring_capacity choose how
-  // DistFramework's BSP engine executes, never what it computes (results
-  // are bit-identical across all settings), so the single-address-space
-  // Framework, which runs no engine, ignores them.
+  // threads, transport and scope_ring_capacity choose how DistFramework's
+  // BSP engine executes, never what it computes (results are bit-identical
+  // across all settings), so the single-address-space Framework, which runs
+  // no engine, ignores them.
   /// Worker threads: 1 = the sequential reference engine, 0 = one worker
   /// per hardware core, N > 1 = a ParallelEngine with N workers (see
   /// runtime/engine.hpp's determinism contract).
@@ -54,23 +53,21 @@ struct FrameworkOptions {
   /// every payload into frames and decodes them back (see
   /// runtime/transport.hpp's delivery contract).
   rt::TransportKind transport = rt::TransportKind::kInProc;
-  /// Ignored. Kept only because existing callers still set it.
-  int transport_procs = 0;
   /// Per-rank capacity of the always-on flight-recorder ring
   /// (obs::FlightRecorder). Oldest events are overwritten, so this bounds
   /// both memory and postmortem size.
   int scope_ring_capacity = 256;
-  // ---------------------------------------------------------------------------
-  /// Online cost-model calibration (sim/calibration.hpp). Disabled by
-  /// default: a live calibration consumes wall-clock phase timings, which
-  /// are real but nondeterministic; deterministic runs use replay_path.
-  sim::CalibrationOptions calibration;
-  /// Path to a plum-replay/1 timing book. Non-empty switches the cycle
-  /// loop to deterministic replay: calibration reads the book's seconds
-  /// instead of the wall clock (and implies calibration.enabled), so every
-  /// calibrated constant — and everything it prices — is byte-identical
-  /// across engines, thread counts, and transports.
+  // --- inert stubs -----------------------------------------------------------
+  // plum-bench's replica still passes or reads these three. Both drivers
+  // ignore transport_procs and reject any calibration or replay_path but
+  // the default (check_options). All three go with the replica (ROADMAP:
+  // "Trace the driver, not a replica").
+  int transport_procs = 0;
+  struct {
+    bool enabled = false;
+  } calibration;
   std::string replay_path;
+  // ---------------------------------------------------------------------------
   /// Run name stamped on plum-scope/1 stream records and, in the
   /// distributed driver, on its flight-recorder crash postmortem
   /// (POSTMORTEM_<scope_name>.json).

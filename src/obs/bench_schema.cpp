@@ -81,63 +81,14 @@ std::string check_gate_audit(const Json& ga, std::size_t i) {
                                 "\" must be an int >= 0");
       }
     }
-    // The calibration regressors (moved_elems / moved_sets) are optional so
-    // pre-calibration producers keep validating, but must be counts when
-    // present.
+    // The priced C and N (moved_elems / moved_sets) are optional so older
+    // producers keep validating, but must be counts when present.
     for (const char* field : {"moved_elems", "moved_sets"}) {
       if (const Json* v = rec.find(field)) {
         if (v->kind() != Json::Kind::kInt || v->as_int() < 0) {
           return run_error(i, where + " field \"" + std::string(field) +
                                   "\" must be an int >= 0");
         }
-      }
-    }
-  }
-  return "";
-}
-
-/// Per-run calibration section (sim::Calibration::to_json()).
-std::string check_calibration(const Json& cal, std::size_t i) {
-  if (!cal.is_object()) {
-    return run_error(i, "\"calibration\" is not an object");
-  }
-  const Json* enabled = cal.find("enabled");
-  if (!enabled || enabled->kind() != Json::Kind::kBool) {
-    return run_error(i, "calibration missing bool field \"enabled\"");
-  }
-  for (const char* field : {"cycles_observed", "remap_samples"}) {
-    const Json* v = cal.find(field);
-    if (!v || v->kind() != Json::Kind::kInt || v->as_int() < 0) {
-      return run_error(i, "calibration field \"" + std::string(field) +
-                              "\" must be an int >= 0");
-    }
-  }
-  const Json* drift = cal.find("mean_abs_drift");
-  if (!drift || !drift->is_number()) {
-    return run_error(i,
-                     "calibration missing numeric field \"mean_abs_drift\"");
-  }
-  const Json* params = cal.find("params");
-  if (!params || !params->is_object()) {
-    return run_error(i, "calibration missing object field \"params\"");
-  }
-  for (const char* field : {"t_iter", "t_refine", "t_lat", "t_setup",
-                            "bytes_per_element", "bytes_per_set",
-                            "gate_margin"}) {
-    const Json* v = params->find(field);
-    if (!v || !v->is_number()) {
-      return run_error(i, "calibration params missing numeric field \"" +
-                              std::string(field) + "\"");
-    }
-  }
-  if (const Json* ws = cal.find("rank_weight_scale")) {
-    if (!ws->is_array()) {
-      return run_error(i, "calibration \"rank_weight_scale\" is not an array");
-    }
-    for (std::size_t k = 0; k < ws->size(); ++k) {
-      if (!ws->at(k).is_number()) {
-        return run_error(
-            i, "calibration \"rank_weight_scale\" has a non-number entry");
       }
     }
   }
@@ -338,10 +289,6 @@ std::string check_run(const Json& run, std::size_t i) {
   }
   if (const Json* cp = run.find("critical_path")) {
     const std::string err = check_critical_path(*cp, i);
-    if (!err.empty()) return err;
-  }
-  if (const Json* cal = run.find("calibration")) {
-    const std::string err = check_calibration(*cal, i);
     if (!err.empty()) return err;
   }
   if (const Json* heap = run.find("heap")) {

@@ -32,8 +32,7 @@
 //                                              "bytes": <int >= 0> }, ... },
 //         "comm_matrix"*: { "nranks": <int >= 1>,
 //                           "msgs":  [[<int>, ...], ...],   // nranks rows
-//                           "bytes": [[<int>, ...], ...] },
-//         "calibration"*: sim::Calibration::to_json()
+//                           "bytes": [[<int>, ...], ...] }
 //       }, ...
 //     ]
 //   }

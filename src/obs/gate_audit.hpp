@@ -29,8 +29,8 @@ struct GateRecord {
   double gain_s = 0;         ///< modeled computational gain (seconds)
   double cost_s = 0;         ///< modeled redistribution cost (seconds)
   /// The C (elements) and N (message sets) the cost model priced, under the
-  /// record's `metric` — the regressors sim::Calibration fits the byte
-  /// constants against. 0 on records whose gate never evaluated.
+  /// record's `metric` — the terms behind predicted_move_bytes. 0 on
+  /// records whose gate never evaluated.
   std::int64_t moved_elems = 0;
   std::int64_t moved_sets = 0;
   std::int64_t predicted_move_bytes = 0;  ///< CostModel::predicted_move_bytes

@@ -50,7 +50,7 @@ inline constexpr int kMigrateSupersteps = 4;
 /// is the fixed per-(sender, receiver) overhead a pack carries; keep
 /// sim::MachineParams::bytes_per_set equal to kPackHeaderBytes so the cost
 /// model's predicted bytes price the same framing (pinned by
-/// test_calibration).
+/// test_migrate).
 struct PackHeader {
   Index roots = 0;
   Index verts = 0;

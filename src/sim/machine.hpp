@@ -31,19 +31,11 @@ struct MachineParams {
   int words_per_element = 90;  ///< M: solver+adaptor storage per element
   double alpha = 1.0;  ///< MaxV weight on elements sent
   double beta = 1.0;   ///< MaxV weight on elements received
-  /// Byte-level constants for the gate-audit prediction (predicted vs
-  /// measured migration bytes). 0 derives the per-element payload from
-  /// words_per_element * 8; calibration replaces it with the pack size the
-  /// migration layer actually measured.
-  double bytes_per_element = 0;
-  /// Per-(sender, receiver) framing bytes charged once per message set. The
-  /// default mirrors pmesh::kPackHeaderBytes, the header every migration
-  /// pack carries (pinned by test_calibration).
+  /// Per-(sender, receiver) framing bytes the gate-audit prediction
+  /// charges once per message set. The default mirrors
+  /// pmesh::kPackHeaderBytes, the header every migration pack carries
+  /// (pinned by test_migrate).
   double bytes_per_set = 24;
-  /// Gate slack: accept iff gain > gate_margin * cost. Calibration raises
-  /// it while the model underprices remaps (realized cost ratio > 1) and
-  /// lowers it back toward 1 as predictions converge.
-  double gate_margin = 1.0;
   int solver_iters_per_adaption = 50;  ///< Nadapt
   // Parallel multilevel partitioner constants (separate because they fold
   // in all of coarsening/coloring/refinement, not a single kernel):
@@ -77,11 +69,9 @@ class CostModel {
   [[nodiscard]] double redistribution_cost(const remap::RemapVolume& vol,
                                            CostMetric metric) const;
 
-  /// Per-element payload the model prices: bytes_per_element when
-  /// calibrated, words_per_element * 8 otherwise.
+  /// Per-element payload the model prices: words_per_element * 8 bytes.
   [[nodiscard]] double move_bytes_per_element() const {
-    return p_.bytes_per_element > 0 ? p_.bytes_per_element
-                                    : static_cast<double>(p_.words_per_element) * 8.0;
+    return static_cast<double>(p_.words_per_element) * 8.0;
   }
 
   /// Bytes the cost model expects the remap to move: the per-element
@@ -93,10 +83,9 @@ class CostModel {
   [[nodiscard]] std::int64_t predicted_move_bytes(
       const remap::RemapVolume& vol, CostMetric metric) const;
 
-  /// The framework's gate: accept the new partitioning iff
-  /// gain > gate_margin * cost (margin 1 is the paper's plain gain > cost).
+  /// The framework's gate: accept the new partitioning iff gain > cost.
   [[nodiscard]] bool accept_remap(double gain, double cost) const {
-    return gain > p_.gate_margin * cost;
+    return gain > cost;
   }
 
   // --- phase-time estimates for the figure benches -------------------------

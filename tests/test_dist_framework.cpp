@@ -521,16 +521,40 @@ TEST(DistFramework, MatchesSerialFrameworkExactly) {
 }
 
 // Both drivers reject an option neither can honour in the same way.
-TEST(DistFrameworkDeathTest, BothDriversRejectBmcmWithFGreaterThanOne) {
+TEST(DistFrameworkDeathTest, BothDriversRejectOptionsNeitherCanHonour) {
   ::testing::FLAGS_gtest_death_test_style = "threadsafe";
-  FrameworkOptions opt;
-  opt.nranks = 2;
-  opt.partitions_per_proc = 2;
-  opt.mapper = MapperKind::kOptimalBmcm;
-  EXPECT_DEATH(Framework(mesh::make_box_mesh(mesh::small_box(2)), opt),
-               "BMCM mapper needs partitions_per_proc == 1");
-  EXPECT_DEATH(DistFramework(mesh::make_box_mesh(mesh::small_box(2)), opt),
-               "BMCM mapper needs partitions_per_proc == 1");
+  const auto expect_both_reject = [](const FrameworkOptions& opt,
+                                     const char* why) {
+    EXPECT_DEATH(Framework(mesh::make_box_mesh(mesh::small_box(2)), opt),
+                 why);
+    EXPECT_DEATH(DistFramework(mesh::make_box_mesh(mesh::small_box(2)), opt),
+                 why);
+  };
+  FrameworkOptions base;
+  base.nranks = 2;
+  {
+    FrameworkOptions opt = base;
+    opt.partitions_per_proc = 2;
+    opt.mapper = MapperKind::kOptimalBmcm;
+    expect_both_reject(opt, "BMCM mapper needs partitions_per_proc == 1");
+  }
+  {
+    FrameworkOptions opt = base;
+    opt.calibration.enabled = true;
+    expect_both_reject(opt, "calibration is an inert stub");
+  }
+  {
+    FrameworkOptions opt = base;
+    opt.replay_path = "book.json";
+    expect_both_reject(opt, "replay_path is an inert stub");
+  }
+  {
+    // A stream that cannot be opened fails the run instead of dropping
+    // every record.
+    FrameworkOptions opt = base;
+    opt.scope_stream = ::testing::TempDir() + "no_such_dir/scope.ndjson";
+    expect_both_reject(opt, "scope stream file cannot be opened");
+  }
 }
 
 TEST(DistFramework, CoarseningPhaseRuns) {

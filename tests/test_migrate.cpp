@@ -20,6 +20,7 @@
 #include "pmesh/finalize.hpp"
 #include "pmesh/migrate.hpp"
 #include "pmesh/parallel_adapt.hpp"
+#include "sim/machine.hpp"
 #include "util/rng.hpp"
 
 namespace plum::pmesh {
@@ -417,6 +418,15 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Combine(::testing::Values(Input::kSerialThenDistributed,
                                          Input::kParallelRefined),
                        ::testing::Values<Rank>(2, 3, 4, 8)));
+
+TEST(Migrate, BytesPerSetDefaultPinsMigrateFraming) {
+  // The cost model's default per-set byte overhead mirrors the header every
+  // migrate pack carries per (sender, dest) element set; if one side
+  // changes, the gate audit's predicted-vs-measured drift becomes
+  // structural.
+  EXPECT_EQ(sim::MachineParams{}.bytes_per_set,
+            static_cast<double>(kPackHeaderBytes));
+}
 
 }  // namespace
 }  // namespace plum::pmesh

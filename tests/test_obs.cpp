@@ -383,7 +383,7 @@ TEST(GateAudit, DriftAndRecordSerialization) {
   // Zero-predicted drift is a deliberate policy, not an accident: a remap
   // the model priced at zero bytes reports drift 0 whether or not anything
   // actually moved, because a non-finite ratio would poison JSON dumps and
-  // every mean-drift aggregate downstream (sim::Calibration included).
+  // every mean-drift aggregate downstream.
   EXPECT_EQ(obs::gate_drift(0, 100), 0.0);  // predicted 0, measured > 0
   EXPECT_EQ(obs::gate_drift(0, 0), 0.0);    // predicted 0, measured 0
   EXPECT_DOUBLE_EQ(obs::gate_drift(100, 125), 0.25);
@@ -738,33 +738,10 @@ TEST(BenchSchema, V2RejectsMalformedHistogramAndCriticalPath) {
   }
 }
 
-/// The shape sim::Calibration::to_json() emits; built by hand here because
-/// obs must not depend on sim.
-Json valid_calibration_section() {
-  Json params = Json::object();
-  params.set("t_iter", Json::number(65e-6))
-      .set("t_refine", Json::number(190e-6))
-      .set("t_lat", Json::number(2.4e-6))
-      .set("t_setup", Json::number(80e-6))
-      .set("bytes_per_element", Json::number(720.0))
-      .set("bytes_per_set", Json::number(96.0))
-      .set("gate_margin", Json::number(1.0));
-  Json cal = Json::object();
-  cal.set("enabled", Json::boolean(true))
-      .set("cycles_observed", Json::integer(3))
-      .set("remap_samples", Json::integer(2))
-      .set("mean_abs_drift", Json::number(0.12))
-      .set("params", std::move(params))
-      .set("rank_weight_scale",
-           Json::array().push(Json::number(1.0)).push(Json::number(1.25)));
-  return cal;
-}
-
-TEST(BenchSchema, V2AcceptsCalibrationSectionAndGateRegressors) {
+TEST(BenchSchema, V2AcceptsGateRegressors) {
   Json doc = valid_v2_report();
   Json run = doc.find("runs")->at(0);
-  run.set("calibration", valid_calibration_section());
-  // Gate records may carry the calibration regressors.
+  // Gate records may carry the C and N the cost model priced.
   obs::GateRecord g;
   g.cycle = 1;
   g.evaluated = true;
@@ -780,29 +757,14 @@ TEST(BenchSchema, V2AcceptsCalibrationSectionAndGateRegressors) {
   EXPECT_EQ(obs::validate_bench_report(doc), "") << doc.dump(2);
 }
 
-TEST(BenchSchema, V2RejectsMalformedCalibration) {
-  {
-    // Params must carry every calibrated constant.
-    Json doc = valid_v2_report();
-    Json run = doc.find("runs")->at(0);
-    Json cal = valid_calibration_section();
-    Json params = *cal.find("params");
-    params.set("gate_margin", Json::str("wide"));
-    cal.set("params", std::move(params));
-    run.set("calibration", std::move(cal));
-    doc.set("runs", Json::array().push(std::move(run)));
-    EXPECT_NE(obs::validate_bench_report(doc), "");
-  }
-  {
-    // Negative regressors in the gate audit are invalid.
-    Json doc = valid_v2_report();
-    Json run = doc.find("runs")->at(0);
-    Json rec = run.find("gate_audit")->at(0);
-    rec.set("moved_sets", Json::integer(-3));
-    run.set("gate_audit", Json::array().push(std::move(rec)));
-    doc.set("runs", Json::array().push(std::move(run)));
-    EXPECT_NE(obs::validate_bench_report(doc), "");
-  }
+TEST(BenchSchema, V2RejectsNegativeGateRegressors) {
+  Json doc = valid_v2_report();
+  Json run = doc.find("runs")->at(0);
+  Json rec = run.find("gate_audit")->at(0);
+  rec.set("moved_sets", Json::integer(-3));
+  run.set("gate_audit", Json::array().push(std::move(rec)));
+  doc.set("runs", Json::array().push(std::move(run)));
+  EXPECT_NE(obs::validate_bench_report(doc), "");
 }
 
 TEST(JsonReport, WritesValidatedFileHonoringDirOverride) {

@@ -18,8 +18,8 @@
 //   - Gauge series must have identical lengths; samples are compared
 //     element-wise under the same rules as scalars.
 //   - Gated sections: metrics, phases, comm_matrix, gate_audit and
-//     critical_path. heap, comm_by_class and calibration are validated but
-//     not compared.
+//     critical_path. heap and comm_by_class are validated but not
+//     compared.
 //
 // Exit-status mapping (exit_status): 0 = no breach, 1 = any breach,
 // 2 = usage / IO / parse / shape error.

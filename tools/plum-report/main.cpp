@@ -10,8 +10,8 @@
 // For each run of a document it prints the metrics and gauge timelines
 // (imbalance / edge cut / remap volumes, histograms), the per-phase table,
 // the counter-sourced critical path, the P x P comm matrix with row/column
-// sums, the gate history with predicted-vs-measured drift, the calibrated
-// cost-model constants, the heap table and the per-tag-class traffic.
+// sums, the gate history with predicted-vs-measured drift, the heap table
+// and the per-tag-class traffic.
 //
 //   plum-report bench-json/BENCH_*.json bench-json/scope_weak.ndjson
 //
@@ -254,42 +254,6 @@ void print_gate_audit(const Json& audit) {
   }
 }
 
-// --- calibration -----------------------------------------------------------
-
-void print_calibration(const Json& cal) {
-  if (!cal.is_object()) return;
-  const Json* en = cal.find("enabled");
-  const bool enabled =
-      en && en->kind() == Json::Kind::kBool && en->as_bool();
-  std::printf("\nCalibration (%s): %lld cycles, %lld remap samples, "
-              "mean |drift| %.1f%%\n",
-              enabled ? "enabled" : "disabled",
-              static_cast<long long>(int_or(cal.find("cycles_observed"), 0)),
-              static_cast<long long>(int_or(cal.find("remap_samples"), 0)),
-              100.0 * num_or(cal.find("mean_abs_drift"), 0));
-  const Json* p = cal.find("params");
-  if (p && p->is_object()) {
-    std::printf("  t_iter %.3g  t_refine %.3g  t_lat %.3g  t_setup %.3g\n",
-                num_or(p->find("t_iter"), 0), num_or(p->find("t_refine"), 0),
-                num_or(p->find("t_lat"), 0), num_or(p->find("t_setup"), 0));
-    std::printf("  bytes/element %.1f  bytes/set %.1f  gate margin %.2f\n",
-                num_or(p->find("bytes_per_element"), 0),
-                num_or(p->find("bytes_per_set"), 0),
-                num_or(p->find("gate_margin"), 0));
-  }
-  const Json* ws = cal.find("rank_weight_scale");
-  if (ws && ws->is_array() && ws->size() > 0) {
-    double lo = num_or(&ws->at(0), 1), hi = lo;
-    for (std::size_t r = 1; r < ws->size(); ++r) {
-      const double s = num_or(&ws->at(r), 1);
-      lo = std::min(lo, s);
-      hi = std::max(hi, s);
-    }
-    std::printf("  Wcomp blend factors: %zu ranks in [%.3f, %.3f]\n",
-                ws->size(), lo, hi);
-  }
-}
-
 // --- plum-mem (heap profile) ------------------------------------------------
 
 /// The run entry's heap section: per-phase allocation totals over every
@@ -529,7 +493,6 @@ int report_bench_doc(const Json& doc) {
     if (const Json* cp = run.find("critical_path")) print_critical_path(*cp);
     if (const Json* cm = run.find("comm_matrix")) print_comm_matrix(*cm);
     if (const Json* ga = run.find("gate_audit")) print_gate_audit(*ga);
-    if (const Json* cal = run.find("calibration")) print_calibration(*cal);
     if (const Json* heap = run.find("heap")) print_heap(*heap);
     if (const Json* bc = run.find("comm_by_class")) print_comm_by_class(*bc);
   }
