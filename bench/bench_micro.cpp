@@ -6,15 +6,23 @@
 //
 // `--threads N` (consumed before google-benchmark's own flags) selects the
 // engine for the BSP benchmarks: 1 = sequential reference Engine, 0 = one
-// worker per core, N > 1 = ParallelEngine with N workers. The modeled
+// thread per core, N > 1 = ParallelEngine with N threads running ranks,
+// the calling thread included. The modeled
 // ledger counters reported by those benchmarks are engine-invariant — only
 // wall-clock changes with N, which is how the speedup is measured:
 //
 //   ./bench_micro --threads 1 --benchmark_filter='Bsp|ParallelSolver'
 //   ./bench_micro --threads 8 --benchmark_filter='Bsp|ParallelSolver'
+//
+// BM_SuperstepHandOff reports the engine's per-superstep overhead
+// (`handoff_us`) at a fixed amount of rank work:
+//
+//   ./bench_micro --threads 4 --benchmark_filter=SuperstepHandOff
 
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
+#include <cmath>
 #include <cstring>
 
 #include "adapt/adaptor.hpp"
@@ -211,6 +219,87 @@ void BM_ParallelSolverSweep(benchmark::State& state) {
 }
 BENCHMARK(BM_ParallelSolverSweep)->Arg(16)->Unit(benchmark::kMillisecond)
     ->UseRealTime();
+
+// Fixed-iteration arithmetic for the hand-off benchmark: a multiply-xorshift
+// chain the compiler cannot shorten, so its time is linear in `iters`.
+std::uint64_t spin_work(std::uint64_t x, std::int64_t iters) {
+  for (std::int64_t i = 0; i < iters; ++i) {
+    x = x * 6364136223846793005ULL + 1442695040888963407ULL;
+    x ^= x >> 29;
+  }
+  return x;
+}
+
+// spin_work iterations per microsecond on this host, measured once (best
+// of three 2^22-iteration runs on the calling thread).
+double spin_iters_per_us() {
+  static const double rate = [] {
+    constexpr std::int64_t kProbe = std::int64_t{1} << 22;
+    double best_s = 1e30;
+    std::uint64_t x = 1;
+    for (int rep = 0; rep < 3; ++rep) {
+      const Timer t;
+      x = spin_work(x, kProbe);
+      best_s = std::min(best_s, t.seconds());
+    }
+    benchmark::DoNotOptimize(x);
+    return static_cast<double>(kProbe) / (best_s * 1e6);
+  }();
+  return rate;
+}
+
+// Superstep hand-off cost: every rank runs spin_work sized to `work_us`
+// microseconds and sends one message to each ring neighbour. The ideal
+// superstep takes ceil(P / threads) * work_us; `handoff_us` is what the
+// engine adds on top (waking threads, waiting for the last rank, the
+// barrier exchange). Manual time covers run() only, not the ledger reset
+// that keeps memory flat. A wall-clock number: reported, never gated.
+void BM_SuperstepHandOff(benchmark::State& state) {
+  const Rank P = static_cast<Rank>(state.range(0));
+  const double work_us = static_cast<double>(state.range(1));
+  const std::int64_t iters = std::llround(work_us * spin_iters_per_us());
+  constexpr int kSupersteps = 20;
+
+  auto eng = rt::make_engine(P, g_threads);
+  const auto* par = dynamic_cast<const rt::ParallelEngine*>(eng.get());
+  const int threads = par != nullptr ? par->num_threads() : 1;
+  std::vector<std::uint64_t> acc(static_cast<std::size_t>(P), 1);
+
+  double run_s = 0;
+  for (auto _ : state) {
+    const Timer t;
+    eng->run([&](Rank r, const rt::Inbox& in, rt::Outbox& out) {
+      std::uint64_t& a = acc[static_cast<std::size_t>(r)];
+      for (const auto& m : in.messages()) {
+        a ^= rt::unpack<std::uint64_t>(m)[0];
+      }
+      a = spin_work(a, iters);
+      if (out.step() + 1 >= kSupersteps) return false;
+      out.send_vec<std::uint64_t>((r + 1) % P, 0, {a});
+      out.send_vec<std::uint64_t>((r + P - 1) % P, 0, {a});
+      return true;
+    });
+    const double s = t.seconds();
+    state.SetIterationTime(s);
+    run_s += s;
+    eng->reset_ledger();
+  }
+  benchmark::DoNotOptimize(acc.data());
+
+  const double us_per_step =
+      run_s * 1e6 / (static_cast<double>(state.iterations()) * kSupersteps);
+  const double ideal_us = static_cast<double>((P + threads - 1) / threads) *
+                          work_us;
+  state.counters["threads"] = threads;
+  state.counters["us_per_superstep"] = us_per_step;
+  state.counters["handoff_us"] = us_per_step - ideal_us;
+}
+BENCHMARK(BM_SuperstepHandOff)
+    ->Args({8, 60})
+    ->Args({16, 20})
+    ->Args({128, 5})
+    ->UseManualTime()
+    ->Unit(benchmark::kMicrosecond);
 
 // The flight recorder is always on in DistFramework, so its per-event cost
 // is a budget item: one ring-slot write per rank per superstep must stay in

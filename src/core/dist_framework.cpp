@@ -122,7 +122,7 @@ DistFramework::DistFramework(mesh::TetMesh initial_global,
   solver_ = std::make_unique<pmesh::ParallelEulerSolver>(dm_.get(), eng_.get());
 }
 
-DistFramework::~DistFramework() { obs::uninstall_postmortem(); }
+DistFramework::~DistFramework() { obs::uninstall_postmortem(&scope_); }
 
 CycleReport DistFramework::cycle() {
   const Rank P = opt_.nranks;

@@ -45,8 +45,9 @@ struct FrameworkOptions {
   // BSP engine executes, never what it computes (results are bit-identical
   // across all settings), so the single-address-space Framework, which runs
   // no engine, ignores them.
-  /// Worker threads: 1 = the sequential reference engine, 0 = one worker
-  /// per hardware core, N > 1 = a ParallelEngine with N workers (see
+  /// Threads that run ranks, the calling thread included: 1 = the
+  /// sequential reference engine, 0 = one per hardware core, N > 1 = a
+  /// ParallelEngine with the caller and N-1 workers (see
   /// runtime/engine.hpp's determinism contract).
   int threads = 1;
   /// Message fabric: kInProc moves messages in-memory; kFramed encodes

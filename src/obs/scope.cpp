@@ -210,7 +210,8 @@ void install_postmortem(PostmortemConfig cfg) {
   plum::detail::set_abort_hook(&pm_hook);
 }
 
-void uninstall_postmortem() {
+void uninstall_postmortem(const FlightRecorder* owner) {
+  if (pm_config().recorder != owner) return;
   pm_config() = PostmortemConfig{};
   plum::detail::set_abort_hook(nullptr);
 }

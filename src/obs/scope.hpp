@@ -176,8 +176,11 @@ struct PostmortemConfig {
 /// first (one postmortem owner per process; DistFramework installs on
 /// construction and uninstalls on destruction).
 void install_postmortem(PostmortemConfig cfg);
-/// Clears the hook if this config still owns it.
-void uninstall_postmortem();
+/// Clears the hook if the config installed with `owner` as its recorder
+/// still owns it. Once a later install has taken the hook over, this is a
+/// no-op, so destroying an older framework leaves a newer one's
+/// postmortem in place.
+void uninstall_postmortem(const FlightRecorder* owner);
 
 /// The "plum-postmortem/1" document the hook writes (exposed so tests can
 /// validate the builder without aborting).

@@ -1,6 +1,7 @@
 #include "runtime/engine.hpp"
 
 #include <algorithm>
+#include <chrono>
 #include <iterator>
 
 #include "util/timer.hpp"
@@ -18,9 +19,9 @@ void check_send_receive_conservation(
     const std::vector<StepCounters>& counters,
     const std::vector<std::vector<Message>>& delivered) {
   const std::size_t nranks = delivered.size();
-  // plum-scale: host-only -- conservation audit over the final ledger, report-time only
+  // plum-scale: host-only -- barrier audit on the coordinating thread, run at every superstep
   std::vector<std::int64_t> claimed_msgs(nranks, 0);
-  // plum-scale: host-only -- conservation audit over the final ledger, report-time only
+  // plum-scale: host-only -- barrier audit on the coordinating thread, run at every superstep
   std::vector<std::int64_t> claimed_bytes(nranks, 0);
   for (const auto& c : counters) {
     for (const auto& cell : c.sends) {
@@ -223,6 +224,41 @@ void Engine::run(const StepFn& fn, int max_steps) {
   PLUM_ASSERT_MSG(false, "BSP program did not terminate within max_steps");
 }
 
+namespace {
+
+/// A spin-loop hint to the core (it lets an SMT sibling run meanwhile).
+inline void cpu_relax() {
+#if defined(__x86_64__) || defined(__i386__)
+  __builtin_ia32_pause();
+#elif defined(__aarch64__)
+  asm volatile("yield");
+#endif
+}
+
+/// Waits until done(a) holds and returns the value that satisfied it:
+/// spins for at most ParallelEngine::kSpinBound, then parks on
+/// atomic::wait. Whoever makes done() true must store to `a` and then
+/// notify it.
+template <typename T, typename Done>
+T spin_then_park(const std::atomic<T>& a, Done done) {
+  T v = a.load(std::memory_order_acquire);
+  if (done(v)) return v;
+  const auto deadline =
+      std::chrono::steady_clock::now() + ParallelEngine::kSpinBound;
+  do {
+    cpu_relax();
+    v = a.load(std::memory_order_acquire);
+    if (done(v)) return v;
+  } while (std::chrono::steady_clock::now() < deadline);
+  for (;;) {
+    a.wait(v, std::memory_order_acquire);
+    v = a.load(std::memory_order_acquire);
+    if (done(v)) return v;
+  }
+}
+
+}  // namespace
+
 ParallelEngine::ParallelEngine(Rank nranks, int num_threads,
                                std::unique_ptr<Transport> transport)
     : Engine(nranks, std::move(transport)) {
@@ -232,64 +268,67 @@ ParallelEngine::ParallelEngine(Rank nranks, int num_threads,
     if (n <= 0) n = 1;
   }
   n = std::min(n, static_cast<int>(nranks));
-  // plum-scale: host-only -- worker threads of the in-process engine, capped by hardware concurrency
-  workers_.reserve(static_cast<std::size_t>(n));
-  for (int i = 0; i < n; ++i) {
+  // plum-scale: host-only -- the in-process engine's N-1 worker threads, N = min(threads, nranks)
+  workers_.reserve(static_cast<std::size_t>(n - 1));
+  for (int i = 1; i < n; ++i) {
     workers_.emplace_back([this] { worker_loop(); });
   }
 }
 
 ParallelEngine::~ParallelEngine() {
-  {
-    std::lock_guard<std::mutex> lk(mu_);
-    stop_ = true;
-  }
-  cv_work_.notify_all();
+  stop_.store(true, std::memory_order_relaxed);
+  epoch_.fetch_add(1, std::memory_order_release);  // publishes stop_
+  epoch_.notify_all();
   for (auto& w : workers_) w.join();
 }
 
 void ParallelEngine::worker_loop() {
-  std::uint64_t seen = 0;
+  std::uint32_t seen = 0;
   for (;;) {
-    {
-      std::unique_lock<std::mutex> lk(mu_);
-      cv_work_.wait(lk, [&] { return stop_ || epoch_ != seen; });
-      if (stop_) return;
-      seen = epoch_;
-    }
-    // Claim ranks off the shared cursor until the superstep is drained. A
-    // late worker of epoch N can claim a rank of epoch N+1 here without
-    // retaking mu_: the acquire half pairs with superstep()'s release
-    // reset, so the new step's fn_/delivering_/... are visible to it.
-    Rank claimed = 0;
-    for (;;) {
-      const Rank r = next_rank_.fetch_add(1, std::memory_order_acq_rel);
-      if (r >= nranks_) break;
-      const auto ur = static_cast<std::size_t>(r);
-      Inbox inbox(std::move((*delivering_)[ur]));
-      Outbox outbox(r, nranks_, step_index_, &(*out_queues_)[ur],
-                    &(*counters_)[ur]);
-      if (rank_seconds_ != nullptr || scope_sink_ != nullptr) {
-        Timer t;
-        (*want_more_)[ur] = (*fn_)(r, inbox, outbox) ? 1 : 0;
-        const double s = t.seconds();
-        if (rank_seconds_ != nullptr) (*rank_seconds_)[ur] = s;
-        // Rank-safe by the sink contract: this worker claimed rank r, so
-        // the sink call may only touch rank-r-owned slots.
-        if (scope_sink_ != nullptr) {
-          scope_sink_->record_rank_step(step_index_, r, (*counters_)[ur],
-                                        static_cast<std::int64_t>(s * 1e9));
-        }
-      } else {
-        (*want_more_)[ur] = (*fn_)(r, inbox, outbox) ? 1 : 0;
+    seen = spin_then_park(epoch_,
+                          [seen](std::uint32_t e) { return e != seen; });
+    if (stop_.load(std::memory_order_relaxed)) return;
+    run_claimed_ranks();
+  }
+}
+
+void ParallelEngine::run_claimed_ranks() noexcept {
+  // Claim ranks off the shared cursor until the superstep is drained. A
+  // late worker of superstep N can claim a rank of superstep N+1 here: the
+  // acquire half pairs with superstep()'s release reset, so the new step's
+  // fn_/delivering_/... are visible to it. Nothing else is read before a
+  // claim succeeds, and every rank is claimed exactly once per superstep.
+  Rank claimed = 0;
+  for (;;) {
+    const Rank r = next_rank_.fetch_add(1, std::memory_order_acq_rel);
+    if (r >= nranks_) break;
+    const auto ur = static_cast<std::size_t>(r);
+    Inbox inbox(std::move((*delivering_)[ur]));
+    Outbox outbox(r, nranks_, step_index_, &(*out_queues_)[ur],
+                  &(*counters_)[ur]);
+    if (rank_seconds_ != nullptr || scope_sink_ != nullptr) {
+      Timer t;
+      (*want_more_)[ur] = (*fn_)(r, inbox, outbox) ? 1 : 0;
+      const double s = t.seconds();
+      if (rank_seconds_ != nullptr) (*rank_seconds_)[ur] = s;
+      // Rank-safe by the sink contract: this thread claimed rank r, so
+      // the sink call may only touch rank-r-owned slots.
+      if (scope_sink_ != nullptr) {
+        scope_sink_->record_rank_step(step_index_, r, (*counters_)[ur],
+                                      static_cast<std::int64_t>(s * 1e9));
       }
-      ++claimed;
+    } else {
+      (*want_more_)[ur] = (*fn_)(r, inbox, outbox) ? 1 : 0;
     }
-    {
-      std::lock_guard<std::mutex> lk(mu_);
-      ranks_done_ += claimed;
-      if (ranks_done_ == nranks_) cv_done_.notify_one();
-    }
+    ++claimed;
+  }
+  if (claimed == 0) return;
+  // The release half hands this thread's rank results to superstep(),
+  // whose acquire load reads the completed count; only the thread that
+  // completes it needs to wake a parked caller.
+  if (ranks_done_.fetch_add(claimed, std::memory_order_acq_rel) + claimed ==
+      nranks_) {
+    ranks_done_.notify_one();
   }
 }
 
@@ -306,24 +345,23 @@ bool ParallelEngine::superstep(const StepFn& fn) {
   if (observer_) rank_seconds.assign(static_cast<std::size_t>(nranks_), 0.0);
   Timer wall;
 
-  {
-    std::lock_guard<std::mutex> lk(mu_);
-    fn_ = &fn;
-    delivering_ = &delivering;
-    out_queues_ = &out_queues;
-    counters_ = &counters;
-    want_more_ = &want_more;
-    rank_seconds_ = observer_ ? &rank_seconds : nullptr;
-    step_index_ = step;
-    ranks_done_ = 0;
-    next_rank_.store(0, std::memory_order_release);  // publishes the above
-    ++epoch_;
-  }
-  cv_work_.notify_all();
-  {
-    std::unique_lock<std::mutex> lk(mu_);
-    cv_done_.wait(lk, [&] { return ranks_done_ == nranks_; });
-  }
+  // Every rank of the previous superstep has reported, so no thread reads
+  // these fields until it claims a rank of this one.
+  fn_ = &fn;
+  delivering_ = &delivering;
+  out_queues_ = &out_queues;
+  counters_ = &counters;
+  want_more_ = &want_more;
+  rank_seconds_ = observer_ ? &rank_seconds : nullptr;
+  step_index_ = step;
+  ranks_done_.store(0, std::memory_order_relaxed);
+  next_rank_.store(0, std::memory_order_release);  // publishes the above
+  epoch_.fetch_add(1, std::memory_order_release);
+  epoch_.notify_all();
+  // The caller is one of the rank threads: it claims ranks like a worker,
+  // then waits only for ranks other threads are still running.
+  run_claimed_ranks();
+  spin_then_park(ranks_done_, [this](Rank done) { return done == nranks_; });
 
   // Superstep barrier: the transport merges the private per-sender queues
   // into the next step's inboxes in sender-rank order. The sequential

@@ -7,8 +7,10 @@
 //
 //   Engine          — the sequential reference. Ranks execute in order
 //                     (rank 0, 1, ..., P-1) on the calling thread.
-//   ParallelEngine  — ranks of one superstep execute concurrently on a
-//                     persistent std::thread pool.
+//   ParallelEngine  — ranks of one superstep execute concurrently on N
+//                     threads: the calling thread and N-1 persistent
+//                     workers, which spin briefly between supersteps and
+//                     then park.
 //
 // Message *delivery* is delegated to a pluggable rt::Transport
 // (runtime/transport.hpp): the engines fill per-sender sparse outbox
@@ -41,10 +43,10 @@
 // is how the paper's Figs. 4-6 are reproduced from real executions.
 
 #include <atomic>
-#include <condition_variable>
+#include <chrono>
+#include <cstdint>
 #include <functional>
 #include <memory>
-#include <mutex>
 #include <thread>
 #include <vector>
 
@@ -165,7 +167,7 @@ class Outbox {
 
 /// Per-rank in-superstep recording hook (the plum-scope flight-recorder
 /// attachment point; see src/obs/scope.hpp). record_rank_step is invoked
-/// by whichever worker *claimed* rank r, immediately after the rank's step
+/// by whichever thread *claimed* rank r, immediately after the rank's step
 /// function returns and before the superstep barrier — unlike
 /// SuperstepObserver there is no merge step, so implementations must be
 /// rank-safe themselves: a call for rank r may touch only rank-r-owned
@@ -307,7 +309,7 @@ class Engine {
 
   /// Attaches (or detaches, with nullptr) a per-rank scope sink. The engine
   /// does not own it; it must outlive the runs it records, and it must only
-  /// be (re)attached between runs — workers read the pointer inside
+  /// be (re)attached between runs — rank threads read the pointer inside
   /// supersteps. Per-rank wall times are measured while a sink is attached,
   /// even without an observer.
   void set_scope_sink(RankScopeSink* sink) { scope_sink_ = sink; }
@@ -323,28 +325,48 @@ class Engine {
   RankScopeSink* scope_sink_ = nullptr;
 };
 
-/// Runs the ranks of each superstep concurrently on a persistent thread
-/// pool while preserving the sequential engine's semantics bit-for-bit
-/// (see the determinism contract above).
+/// Runs the ranks of each superstep concurrently on N threads while
+/// preserving the sequential engine's semantics bit-for-bit (see the
+/// determinism contract above). The calling thread is one of the N: the
+/// constructor starts N-1 workers, and superstep() publishes the step,
+/// claims ranks off the same cursor the workers use, then waits for the
+/// ranks still running. Every wait — a worker's for the next superstep, the
+/// caller's for the last rank — spins for at most kSpinBound and then parks
+/// on std::atomic::wait, so back-to-back supersteps hand off without a
+/// sleep/wake round trip, and an idle engine holds no core. A worker that
+/// wakes late may claim ranks of the next superstep: the cursor's release
+/// reset publishes that step's state, and each rank is claimed once.
 class ParallelEngine final : public Engine {
  public:
-  /// `num_threads` == 0 picks hardware_concurrency; the pool is never
-  /// larger than nranks (extra workers could only idle).
+  /// How long a waiting thread spins before it parks. Measured on
+  /// steady_clock rather than as a pause count, whose latency varies ~10x
+  /// across x86 parts.
+  static constexpr std::chrono::microseconds kSpinBound{50};
+
+  /// `num_threads` counts every thread that runs ranks, the caller
+  /// included; 0 picks hardware_concurrency. It is never larger than
+  /// nranks (extra threads could only idle).
   explicit ParallelEngine(Rank nranks, int num_threads = 0,
                           std::unique_ptr<Transport> transport = nullptr);
   ~ParallelEngine() override;
 
   bool superstep(const StepFn& fn) override;
 
+  /// Threads that run ranks: the workers plus the calling thread.
   [[nodiscard]] int num_threads() const {
-    return static_cast<int>(workers_.size());
+    return static_cast<int>(workers_.size()) + 1;
   }
 
  private:
   void worker_loop();
+  /// Claims ranks off next_rank_ and runs them until the cursor is drained,
+  /// then adds the number claimed to ranks_done_. Workers and the caller
+  /// both run it. A step function that throws ends the program on every
+  /// rank thread alike, so no thread unwinds state others still use.
+  void run_claimed_ranks() noexcept;
 
-  // Per-superstep shared state, set by superstep() under mu_ before the
-  // epoch bump and read by workers after they observe the new epoch.
+  // Per-superstep shared state, set by superstep() before it resets
+  // next_rank_ and read only by a thread that has claimed a rank.
   const StepFn* fn_ = nullptr;
   std::vector<std::vector<Message>>* delivering_ = nullptr;
   // out_queues_[sender]: each sender writes only its own sparse queue, so
@@ -354,27 +376,28 @@ class ParallelEngine final : public Engine {
   std::vector<StepCounters>* counters_ = nullptr;
   std::vector<char>* want_more_ = nullptr;
   // Per-rank wall seconds for the observer; rank-indexed slots written by
-  // whichever worker claims the rank (never contended), read at the barrier.
+  // whichever thread claims the rank (never contended), read at the barrier.
   // nullptr when no observer is attached.
   std::vector<double>* rank_seconds_ = nullptr;
   int step_index_ = 0;
 
   // Work-stealing rank cursor; reset with release, claimed with acq_rel.
   std::atomic<Rank> next_rank_{0};
-  std::mutex mu_;
-  std::condition_variable cv_work_;
-  std::condition_variable cv_done_;
-  std::uint64_t epoch_ = 0;  // guarded by mu_
-  Rank ranks_done_ = 0;      // guarded by mu_
-  bool stop_ = false;        // guarded by mu_
-  std::vector<std::thread> workers_;
+  // Bumped once per superstep (and once more by the destructor); workers
+  // wait for it to move.
+  std::atomic<std::uint32_t> epoch_{0};
+  // Ranks run so far in this superstep; the caller waits for nranks_.
+  std::atomic<Rank> ranks_done_{0};
+  std::atomic<bool> stop_{false};
+  std::vector<std::thread> workers_;  // N-1: the caller is the N-th
 };
 
 /// Engine factory used by options-driven callers: `threads == 1` returns
-/// the sequential reference engine, anything else a ParallelEngine
-/// (0 = one worker per hardware core). `transport` selects the delivery
-/// fabric. `transport_procs` is ignored; it stays only because existing
-/// callers still pass it.
+/// the sequential reference engine, anything else a ParallelEngine with
+/// `threads` threads running ranks, the caller included (0 = one per
+/// hardware core). `transport` selects the delivery fabric.
+/// `transport_procs` is ignored; it stays only because existing callers
+/// still pass it.
 std::unique_ptr<Engine> make_engine(Rank nranks, int threads,
                                     TransportKind transport,
                                     int transport_procs = 0);

@@ -9,6 +9,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <memory>
 #include <set>
 #include <sstream>
 #include <vector>
@@ -361,6 +362,21 @@ TEST(DistFramework, ScopeStreamWritesOneValidatedRecordPerCycle) {
   EXPECT_EQ(ffw.scope().deterministic_json().dump(), scope_det);
 }
 
+/// Drops one holder from the first 3-holder vertex SPL and validates: only
+/// DistMesh::validate's holder-set check can catch it, so this aborts with
+/// "vertex SPL holder sets differ".
+void break_vertex_spl(pmesh::DistMesh& dm) {
+  for (Rank r = 0; r < dm.nranks(); ++r) {
+    for (auto& [lid, spl] : dm.local(r).shared_verts) {
+      if (spl.size() == 2) {
+        spl.pop_back();
+        dm.validate();
+        return;
+      }
+    }
+  }
+}
+
 // A failed PLUM_ASSERT mid-run must leave a validating plum-postmortem/1
 // document behind: the assertion's message and >= 1 ring event for every
 // rank. The failure is a real invariant check: one holder dropped from a
@@ -383,18 +399,7 @@ TEST(DistFrameworkDeathTest, FailedAssertWritesValidatingPostmortem) {
         opt.scope_name = "death_unit";
         auto fw = make_dist(opt, 4);
         fw.cycle();  // populate the rings before the failure
-        pmesh::DistMesh& dm = fw.dist_mesh();
-        bool dropped = false;
-        for (Rank r = 0; r < opt.nranks && !dropped; ++r) {
-          for (auto& [lid, spl] : dm.local(r).shared_verts) {
-            if (spl.size() == 2) {
-              spl.pop_back();
-              dropped = true;
-              break;
-            }
-          }
-        }
-        if (dropped) dm.validate();
+        break_vertex_spl(fw.dist_mesh());
       },
       "vertex SPL holder sets differ");
   ASSERT_EQ(unsetenv("PLUM_BENCH_JSON_DIR"), 0);
@@ -419,6 +424,46 @@ TEST(DistFrameworkDeathTest, FailedAssertWritesValidatingPostmortem) {
   for (std::size_t r = 0; r < ranks->size(); ++r) {
     EXPECT_GE(ranks->at(r).find("events")->size(), 1u) << "rank " << r;
   }
+  std::remove(pm_path.c_str());
+}
+
+// Destroying one framework must not silence another's postmortem: the
+// abort hook belongs to the newest framework, so the older one's destructor
+// leaves it alone. pm_a runs 2 ranks and pm_b 4, so the dumped ring shows
+// whose recorder the hook flushed.
+TEST(DistFrameworkDeathTest, DestroyingAnotherFrameworkKeepsThePostmortem) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  const std::string dir = ::testing::TempDir();
+  const std::string pm_path = dir + "POSTMORTEM_pm_b.json";
+  std::remove(pm_path.c_str());
+  ASSERT_EQ(setenv("PLUM_BENCH_JSON_DIR", dir.c_str(), 1), 0);
+
+  EXPECT_DEATH(
+      {
+        FrameworkOptions opt;
+        opt.nranks = 2;
+        opt.scope_name = "pm_a";
+        auto pm_a = std::make_unique<DistFramework>(
+            mesh::make_box_mesh(mesh::small_box(4)), opt);
+        opt.nranks = 4;
+        opt.scope_name = "pm_b";
+        auto pm_b = make_dist(opt, 4);
+        pm_a.reset();
+        break_vertex_spl(pm_b.dist_mesh());
+      },
+      "vertex SPL holder sets differ");
+  ASSERT_EQ(unsetenv("PLUM_BENCH_JSON_DIR"), 0);
+
+  std::ifstream in(pm_path);
+  ASSERT_TRUE(in.good()) << "death run left no " << pm_path;
+  std::ostringstream buf;
+  buf << in.rdbuf();
+  obs::Json doc;
+  std::string err;
+  ASSERT_TRUE(obs::Json::parse(buf.str(), &doc, &err)) << err;
+  ASSERT_EQ(obs::validate_postmortem(doc), "");
+  EXPECT_EQ(doc.find("name")->as_string(), "pm_b");
+  EXPECT_EQ(doc.find("scope")->find("ranks")->size(), 4u);
   std::remove(pm_path.c_str());
 }
 

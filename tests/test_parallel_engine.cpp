@@ -10,6 +10,7 @@
 #include <cstring>
 #include <numeric>
 #include <string>
+#include <thread>
 #include <tuple>
 #include <utility>
 #include <vector>
@@ -462,8 +463,8 @@ TEST(CrossEngine, DistFrameworkCyclesIdentical) {
 }
 
 TEST(ParallelEngine, PoolSizeEdgeCases) {
-  // One worker, and more workers than ranks: both reduce to the same
-  // deterministic schedule.
+  // One thread (the caller alone, no worker), and more threads than
+  // ranks: both reduce to the same deterministic schedule.
   const Rank p = 3;
   Engine seq(p);
   const auto want = run_storm(seq, 4);
@@ -474,11 +475,78 @@ TEST(ParallelEngine, PoolSizeEdgeCases) {
 
   ParallelEngine many(p, 64);
   EXPECT_EQ(run_storm(many, 4), want);
-  EXPECT_LE(many.num_threads(), 3);  // clamped to nranks
+  EXPECT_LE(many.num_threads(), 3);  // clamped to nranks, caller included
 
   ParallelEngine defaulted(p);  // hardware_concurrency, clamped
   EXPECT_GE(defaulted.num_threads(), 1);
   EXPECT_EQ(run_storm(defaulted, 4), want);
+}
+
+TEST(ParallelEngine, CallerThreadRunsRanks) {
+  // At P=1 the engine starts no worker, so rank 0 can only run on the
+  // thread that calls run().
+  ParallelEngine solo(1, 4);
+  EXPECT_EQ(solo.num_threads(), 1);
+  std::vector<std::thread::id> ran_on(1);
+  solo.run([&](Rank r, const Inbox&, Outbox&) {
+    ran_on[static_cast<std::size_t>(r)] = std::this_thread::get_id();
+    return false;
+  });
+  EXPECT_EQ(ran_on[0], std::this_thread::get_id());
+
+  // `threads` counts every thread that runs ranks, the caller included.
+  EXPECT_EQ(ParallelEngine(16, 4).num_threads(), 4);
+  EXPECT_EQ(ParallelEngine(3, 64).num_threads(), 3);
+}
+
+/// A ring program with uneven work: at step s rank r mixes (7r + s) mod 5
+/// units into its own accumulator, then passes it to rank r+1, which folds
+/// it in next step. Returns every rank's final accumulator.
+std::vector<std::uint64_t> run_uneven_ring(Engine& eng) {
+  constexpr int kSteps = 6;
+  constexpr int kRoundsPerUnit = 512;
+  const Rank p = eng.nranks();
+  std::vector<std::uint64_t> acc(static_cast<std::size_t>(p));
+  for (Rank r = 0; r < p; ++r) {
+    acc[static_cast<std::size_t>(r)] = static_cast<std::uint64_t>(r) + 1;
+  }
+  eng.run([&](Rank r, const Inbox& in, Outbox& out) {
+    std::uint64_t& a = acc[static_cast<std::size_t>(r)];
+    for (const auto& m : in.messages()) a ^= rt::unpack<std::uint64_t>(m)[0];
+    const int units = (7 * r + out.step()) % 5;
+    for (int i = 0; i < units * kRoundsPerUnit; ++i) {
+      a = a * 6364136223846793005ULL + 1442695040888963407ULL;
+      a ^= a >> 29;
+    }
+    out.charge(units);
+    if (out.step() + 1 >= kSteps) return false;
+    out.send_vec<std::uint64_t>((r + 1) % p, 0, {a});
+    return true;
+  });
+  return acc;
+}
+
+TEST(ParallelEngine, ParkedAndSpinningWorkersMatchSequential) {
+  // Back-to-back runs catch the workers while they spin; a pause well past
+  // the spin bound lets them park, so the next superstep must wake them.
+  // Threads 8 oversubscribes any host with fewer cores. Every ledger and
+  // every rank's result must equal the sequential engine's.
+  const auto park_pause = 20 * ParallelEngine::kSpinBound;
+  for (Rank p : {2, 3, 5, 8, 17}) {
+    Engine seq(p);
+    const auto want = run_uneven_ring(seq);
+    for (int threads : {2, 3, 4, 8}) {
+      ParallelEngine par(p, threads);
+      for (int run = 0; run < 6; ++run) {
+        if (run >= 3) std::this_thread::sleep_for(park_pause);
+        par.reset_ledger();
+        EXPECT_EQ(run_uneven_ring(par), want)
+            << "P=" << p << " threads=" << threads << " run " << run;
+        EXPECT_EQ(par.ledger(), seq.ledger())
+            << "P=" << p << " threads=" << threads << " run " << run;
+      }
+    }
+  }
 }
 
 TEST(ParallelEngine, ReusableAcrossManyRuns) {
