@@ -42,8 +42,7 @@ int main() {
 
   // --- phase 2: restart and continue -----------------------------------------
   {
-    auto snap = io::read_snapshot_file(path);
-    snap.mesh.validate();
+    auto snap = io::read_snapshot_file(path);  // validated on read
     std::printf("phase 2: restarted with %d elements, %zu solution dofs\n",
                 snap.mesh.num_active_elements(), snap.solution.size());
 

@@ -52,8 +52,6 @@ class MeshAdaptor {
       const std::function<void(const std::vector<Index>&)>& on_compaction =
           {});
 
-  [[nodiscard]] const MarkingResult& last_marking() const { return marks_; }
-  [[nodiscard]] bool has_pending_marks() const { return has_marks_; }
   [[nodiscard]] mesh::TetMesh& mesh() { return *mesh_; }
 
   /// Wall-clock accounting per phase.

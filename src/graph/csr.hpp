@@ -55,15 +55,8 @@ class Csr {
 
   [[nodiscard]] Weight wcomp(Index v) const { return wcomp_[v]; }
   [[nodiscard]] Weight wremap(Index v) const { return wremap_[v]; }
-  void set_wcomp(Index v, Weight w) { wcomp_[v] = w; }
-  void set_wremap(Index v, Weight w) { wremap_[v] = w; }
 
   void set_weights(std::vector<Weight> wcomp, std::vector<Weight> wremap);
-
-  [[nodiscard]] const std::vector<Weight>& wcomp_all() const { return wcomp_; }
-  [[nodiscard]] const std::vector<Weight>& wremap_all() const {
-    return wremap_;
-  }
 
   [[nodiscard]] Weight total_wcomp() const;
   [[nodiscard]] Weight total_wremap() const;
@@ -71,11 +64,6 @@ class Csr {
   /// Checks structural invariants (symmetry, sorted-free duplicates, no self
   /// loops, weight array sizes). Aborts on violation. O(V + E log E).
   void validate() const;
-
-  /// Raw arrays, exposed for the partitioner's tight loops.
-  [[nodiscard]] const std::vector<std::int64_t>& xadj() const { return xadj_; }
-  [[nodiscard]] const std::vector<Index>& adjncy() const { return adjncy_; }
-  [[nodiscard]] const std::vector<Weight>& adjwgt() const { return adjwgt_; }
 
  private:
   // xadj_ has V+1 entries; adjncy_/adjwgt_ have 2E entries.

@@ -1,5 +1,6 @@
 #include "io/snapshot.hpp"
 
+#include <algorithm>
 #include <fstream>
 
 #include "util/assert.hpp"
@@ -9,6 +10,33 @@ namespace plum::io {
 namespace {
 constexpr const char* kMagic = "plum-snap";
 constexpr int kVersion = 1;
+
+/// `id` names one of the `n` records of its table.
+bool in_table(Index id, Index n) { return id >= 0 && id < n; }
+
+/// As in_table, or kInvalidIndex where the writer emits "none".
+bool in_table_or_none(Index id, Index n) {
+  return id == kInvalidIndex || in_table(id, n);
+}
+
+template <std::size_t N>
+bool all_in_table(const std::array<Index, N>& ids, Index n) {
+  return std::all_of(ids.begin(), ids.end(),
+                     [n](Index id) { return in_table(id, n); });
+}
+
+/// The first `count` child slots name records of the table; the rest are
+/// kInvalidIndex.
+template <std::size_t N>
+bool children_in_table(const std::array<Index, N>& child, int count, Index n) {
+  if (count < 0 || count > static_cast<int>(N)) return false;
+  for (int k = 0; k < static_cast<int>(N); ++k) {
+    const Index c = child[static_cast<std::size_t>(k)];
+    if (k < count ? !in_table(c, n) : c != kInvalidIndex) return false;
+  }
+  return true;
+}
+
 }  // namespace
 
 void write_snapshot(std::ostream& os, const mesh::TetMesh& mesh,
@@ -64,7 +92,10 @@ Snapshot read_snapshot(std::istream& is) {
   Index nv = 0, ne = 0, nt = 0, nf = 0, init_t = 0, init_e = 0;
   int has_solution = 0;
   is >> nv >> ne >> nt >> nf >> init_t >> init_e >> has_solution;
-  PLUM_ASSERT(nv >= 0 && ne >= 0 && nt >= 0 && nf >= 0);
+  PLUM_ASSERT_MSG(!is.fail() && nv >= 0 && ne >= 0 && nt >= 0 && nf >= 0 &&
+                      init_t >= 0 && init_t <= nt && init_e >= 0 &&
+                      init_e <= ne && (has_solution == 0 || has_solution == 1),
+                  "bad plum-snap header counts");
 
   std::vector<mesh::Vertex> verts(static_cast<std::size_t>(nv));
   for (auto& vx : verts) {
@@ -106,10 +137,37 @@ Snapshot read_snapshot(std::istream& is) {
       for (double& x : s) is >> x;
     }
   }
-  PLUM_ASSERT_MSG(is.good() || is.eof(), "truncated plum-snap stream");
+  // End-of-file alone is fine; a read that came up short is not.
+  PLUM_ASSERT_MSG(!is.fail(), "truncated plum-snap stream");
+
+  // assemble() and validate() index by these ids unchecked.
+  for (const auto& ed : edges) {
+    PLUM_ASSERT_MSG(in_table(ed.v0, nv) && in_table(ed.v1, nv) &&
+                        in_table_or_none(ed.parent, ne) &&
+                        children_in_table(ed.child, ed.is_leaf() ? 0 : 2, ne) &&
+                        in_table_or_none(ed.mid, nv),
+                    "plum-snap edge id out of range");
+  }
+  for (const auto& el : elems) {
+    PLUM_ASSERT_MSG(
+        all_in_table(el.verts, nv) && all_in_table(el.edges, ne) &&
+            in_table_or_none(el.parent, nt) &&
+            in_table_or_none(el.first_child, nt) && el.num_children >= 0 &&
+            (el.is_leaf() || (el.first_child != kInvalidIndex &&
+                              el.first_child + el.num_children <= nt)) &&
+            in_table(el.root, init_t),
+        "plum-snap element id out of range");
+  }
+  for (const auto& bf : bfaces) {
+    PLUM_ASSERT_MSG(all_in_table(bf.verts, nv) && all_in_table(bf.edges, ne) &&
+                        in_table_or_none(bf.parent, nf) &&
+                        children_in_table(bf.child, bf.num_children, nf),
+                    "plum-snap boundary-face id out of range");
+  }
   snap.mesh = mesh::TetMesh::assemble(std::move(verts), std::move(edges),
                                       std::move(elems), std::move(bfaces),
                                       init_t, init_e);
+  snap.mesh.validate();
   return snap;
 }
 
@@ -118,6 +176,9 @@ void write_snapshot_file(const std::string& path, const mesh::TetMesh& mesh,
   std::ofstream os(path);
   PLUM_ASSERT_MSG(os.good(), "cannot open snapshot file for writing");
   write_snapshot(os, mesh, solution);
+  // A failed write surfaces only once the buffer reaches the file.
+  os.flush();
+  PLUM_ASSERT_MSG(os.good(), "failed writing snapshot file");
 }
 
 Snapshot read_snapshot_file(const std::string& path) {

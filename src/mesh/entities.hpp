@@ -45,12 +45,6 @@ inline constexpr int local_edge_between(int a, int b) {
   return -1;
 }
 
-/// The edge opposite to edge k (sharing no vertex with it).
-inline constexpr int opposite_edge(int k) {
-  constexpr std::array<int, kTetEdges> kOpp = {5, 4, 3, 2, 1, 0};
-  return kOpp[k];
-}
-
 // ---------------------------------------------------------------------------
 // Entity records
 // ---------------------------------------------------------------------------

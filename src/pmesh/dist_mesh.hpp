@@ -64,13 +64,6 @@ struct LocalMesh {
   SplMap shared_verts;
   // plum-scale: dist(P) -- keyed by global id but holds only this rank's shared-boundary entries, O(cut) not O(N)
   SplMap shared_edges;
-
-  [[nodiscard]] bool vert_is_shared(Index v) const {
-    return shared_verts.count(v) > 0;
-  }
-  [[nodiscard]] bool edge_is_shared(Index e) const {
-    return shared_edges.count(e) > 0;
-  }
 };
 
 /// One superstep's SPL send staging: a bucket per destination rank, made

@@ -25,20 +25,6 @@ SimilarityMatrix SimilarityMatrix::build(std::span<const Rank> current_proc,
   return S;
 }
 
-std::vector<Weight> SimilarityMatrix::build_row(
-    Rank proc, std::span<const Rank> current_proc,
-    std::span<const Rank> new_part, std::span<const Weight> wremap,
-    Rank nparts) {
-  // plum-scale: host-only -- dense row form kept for host-side tests; ranks ship build_row_sparse
-  std::vector<Weight> row(static_cast<std::size_t>(nparts), 0);
-  for (std::size_t v = 0; v < current_proc.size(); ++v) {
-    if (current_proc[v] == proc) {
-      row[static_cast<std::size_t>(new_part[v])] += wremap[v];
-    }
-  }
-  return row;
-}
-
 std::vector<SimilarityCell> SimilarityMatrix::build_row_sparse(
     Rank proc, std::span<const Rank> current_proc,
     std::span<const Rank> new_part, std::span<const Weight> wremap) {
@@ -62,21 +48,6 @@ std::vector<SimilarityCell> SimilarityMatrix::build_row_sparse(
   }
   row.resize(w);
   return row;
-}
-
-SimilarityMatrix SimilarityMatrix::from_rows(
-    const std::vector<std::vector<Weight>>& rows) {
-  PLUM_ASSERT(!rows.empty());
-  const auto nprocs = static_cast<Rank>(rows.size());
-  const auto nparts = static_cast<Rank>(rows.front().size());
-  SimilarityMatrix S(nprocs, nparts);
-  for (Rank i = 0; i < nprocs; ++i) {
-    PLUM_ASSERT(static_cast<Rank>(rows[i].size()) == nparts);
-    for (Rank j = 0; j < nparts; ++j) {
-      S.at(i, j) = rows[static_cast<std::size_t>(i)][static_cast<std::size_t>(j)];
-    }
-  }
-  return S;
 }
 
 SimilarityMatrix SimilarityMatrix::from_sparse_rows(

@@ -39,22 +39,12 @@ class SimilarityMatrix {
                                 std::span<const Weight> wremap, Rank nprocs,
                                 Rank nparts);
 
-  /// One row as the owning processor would compute it locally.
-  static std::vector<Weight> build_row(Rank proc,
-                                       std::span<const Rank> current_proc,
-                                       std::span<const Rank> new_part,
-                                       std::span<const Weight> wremap,
-                                       Rank nparts);
-
   /// One row in sparse form: only the partitions this processor actually
   /// sends weight to, sorted by partition id. This is what a rank ships
   /// to the host gather.
   static std::vector<SimilarityCell> build_row_sparse(
       Rank proc, std::span<const Rank> current_proc,
       std::span<const Rank> new_part, std::span<const Weight> wremap);
-
-  /// Assembles the full matrix from gathered rows.
-  static SimilarityMatrix from_rows(const std::vector<std::vector<Weight>>& rows);
 
   /// Assembles from gathered sparse rows (rows[i] is processor i's row).
   /// The dense fold happens here, host-side, after the gather.

@@ -23,8 +23,6 @@ struct Message {
   Rank from = kNoRank;
   int tag = 0;
   std::vector<std::byte> bytes;
-
-  [[nodiscard]] std::size_t size_bytes() const { return bytes.size(); }
 };
 
 /// Serializes a span of trivially-copyable records into a message payload.

@@ -86,9 +86,4 @@ double CostModel::partition_seconds(Index n_vertices, int levels,
   return local + sync;
 }
 
-double CostModel::solver_seconds(Weight wmax) const {
-  return p_.t_iter * p_.solver_iters_per_adaption *
-         static_cast<double>(wmax);
-}
-
 }  // namespace plum::sim

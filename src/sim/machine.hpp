@@ -107,9 +107,6 @@ class CostModel {
   [[nodiscard]] double partition_seconds(Index n_vertices, int levels,
                                          Rank nranks) const;
 
-  /// One solver phase (Nadapt iterations) on the bottleneck processor.
-  [[nodiscard]] double solver_seconds(Weight wmax) const;
-
  private:
   MachineParams p_;
 };

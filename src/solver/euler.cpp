@@ -68,51 +68,9 @@ State flux_dot_n(const State& s, const Vec3& n, double p) {
 
 }  // namespace
 
-std::vector<std::array<Vec3, kNumVars>> EulerSolver::nodal_gradients(
-    const std::vector<State>& u) const {
-  std::vector<std::array<Vec3, kNumVars>> grad(u.size());
-  for (std::size_t k = 0; k < metrics_.edges.size(); ++k) {
-    const Index e = metrics_.edges[k];
-    const Index a = mesh_->edge(e).v0;
-    const Index b = mesh_->edge(e).v1;
-    const Vec3 n = metrics_.edge_area[k];  // oriented a -> b
-    for (int c = 0; c < kNumVars; ++c) {
-      // Green-Gauss with the closure identity folded in:
-      // grad_a += (u_b - u_a)/2 * n_out(a), and symmetrically for b.
-      const double half_jump = 0.5 * (u[static_cast<std::size_t>(b)][c] -
-                                      u[static_cast<std::size_t>(a)][c]);
-      grad[static_cast<std::size_t>(a)][static_cast<std::size_t>(c)] +=
-          n * half_jump;
-      grad[static_cast<std::size_t>(b)][static_cast<std::size_t>(c)] +=
-          n * half_jump;  // -(-n) * half_jump: outward from b is -n
-    }
-  }
-  for (std::size_t v = 0; v < grad.size(); ++v) {
-    const double vol = metrics_.cell_volume[v];
-    if (vol <= 0) continue;
-    for (int c = 0; c < kNumVars; ++c) {
-      grad[v][static_cast<std::size_t>(c)] *= 1.0 / vol;
-    }
-  }
-  return grad;
-}
-
-namespace {
-
-/// minmod: 0 on sign disagreement, else the smaller-magnitude slope.
-double minmod(double a, double b) {
-  if (a * b <= 0) return 0;
-  return std::abs(a) < std::abs(b) ? a : b;
-}
-
-}  // namespace
-
 void EulerSolver::compute_residual(const std::vector<State>& u,
                                    std::vector<State>& res) const {
   res.assign(u.size(), State{});
-
-  std::vector<std::array<Vec3, kNumVars>> grad;
-  if (opt_.second_order) grad = nodal_gradients(u);
 
   // Interior fluxes: one pass over active edges (Rusanov).
   for (std::size_t k = 0; k < metrics_.edges.size(); ++k) {
@@ -123,30 +81,8 @@ void EulerSolver::compute_residual(const std::vector<State>& u,
     const double area = norm(n);
     if (area <= 0) continue;
 
-    State ua = u[static_cast<std::size_t>(a)];
-    State ub = u[static_cast<std::size_t>(b)];
-    if (opt_.second_order) {
-      // Limited MUSCL extrapolation to the interface (edge midpoint).
-      const Vec3 dab =
-          mesh_->vertex(b).pos - mesh_->vertex(a).pos;
-      for (int c = 0; c < kNumVars; ++c) {
-        const double edge_jump = ub[c] - ua[c];
-        const double sa =
-            dot(grad[static_cast<std::size_t>(a)][static_cast<std::size_t>(c)],
-                dab);
-        const double sb =
-            dot(grad[static_cast<std::size_t>(b)][static_cast<std::size_t>(c)],
-                dab);
-        ua[c] += 0.5 * minmod(sa, edge_jump);
-        ub[c] -= 0.5 * minmod(sb, edge_jump);
-      }
-      // Guard positivity: fall back to first order on a bad extrapolation.
-      if (ua[0] <= 0 || ub[0] <= 0 || pressure(ua) <= 0 ||
-          pressure(ub) <= 0) {
-        ua = u[static_cast<std::size_t>(a)];
-        ub = u[static_cast<std::size_t>(b)];
-      }
-    }
+    const State& ua = u[static_cast<std::size_t>(a)];
+    const State& ub = u[static_cast<std::size_t>(b)];
     const State fa = flux_dot_n(ua, n, pressure(ua));
     const State fb = flux_dot_n(ub, n, pressure(ub));
     const double lam =

@@ -25,10 +25,6 @@ using State = std::array<double, kNumVars>;
 struct EulerOptions {
   double gamma = 1.4;
   double cfl = 0.4;
-  /// Piecewise-linear reconstruction (paper §2): Green-Gauss nodal
-  /// gradients + minmod-limited MUSCL extrapolation at the dual interfaces.
-  /// false = first-order (the parallel solver always runs first-order).
-  bool second_order = false;
 };
 
 struct StepStats {
@@ -75,11 +71,6 @@ class EulerSolver {
 
   /// Pressure from a conserved state (unit test hook).
   [[nodiscard]] double pressure(const State& s) const;
-
-  /// Green-Gauss nodal gradients of all conserved variables over the dual
-  /// cells (public for tests; recomputed per residual when second_order).
-  [[nodiscard]] std::vector<std::array<mesh::Vec3, kNumVars>>
-  nodal_gradients(const std::vector<State>& u) const;
 
  private:
   void compute_residual(const std::vector<State>& u,

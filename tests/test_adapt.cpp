@@ -9,7 +9,6 @@
 #include <limits>
 
 #include "adapt/adaptor.hpp"
-#include "adapt/geometry_marking.hpp"
 #include "mesh/box_mesh.hpp"
 #include "mesh/quality.hpp"
 
@@ -450,55 +449,26 @@ TEST(Coarsen, RepeatedCyclesLeaveNoHangingEdges) {
   }
 }
 
-// --- geometric marking ---------------------------------------------------------
-
-TEST(GeometryMarking, SphereMarksOnlyInside) {
-  const auto m = make_box_mesh(mesh::small_box(4));
-  const mesh::Vec3 c{0.5, 0.5, 0.5};
-  const auto marks = mark_sphere(m, c, 0.25);
-  Index n = 0;
-  for (Index e = 0; e < m.num_edges(); ++e) {
-    if (!marks[e]) continue;
-    ++n;
-    const auto mid = mesh::midpoint(m.vertex(m.edge(e).v0).pos,
-                                    m.vertex(m.edge(e).v1).pos);
-    EXPECT_LT(norm(mid - c), 0.25);
-  }
-  EXPECT_GT(n, 0);
-  EXPECT_LT(n, m.num_edges());
-}
-
-TEST(GeometryMarking, BoxAndSlab) {
-  const auto m = make_box_mesh(mesh::small_box(4));
-  const auto box = mark_box(m, {0, 0, 0}, {0.5, 1, 1});
-  const auto slab = mark_slab(m, {0.5, 0.5, 0.5}, {1, 0, 0}, 0.1);
-  Index nb = 0, ns = 0;
-  for (Index e = 0; e < m.num_edges(); ++e) {
-    nb += box[e];
-    ns += slab[e];
-  }
-  EXPECT_GT(nb, 0);
-  EXPECT_GT(ns, 0);
-  EXPECT_LT(ns, nb);  // a thin slab marks less than half the box
-}
+// --- refinement inside a sphere ------------------------------------------------
 
 TEST(GeometryMarking, RefineSphereGivesConformingLocalizedMesh) {
   auto m = make_box_mesh(mesh::small_box(3));
+  // Mark the active edges whose midpoint lies inside the sphere.
+  const mesh::Vec3 c{0.5, 0.5, 0.5};
+  std::vector<char> marks(static_cast<std::size_t>(m.num_edges()), 0);
+  for (Index e = 0; e < m.num_edges(); ++e) {
+    if (m.edge_elements(e).empty()) continue;
+    const mesh::Vec3 d = mesh::midpoint(m.vertex(m.edge(e).v0).pos,
+                                        m.vertex(m.edge(e).v1).pos) -
+                         c;
+    marks[static_cast<std::size_t>(e)] = dot(d, d) < 0.3 * 0.3;
+  }
   MeshAdaptor ad(&m);
-  ad.mark(mark_sphere(m, {0.5, 0.5, 0.5}, 0.3));
+  ad.mark(marks);
   ad.refine();
   m.validate();
   EXPECT_GT(m.num_active_elements(), 6 * 27);
   EXPECT_NEAR(m.total_volume(), 1.0, 1e-9);
-}
-
-TEST(GeometryMarking, LongerThanMatchesLengths) {
-  const auto m = make_box_mesh(mesh::small_box(2));
-  const auto marks = mark_longer_than(m, 0.6);
-  for (Index e = 0; e < m.num_edges(); ++e) {
-    if (m.edge_elements(e).empty()) continue;
-    EXPECT_EQ(static_cast<bool>(marks[e]), m.edge_length(e) > 0.6);
-  }
 }
 
 TEST(Coarsen, CompactionMapTracksVertices) {

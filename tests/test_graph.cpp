@@ -1,12 +1,9 @@
-// Unit tests for src/graph: CSR construction, coloring, connectivity, dual.
+// Unit tests for src/graph: CSR construction and the dual graph.
 
 #include <gtest/gtest.h>
 
 #include <array>
-#include <set>
 
-#include "graph/coloring.hpp"
-#include "graph/connect.hpp"
 #include "graph/csr.hpp"
 #include "graph/dual.hpp"
 
@@ -16,14 +13,6 @@ namespace {
 Csr path_graph(Index n) {
   std::vector<std::pair<Index, Index>> edges;
   for (Index i = 0; i + 1 < n; ++i) edges.emplace_back(i, i + 1);
-  return Csr::from_edges(n, edges);
-}
-
-Csr complete_graph(Index n) {
-  std::vector<std::pair<Index, Index>> edges;
-  for (Index i = 0; i < n; ++i) {
-    for (Index j = i + 1; j < n; ++j) edges.emplace_back(i, j);
-  }
   return Csr::from_edges(n, edges);
 }
 
@@ -71,72 +60,6 @@ TEST(Csr, EmptyGraph) {
   const auto g = Csr::from_edges(0, {});
   EXPECT_EQ(g.num_vertices(), 0);
   EXPECT_EQ(g.num_edges(), 0);
-}
-
-TEST(Coloring, GreedyIsValidOnPath) {
-  const auto g = path_graph(10);
-  const auto c = greedy_coloring(g);
-  EXPECT_TRUE(is_valid_coloring(g, c.color));
-  EXPECT_LE(c.num_colors, 2);
-}
-
-TEST(Coloring, GreedyOnCompleteGraphNeedsNColors) {
-  const auto g = complete_graph(5);
-  const auto c = greedy_coloring(g);
-  EXPECT_TRUE(is_valid_coloring(g, c.color));
-  EXPECT_EQ(c.num_colors, 5);
-}
-
-TEST(Coloring, LubyIsValid) {
-  const auto g = complete_graph(6);
-  const auto c = luby_coloring(g, 42);
-  EXPECT_TRUE(is_valid_coloring(g, c.color));
-  EXPECT_EQ(c.num_colors, 6);
-}
-
-TEST(Coloring, LubyDeterministicForSeed) {
-  const auto g = path_graph(50);
-  const auto a = luby_coloring(g, 7);
-  const auto b = luby_coloring(g, 7);
-  EXPECT_EQ(a.color, b.color);
-}
-
-TEST(Connect, SingleComponent) {
-  const auto g = path_graph(5);
-  const auto c = connected_components(g);
-  EXPECT_EQ(c.num_components, 1);
-}
-
-TEST(Connect, TwoComponents) {
-  std::vector<std::pair<Index, Index>> edges = {{0, 1}, {2, 3}};
-  const auto g = Csr::from_edges(4, edges);
-  const auto c = connected_components(g);
-  EXPECT_EQ(c.num_components, 2);
-  EXPECT_EQ(c.comp[0], c.comp[1]);
-  EXPECT_NE(c.comp[0], c.comp[2]);
-}
-
-TEST(Connect, BfsDistancesOnPath) {
-  const auto g = path_graph(5);
-  std::vector<Index> dist;
-  const auto order = bfs_order(g, 0, &dist);
-  EXPECT_EQ(order.size(), 5u);
-  EXPECT_EQ(dist[4], 4);
-}
-
-TEST(Connect, BfsRespectsMask) {
-  const auto g = path_graph(5);
-  std::vector<char> mask = {1, 1, 0, 1, 1};  // vertex 2 blocked
-  std::vector<Index> dist;
-  const auto order = bfs_order(g, 0, &dist, mask);
-  EXPECT_EQ(order.size(), 2u);  // only 0,1 reachable
-  EXPECT_EQ(dist[3], kInvalidIndex);
-}
-
-TEST(Connect, PseudoPeripheralOnPathIsEndpoint) {
-  const auto g = path_graph(9);
-  const Index v = pseudo_peripheral(g, 4);
-  EXPECT_TRUE(v == 0 || v == 8);
 }
 
 TEST(Dual, TwoTetsSharingFace) {

@@ -1,12 +1,12 @@
-// Tests for mesh I/O round-tripping, VTK export structure, and the table /
-// similarity printers.
+// Tests for snapshot round-tripping and rejection of bad snapshots, VTK
+// export structure, and the table / similarity printers.
 
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <string>
 
 #include "adapt/adaptor.hpp"
-#include "io/mesh_io.hpp"
 #include "io/snapshot.hpp"
 #include "io/table.hpp"
 #include "io/vtk.hpp"
@@ -15,26 +15,6 @@
 
 namespace plum::io {
 namespace {
-
-TEST(MeshIo, RoundTripPreservesTopologyAndGeometry) {
-  const auto m = mesh::make_box_mesh(mesh::small_box(2));
-  std::stringstream ss;
-  write_mesh(ss, m);
-  const auto back = read_mesh(ss);
-  EXPECT_EQ(back.num_vertices(), m.num_vertices());
-  EXPECT_EQ(back.num_initial_elements(), m.num_initial_elements());
-  EXPECT_EQ(back.num_edges(), m.num_edges());
-  EXPECT_EQ(back.num_active_bfaces(), m.num_active_bfaces());
-  EXPECT_NEAR(back.total_volume(), m.total_volume(), 1e-12);
-  for (Index v = 0; v < m.num_vertices(); ++v) {
-    EXPECT_NEAR(norm(back.vertex(v).pos - m.vertex(v).pos), 0.0, 1e-15);
-  }
-}
-
-TEST(MeshIo, RejectsBadMagic) {
-  std::stringstream ss("gibberish 7\n");
-  EXPECT_DEATH(read_mesh(ss), "plum-tet");
-}
 
 TEST(Vtk, ExportContainsLeafCellsAndFields) {
   const auto m = mesh::make_box_mesh(mesh::small_box(1));
@@ -140,6 +120,39 @@ TEST(Snapshot, CarriesSolutionBlock) {
 TEST(Snapshot, RejectsBadHeader) {
   std::stringstream ss("plum-snap 99\n");
   EXPECT_DEATH(read_snapshot(ss), "plum-snap");
+}
+
+TEST(Snapshot, RejectsTruncatedStream) {
+  // Hitting end-of-file mid-record must not pass for a complete stream.
+  std::stringstream full;
+  write_snapshot(full, mesh::make_box_mesh(mesh::small_box(2)));
+  const std::string text = full.str();
+  std::stringstream cut(text.substr(0, text.size() * 3 / 10));
+  EXPECT_DEATH(read_snapshot(cut), "truncated plum-snap stream");
+}
+
+TEST(Snapshot, RejectsOutOfRangeIndex) {
+  const auto m = mesh::make_box_mesh(mesh::small_box(1));
+  std::stringstream ss;
+  write_snapshot(ss, m);
+  std::string text = ss.str();
+  // Past the magic, counts, vertex and edge lines comes element 0: four
+  // vertex ids, then its first edge id.
+  std::size_t pos = 0;
+  for (Index k = 0; k < 2 + m.num_vertices() + m.num_edges(); ++k) {
+    pos = text.find('\n', pos) + 1;
+  }
+  for (int k = 0; k < 4; ++k) pos = text.find(' ', pos) + 1;
+  text.replace(pos, text.find(' ', pos) - pos, "1000000");
+  std::stringstream bad(text);
+  EXPECT_DEATH(read_snapshot(bad), "plum-snap element id out of range");
+}
+
+TEST(Snapshot, FailedWriteIsReported) {
+  // /dev/full accepts the open and fails every write with ENOSPC.
+  const auto m = mesh::make_box_mesh(mesh::small_box(1));
+  EXPECT_DEATH(write_snapshot_file("/dev/full", m),
+               "failed writing snapshot file");
 }
 
 }  // namespace

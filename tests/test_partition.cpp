@@ -1,5 +1,5 @@
 // Unit + property tests for the multilevel partitioner, HEM coarsening,
-// GGGP initial partitioning, k-way refinement, and the RCB baseline.
+// GGGP initial partitioning, k-way refinement and warm-start repartitioning.
 
 #include <gtest/gtest.h>
 
@@ -8,7 +8,6 @@
 #include "partition/hem.hpp"
 #include "partition/initpart.hpp"
 #include "partition/multilevel.hpp"
-#include "partition/rcb.hpp"
 #include "partition/refine_kway.hpp"
 
 namespace plum::partition {
@@ -228,42 +227,6 @@ TEST(Repartition, FallsBackOnExtremeImbalance) {
   // allows ~15% slack, so only assert we got within two vertex-weights.
   EXPECT_LT(rep.imbalance, 1.3);
   EXPECT_FALSE(rep.used_previous && rep.imbalance > 1.2);
-}
-
-TEST(Rcb, SplitsUnitSquareEvenly) {
-  std::vector<mesh::Vec3> pts;
-  for (int j = 0; j < 16; ++j) {
-    for (int i = 0; i < 16; ++i) {
-      pts.push_back({i + 0.5, j + 0.5, 0});
-    }
-  }
-  const auto part = rcb_partition(pts, {}, 4);
-  std::vector<int> count(4, 0);
-  for (Rank p : part) {
-    ASSERT_GE(p, 0);
-    ASSERT_LT(p, 4);
-    ++count[static_cast<std::size_t>(p)];
-  }
-  for (int c : count) EXPECT_EQ(c, 64);
-}
-
-TEST(Rcb, WeightedMedianRespectsWeights) {
-  // Two heavy points + many light ones: heavy ones must split apart.
-  std::vector<mesh::Vec3> pts = {{0, 0, 0}, {10, 0, 0}};
-  std::vector<Weight> w = {100, 100};
-  for (int i = 1; i < 10; ++i) {
-    pts.push_back({static_cast<double>(i), 0, 0});
-    w.push_back(1);
-  }
-  const auto part = rcb_partition(pts, w, 2);
-  EXPECT_NE(part[0], part[1]);
-}
-
-TEST(Rcb, HandlesNpartsEqualsN) {
-  std::vector<mesh::Vec3> pts = {{0, 0, 0}, {1, 0, 0}, {2, 0, 0}};
-  const auto part = rcb_partition(pts, {}, 3);
-  std::set<Rank> distinct(part.begin(), part.end());
-  EXPECT_EQ(distinct.size(), 3u);
 }
 
 }  // namespace

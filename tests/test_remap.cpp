@@ -157,26 +157,6 @@ TEST(Similarity, BuildFromVertexData) {
   EXPECT_EQ(S.nonzeros(), 3);
 }
 
-TEST(Similarity, RowwiseBuildMatchesDense) {
-  Rng rng(3);
-  std::vector<Rank> cur, npart;
-  std::vector<Weight> w;
-  for (int v = 0; v < 200; ++v) {
-    cur.push_back(static_cast<Rank>(rng.below(4)));
-    npart.push_back(static_cast<Rank>(rng.below(4)));
-    w.push_back(static_cast<Weight>(rng.below(10) + 1));
-  }
-  const auto dense = SimilarityMatrix::build(cur, npart, w, 4, 4);
-  std::vector<std::vector<Weight>> rows;
-  for (Rank p = 0; p < 4; ++p) {
-    rows.push_back(SimilarityMatrix::build_row(p, cur, npart, w, 4));
-  }
-  const auto assembled = SimilarityMatrix::from_rows(rows);
-  for (Rank i = 0; i < 4; ++i) {
-    for (Rank j = 0; j < 4; ++j) EXPECT_EQ(dense.at(i, j), assembled.at(i, j));
-  }
-}
-
 TEST(Similarity, SparseRowsRoundTripMatchesDense) {
   Rng rng(7);
   std::vector<Rank> cur, npart;

@@ -81,11 +81,6 @@ TEST(CostModel, PartitionTimeHasInteriorMinimum) {
   EXPECT_NEAR(t64, 0.58, 0.12);
 }
 
-TEST(CostModel, SolverSecondsScalesWithLoad) {
-  CostModel cm;
-  EXPECT_DOUBLE_EQ(cm.solver_seconds(2000), 2.0 * cm.solver_seconds(1000));
-}
-
 TEST(CostModel, RefinementTimeAnchor) {
   // ~0.55 s at P = 64 for Real_2's ~180k created children, balanced.
   CostModel cm;

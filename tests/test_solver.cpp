@@ -188,84 +188,5 @@ TEST(Euler, ErrorIndicatorConcentratesAtBlastFront) {
   EXPECT_LT(r, 0.7);
 }
 
-// --- second-order reconstruction ------------------------------------------------
-
-TEST(SecondOrder, GradientsOfLinearFieldAreConsistent) {
-  auto m = mesh::make_box_mesh(mesh::small_box(4));
-  EulerSolver solver(&m);
-  // Density varies linearly: rho = 1 + 2x - y + 0.5z.
-  auto& u = solver.solution();
-  for (Index v = 0; v < m.num_vertices(); ++v) {
-    const auto& p = m.vertex(v).pos;
-    u[static_cast<std::size_t>(v)][0] = 1.0 + 2.0 * p.x - p.y + 0.5 * p.z;
-  }
-  const auto grad = solver.nodal_gradients(u);
-  // Interior vertices: Green-Gauss on the median dual is close to exact for
-  // linear fields; allow discretization slack near 20%.
-  int checked = 0;
-  for (Index v = 0; v < m.num_vertices(); ++v) {
-    if (m.vertex(v).boundary) continue;
-    const auto& g = grad[static_cast<std::size_t>(v)][0];
-    EXPECT_NEAR(g.x, 2.0, 0.4);
-    EXPECT_NEAR(g.y, -1.0, 0.4);
-    EXPECT_NEAR(g.z, 0.5, 0.4);
-    ++checked;
-  }
-  EXPECT_GT(checked, 0);
-}
-
-TEST(SecondOrder, UniformFlowStillSteady) {
-  auto m = mesh::make_box_mesh(mesh::small_box(2));
-  EulerOptions opt;
-  opt.second_order = true;
-  EulerSolver solver(&m, opt);
-  init_uniform(m, solver.solution());
-  const auto before = solver.solution();
-  solver.run(5);
-  for (Index v = 0; v < m.num_vertices(); ++v) {
-    for (int c = 0; c < kNumVars; ++c) {
-      EXPECT_NEAR(solver.solution()[static_cast<std::size_t>(v)][c],
-                  before[static_cast<std::size_t>(v)][c], 1e-12);
-    }
-  }
-}
-
-TEST(SecondOrder, ConservesAndStaysPositiveOnBlast) {
-  auto m = mesh::make_box_mesh(mesh::small_box(4));
-  EulerOptions opt;
-  opt.second_order = true;
-  EulerSolver solver(&m, opt);
-  BlastSpec spec;
-  spec.radius = 0.3;
-  init_blast(m, solver.solution(), spec);
-  const auto t0 = solver.totals();
-  solver.run(15);
-  const auto t1 = solver.totals();
-  EXPECT_NEAR(t1[0], t0[0], 1e-10 * std::abs(t0[0]));
-  EXPECT_NEAR(t1[4], t0[4], 1e-10 * std::abs(t0[4]));
-  for (const auto& s : solver.solution()) {
-    EXPECT_GT(s[0], 0.0);
-    EXPECT_GT(solver.pressure(s), 0.0);
-  }
-}
-
-TEST(SecondOrder, LessDissipativeThanFirstOrder) {
-  // The pulse's density peak survives better under reconstruction.
-  auto run_case = [](bool second) {
-    auto m = mesh::make_box_mesh(mesh::small_box(5));
-    EulerOptions opt;
-    opt.second_order = second;
-    EulerSolver solver(&m, opt);
-    PulseSpec spec;
-    spec.center = {0.5, 0.5, 0.5};
-    init_pulse(m, solver.solution(), spec);
-    solver.run(10);
-    double peak = 0;
-    for (const auto& s : solver.solution()) peak = std::max(peak, s[0]);
-    return peak;
-  };
-  EXPECT_GT(run_case(true), run_case(false));
-}
-
 }  // namespace
 }  // namespace plum::solver

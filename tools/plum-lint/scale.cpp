@@ -119,9 +119,9 @@ void check_dense_rank_container(const SymbolIndex& index,
       const std::size_t popen = j + 1;
       const std::size_t pclose = match_forward(t, popen, "(", ")");
       // A function DECLARATION returning vector<T> looks identical up to
-      // here (`std::vector<W> build_row(Rank proc, ...)`). Size
-      // expressions never have two adjacent identifiers at nesting depth
-      // 0 — parameter declarations (`Rank proc`) always do.
+      // here (`std::vector<SimilarityCell> build_row_sparse(Rank proc,
+      // ...)`). Size expressions never have two adjacent identifiers at
+      // nesting depth 0 — parameter declarations (`Rank proc`) always do.
       bool is_declaration = false;
       int depth = 0;
       for (std::size_t k = popen + 1; k < pclose; ++k) {
