@@ -1,5 +1,8 @@
 #include "obs/bench_schema.hpp"
 
+#include <map>
+#include <utility>
+
 #include "obs/memory.hpp"
 
 namespace plum::obs {
@@ -325,9 +328,19 @@ std::string validate_bench_report(const Json& doc) {
   if (!runs || !runs->is_array()) return "missing array field \"runs\"";
   if (runs->size() == 0) return "\"runs\" is empty";
 
+  // Consumers pair runs by (case, P): a repeated pair would leave all but
+  // one of its runs unread.
+  std::map<std::pair<std::string, std::int64_t>, std::size_t> first_run;
   for (std::size_t i = 0; i < runs->size(); ++i) {
-    const std::string err = check_run(runs->at(i), i);
+    const Json& run = runs->at(i);
+    const std::string err = check_run(run, i);
     if (!err.empty()) return err;
+    const auto [it, fresh] = first_run.try_emplace(
+        {run.find("case")->as_string(), run.find("P")->as_int()}, i);
+    if (!fresh) {
+      return run_error(i, "repeats the (case, P) of runs[" +
+                              std::to_string(it->second) + "]");
+    }
   }
   return "";
 }

@@ -39,7 +39,8 @@
 // Starred sections are optional per run: framework runs carry the first
 // four through obs::run_entry (obs/run_entry.hpp); benches that model
 // phases without running the BSP loop carry none. "phases" may be an empty
-// array; every non-starred field above is required.
+// array; every non-starred field above is required. No two runs share a
+// (case, P).
 
 #include <string>
 

@@ -267,7 +267,7 @@ using TrackedVec = std::vector<T, TrackingAllocator<T>>;
 
 /// Per-rank, per-phase deterministic allocation counters (see the header
 /// comment). Rows 0..nranks-1 belong to the ranks (written only by the
-/// claiming worker through scratch(r)/taps()); row nranks is the host row
+/// claiming worker through scratch(r)); row nranks is the host row
 /// (serial framework phases: partition, repartition, local subdivision).
 class MemoryTracker {
  public:
@@ -292,15 +292,6 @@ class MemoryTracker {
   [[nodiscard]] MemScratch host_scratch() {
     return MemScratch{arenas_.back().get(),
                       MemTap(this, static_cast<int>(nranks_))};
-  }
-  /// One rank-bound tap per rank (no arena), mirroring
-  /// FlightRecorder::handles().
-  [[nodiscard]] std::vector<MemTap> taps() {
-    std::vector<MemTap> out;
-    // plum-scale: dist(P) -- one counting tap per rank, the ownership rule
-    out.reserve(static_cast<std::size_t>(nranks_));
-    for (Rank r = 0; r < nranks_; ++r) out.emplace_back(this, r);
-    return out;
   }
 
   /// Rewinds every row's arena (call at the top of each cycle; this is the

@@ -118,26 +118,20 @@ class TraceRecorder final : public rt::SuperstepObserver {
 ///   { obs::PhaseScope ph(trace, "repartition");
 ///     ... run the phase ...
 ///     ph.set_modeled_seconds(cm.partition_seconds(...)); }
-///
-/// A null recorder makes the scope a no-op, so call sites need no guards.
 class PhaseScope {
  public:
-  PhaseScope(TraceRecorder* rec, const std::string& name)
-      : rec_(rec), idx_(rec ? rec->begin_phase(name) : 0) {}
   PhaseScope(TraceRecorder& rec, const std::string& name)
-      : PhaseScope(&rec, name) {}
-  ~PhaseScope() {
-    if (rec_) rec_->end_phase(idx_);
-  }
+      : rec_(rec), idx_(rec.begin_phase(name)) {}
+  ~PhaseScope() { rec_.end_phase(idx_); }
   PhaseScope(const PhaseScope&) = delete;
   PhaseScope& operator=(const PhaseScope&) = delete;
 
   void set_modeled_seconds(double seconds) {
-    if (rec_) rec_->set_modeled_seconds(idx_, seconds);
+    rec_.set_modeled_seconds(idx_, seconds);
   }
 
  private:
-  TraceRecorder* rec_;
+  TraceRecorder& rec_;
   std::size_t idx_;
 };
 

@@ -324,11 +324,6 @@ TEST(CriticalPath, EmbeddedInBothTraceSerializations) {
   }
 }
 
-TEST(TraceRecorder, NullRecorderScopesAreNoOps) {
-  obs::PhaseScope ph(nullptr, "nothing");
-  ph.set_modeled_seconds(3.0);  // must not crash
-}
-
 TEST(TraceRecorder, CommMatrixAndTagClassesFromWorkload) {
   rt::Engine eng(3);
   obs::TraceRecorder rec;
@@ -569,6 +564,15 @@ TEST(BenchSchema, RejectsViolations) {
     run.set("phases", Json::array().push(std::move(phase)));
     doc.set("runs", Json::array().push(std::move(run)));
     EXPECT_NE(obs::validate_bench_report(doc), "");
+  }
+  {
+    // Two runs with one (case, P): the error names both.
+    Json doc = valid_report();
+    const Json run = doc.find("runs")->at(0);
+    doc.set("runs", Json::array().push(run).push(run));
+    const std::string err = obs::validate_bench_report(doc);
+    EXPECT_NE(err.find("runs[1]"), std::string::npos) << err;
+    EXPECT_NE(err.find("runs[0]"), std::string::npos) << err;
   }
   // A phase's superstep_s is optional, but a number >= 0 when present.
   for (const auto& [value, ok] :

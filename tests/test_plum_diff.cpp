@@ -1,7 +1,8 @@
 // plum-diff, the bench regression gate: a report self-diffs clean (exit
 // status 0), any deterministic perturbation breaches (exit status 1), wall
-// metrics never gate, per-metric thresholds loosen exactly one metric, and
-// the directory mode pairs BENCH_*.json files and flags missing ones.
+// values never gate but a one-sided key always does, heap and comm_by_class
+// stay ungated, an invalid report is an error (exit status 2), and the
+// directory mode pairs BENCH_*.json files and flags missing ones.
 
 #include <gtest/gtest.h>
 
@@ -17,12 +18,11 @@ namespace plum {
 namespace {
 
 using diff::DiffResult;
-using diff::Options;
 using obs::Json;
 
-/// A plum-bench/3 report with one run exercising every compared section:
+/// A plum-bench/3 report with one run carrying every section:
 /// scalar/int/series/histogram metrics, phases, comm matrix, gate audit,
-/// and the critical-path document.
+/// the critical-path document, and the ungated heap and comm_by_class.
 Json report() {
   Json hist = Json::object();
   hist.set("histogram", Json::boolean(true))
@@ -80,6 +80,8 @@ Json report() {
       .set("imbalance_new", Json::number(1.05))
       .set("gain_s", Json::number(0.5))
       .set("cost_s", Json::number(0.1))
+      .set("moved_elems", Json::integer(12))
+      .set("moved_sets", Json::integer(3))
       .set("predicted_move_bytes", Json::integer(100))
       .set("measured_move_bytes", Json::integer(110))
       .set("drift", Json::number(0.1));
@@ -99,6 +101,21 @@ Json report() {
       .set("phases", Json::array())
       .set("steps", Json::array());
 
+  Json stats = Json::object();
+  stats.set("allocs", Json::integer(2))
+      .set("frees", Json::integer(2))
+      .set("bytes", Json::integer(64))
+      .set("peak_live", Json::integer(64));
+  Json heap = Json::object();
+  heap.set("phases", Json::array().push(Json(stats).set("name",
+                                                        Json::str("solve"))))
+      .set("unphased", std::move(stats))
+      .set("live_bytes", Json::integer(0));
+  Json by_class = Json::object();
+  by_class.set("solver", Json::object()
+                             .set("msgs", Json::integer(5))
+                             .set("bytes", Json::integer(40)));
+
   Json run = Json::object();
   run.set("case", Json::str("box8"))
       .set("P", Json::integer(4))
@@ -106,7 +123,9 @@ Json report() {
       .set("phases", Json::array().push(std::move(phase)))
       .set("comm_matrix", std::move(cm))
       .set("gate_audit", Json::array().push(std::move(gate)))
-      .set("critical_path", std::move(cp));
+      .set("critical_path", std::move(cp))
+      .set("heap", std::move(heap))
+      .set("comm_by_class", std::move(by_class));
 
   Json doc = Json::object();
   doc.set("schema", Json::str("plum-bench/3"))
@@ -115,19 +134,37 @@ Json report() {
   return doc;
 }
 
-/// Returns the run's metrics object for mutation, then reassembles the doc.
-Json with_metric(Json doc, const std::string& name, Json value) {
+/// The run's section `name`, for mutation.
+Json section(const Json& doc, const std::string& name) {
+  return *doc.find("runs")->at(0).find(name);
+}
+
+/// Replaces the run's section `name`, then reassembles the doc.
+Json with_section(Json doc, const std::string& name, Json value) {
   Json run = doc.find("runs")->at(0);
-  Json metrics = *run.find("metrics");
-  metrics.set(name, std::move(value));
-  run.set("metrics", std::move(metrics));
+  run.set(name, std::move(value));
   doc.set("runs", Json::array().push(std::move(run)));
   return doc;
 }
 
+Json with_metric(Json doc, const std::string& name, Json value) {
+  Json metrics = section(doc, "metrics");
+  metrics.set(name, std::move(value));
+  return with_section(std::move(doc), "metrics", std::move(metrics));
+}
+
+Json without_metric(Json doc, const std::string& name) {
+  const Json old = section(doc, "metrics");
+  Json metrics = Json::object();
+  for (const auto& [key, v] : old.items()) {
+    if (key != name) metrics.set(key, v);
+  }
+  return with_section(std::move(doc), "metrics", std::move(metrics));
+}
+
 TEST(PlumDiff, SelfDiffIsCleanAndExitsZero) {
   const Json doc = report();
-  const DiffResult r = diff::diff_reports(doc, doc, Options{});
+  const DiffResult r = diff::diff_reports(doc, doc);
   EXPECT_TRUE(r.error.empty()) << r.error;
   EXPECT_EQ(r.breaches, 0);
   EXPECT_TRUE(r.deltas.empty());
@@ -138,7 +175,7 @@ TEST(PlumDiff, SelfDiffIsCleanAndExitsZero) {
 TEST(PlumDiff, PerturbedIntegerMetricBreaches) {
   const Json base = report();
   const Json cur = with_metric(base, "msgs_sent", Json::integer(1235));
-  const DiffResult r = diff::diff_reports(base, cur, Options{});
+  const DiffResult r = diff::diff_reports(base, cur);
   EXPECT_EQ(r.breaches, 1) << diff::exit_status(r);
   EXPECT_EQ(diff::exit_status(r), 1);
   ASSERT_EQ(r.deltas.size(), 1u);
@@ -149,18 +186,17 @@ TEST(PlumDiff, PerturbedIntegerMetricBreaches) {
 TEST(PlumDiff, DeterministicDoubleUsesRelativeTolerance) {
   const Json base = report();
   // Drift far beyond 1e-9: breach.
-  const DiffResult tight = diff::diff_reports(
-      base, with_metric(base, "imbalance_new", Json::number(1.06)),
-      Options{});
-  EXPECT_EQ(diff::exit_status(tight), 1);
-  // Same drift with a per-metric threshold of 5%: clean, still reported.
-  Options loose;
-  loose.metric_tol["imbalance_new"] = 0.05;
-  const DiffResult ok = diff::diff_reports(
-      base, with_metric(base, "imbalance_new", Json::number(1.06)), loose);
-  EXPECT_EQ(diff::exit_status(ok), 0);
-  ASSERT_EQ(ok.deltas.size(), 1u);
-  EXPECT_FALSE(ok.deltas[0].breach);
+  const DiffResult far = diff::diff_reports(
+      base, with_metric(base, "imbalance_new", Json::number(1.06)));
+  EXPECT_EQ(diff::exit_status(far), 1);
+  // A relative drift of 1e-12: clean, still listed as ok.
+  const DiffResult near = diff::diff_reports(
+      base,
+      with_metric(base, "imbalance_new", Json::number(1.05 * (1 + 1e-12))));
+  EXPECT_EQ(diff::exit_status(near), 0);
+  ASSERT_EQ(near.deltas.size(), 1u);
+  EXPECT_FALSE(near.deltas[0].breach);
+  EXPECT_FALSE(near.deltas[0].wall);
 }
 
 TEST(PlumDiff, WallClockMetricsNeverGate) {
@@ -172,7 +208,7 @@ TEST(PlumDiff, WallClockMetricsNeverGate) {
   wall_hist.set("count", Json::integer(99)).set("max", Json::number(9.0));
   cur = with_metric(std::move(cur), "rank_step_seconds",
                     std::move(wall_hist));
-  const DiffResult r = diff::diff_reports(base, cur, Options{});
+  const DiffResult r = diff::diff_reports(base, cur);
   EXPECT_EQ(r.breaches, 0);
   EXPECT_EQ(diff::exit_status(r), 0);
   EXPECT_GE(r.deltas.size(), 2u);  // the drifts still show in the table
@@ -192,7 +228,7 @@ TEST(PlumDiff, PhaseSuperstepSecondsAreReportOnly) {
   };
   const DiffResult r =
       diff::diff_reports(with_superstep_s(report(), 0.25),
-                         with_superstep_s(report(), 0.4), Options{});
+                         with_superstep_s(report(), 0.4));
   EXPECT_EQ(r.breaches, 0);
   ASSERT_EQ(r.deltas.size(), 1u);
   EXPECT_EQ(r.deltas[0].where, "run[box8,P=4].phases[0].superstep_s");
@@ -203,25 +239,16 @@ TEST(PlumDiff, MissingRunMetricAndSeriesLengthAreBreaches) {
   const Json base = report();
   {
     // Metric vanished.
-    Json cur = base;
-    Json run = cur.find("runs")->at(0);
-    Json metrics = Json::object();
-    for (const auto& [name, v] : run.find("metrics")->items()) {
-      if (name != "msgs_sent") metrics.set(name, v);
-    }
-    run.set("metrics", std::move(metrics));
-    cur.set("runs", Json::array().push(std::move(run)));
-    EXPECT_EQ(diff::exit_status(diff::diff_reports(base, cur, Options{})),
-              1);
+    const Json cur = without_metric(base, "msgs_sent");
+    EXPECT_EQ(diff::exit_status(diff::diff_reports(base, cur)), 1);
     // Symmetric: a new metric without a baseline also breaches.
-    EXPECT_EQ(diff::exit_status(diff::diff_reports(cur, base, Options{})),
-              1);
+    EXPECT_EQ(diff::exit_status(diff::diff_reports(cur, base)), 1);
   }
   {
     // Gauge series length changed (a cycle went missing).
     Json cur = with_metric(
         base, "imbalance", Json::array().push(Json::number(1.5)));
-    const DiffResult r = diff::diff_reports(base, cur, Options{});
+    const DiffResult r = diff::diff_reports(base, cur);
     EXPECT_EQ(diff::exit_status(r), 1);
     ASSERT_FALSE(r.deltas.empty());
     EXPECT_NE(r.deltas[0].where.find("imbalance.len"), std::string::npos);
@@ -232,48 +259,109 @@ TEST(PlumDiff, MissingRunMetricAndSeriesLengthAreBreaches) {
     Json run = cur.find("runs")->at(0);
     run.set("P", Json::integer(8));  // different key -> old run missing
     cur.set("runs", Json::array().push(std::move(run)));
-    EXPECT_EQ(diff::exit_status(diff::diff_reports(base, cur, Options{})),
-              1);
+    EXPECT_EQ(diff::exit_status(diff::diff_reports(base, cur)), 1);
   }
 }
 
 TEST(PlumDiff, CriticalPathAndCommMatrixGate) {
   const Json base = report();
   {
-    Json cur = base;
-    Json run = cur.find("runs")->at(0);
-    Json cp = *run.find("critical_path");
+    Json cp = section(base, "critical_path");
     cp.set("wait_total", Json::number(7.0));
-    run.set("critical_path", std::move(cp));
-    cur.set("runs", Json::array().push(std::move(run)));
-    EXPECT_EQ(diff::exit_status(diff::diff_reports(base, cur, Options{})),
-              1);
+    const Json cur = with_section(base, "critical_path", std::move(cp));
+    EXPECT_EQ(diff::exit_status(diff::diff_reports(base, cur)), 1);
   }
   {
-    Json cur = base;
-    Json run = cur.find("runs")->at(0);
-    Json cm = *run.find("comm_matrix");
+    Json cm = section(base, "comm_matrix");
     auto row = [](std::int64_t a, std::int64_t b) {
       return Json::array().push(Json::integer(a)).push(Json::integer(b));
     };
     cm.set("bytes", Json::array().push(row(0, 32)).push(row(16, 0)));
-    run.set("comm_matrix", std::move(cm));
-    cur.set("runs", Json::array().push(std::move(run)));
-    const DiffResult r = diff::diff_reports(base, cur, Options{});
+    const Json cur = with_section(base, "comm_matrix", std::move(cm));
+    const DiffResult r = diff::diff_reports(base, cur);
     EXPECT_EQ(diff::exit_status(r), 1);
-    ASSERT_FALSE(r.deltas.empty());
-    EXPECT_NE(r.deltas[0].where.find("comm_matrix.bytes"),
-              std::string::npos);
+    // The changed cell, not a totals line.
+    ASSERT_EQ(r.deltas.size(), 1u);
+    EXPECT_EQ(r.deltas[0].where, "run[box8,P=4].comm_matrix.bytes[0][1]");
   }
+}
+
+TEST(PlumDiff, GateAuditMovedVolumeIsGated) {
+  // moved_elems and moved_sets are the C and N the gate prices.
+  const Json base = report();
+  for (const std::string field : {"moved_elems", "moved_sets"}) {
+    Json gate = section(base, "gate_audit").at(0);
+    gate.set(field, Json::integer(gate.find(field)->as_int() + 1));
+    const DiffResult r = diff::diff_reports(
+        base,
+        with_section(base, "gate_audit", Json::array().push(std::move(gate))));
+    EXPECT_EQ(diff::exit_status(r), 1) << field;
+    ASSERT_EQ(r.deltas.size(), 1u) << field;
+    EXPECT_EQ(r.deltas[0].where, "run[box8,P=4].gate_audit[0]." + field);
+  }
+}
+
+TEST(PlumDiff, OneSidedFieldBreaches) {
+  const Json base = report();
+  {
+    // A field only the current critical_path.ranks[0] carries.
+    Json cp = section(base, "critical_path");
+    Json rank0 = cp.find("ranks")->at(0);
+    rank0.set("steps_waiting", Json::integer(0));
+    cp.set("ranks", Json::array().push(std::move(rank0)));
+    const DiffResult r = diff::diff_reports(
+        base, with_section(base, "critical_path", std::move(cp)));
+    EXPECT_EQ(diff::exit_status(r), 1);
+    ASSERT_EQ(r.deltas.size(), 1u);
+    EXPECT_EQ(r.deltas[0].where,
+              "run[box8,P=4].critical_path.ranks[0].steps_waiting");
+  }
+  {
+    // A wall metric's value is report-only; its presence is not.
+    const Json cur = without_metric(base, "wall_s");
+    EXPECT_EQ(diff::exit_status(diff::diff_reports(base, cur)), 1);
+    EXPECT_EQ(diff::exit_status(diff::diff_reports(cur, base)), 1);
+  }
+}
+
+TEST(PlumDiff, UngatedSectionsStayUngated) {
+  const Json base = report();
+  Json heap = section(base, "heap");
+  heap.set("live_bytes", Json::integer(4096));
+  Json by_class = section(base, "comm_by_class");
+  by_class.set("solver", Json::object()
+                             .set("msgs", Json::integer(6))
+                             .set("bytes", Json::integer(48)));
+  const Json cur = with_section(with_section(base, "heap", std::move(heap)),
+                                "comm_by_class", std::move(by_class));
+  const DiffResult r = diff::diff_reports(base, cur);
+  EXPECT_TRUE(r.error.empty()) << r.error;
+  EXPECT_EQ(diff::exit_status(r), 0);
+  EXPECT_TRUE(r.deltas.empty());
 }
 
 TEST(PlumDiff, InvalidReportIsAnErrorNotABreach) {
   const Json base = report();
   Json bad = Json::object();
   bad.set("schema", Json::str("plum-bench/3"));  // missing bench/runs
-  const DiffResult r = diff::diff_reports(base, bad, Options{});
+  const DiffResult r = diff::diff_reports(base, bad);
   EXPECT_FALSE(r.error.empty());
   EXPECT_EQ(diff::exit_status(r), 2);
+
+  // A repeated (case, P): runs pair by that key, so a change to the second
+  // copy would never be read.
+  const Json run = base.find("runs")->at(0);
+  Json doubled = base;
+  doubled.set("runs", Json::array().push(run).push(run));
+  Json changed = doubled;
+  changed.set("runs",
+              Json::array().push(run).push(
+                  with_metric(base, "msgs_sent", Json::integer(2234))
+                      .find("runs")
+                      ->at(0)));
+  const DiffResult dup = diff::diff_reports(doubled, changed);
+  EXPECT_NE(dup.error.find("runs[1]"), std::string::npos) << dup.error;
+  EXPECT_EQ(diff::exit_status(dup), 2);
 }
 
 TEST(PlumDiff, DirectoryModePairsByFilenameAndFlagsMissing) {
@@ -298,17 +386,17 @@ TEST(PlumDiff, DirectoryModePairsByFilenameAndFlagsMissing) {
   write(cdir / "POSTMORTEM_bench_distributed.json", doc);
 
   DiffResult r =
-      diff::diff_dirs(bdir.string(), cdir.string(), Options{});
+      diff::diff_dirs(bdir.string(), cdir.string());
   EXPECT_TRUE(r.error.empty()) << r.error;
   EXPECT_EQ(diff::exit_status(r), 0);
 
   // A baseline with no current counterpart breaches; so does the reverse.
   write(bdir / "BENCH_bench_fig4.json", doc);
-  r = diff::diff_dirs(bdir.string(), cdir.string(), Options{});
+  r = diff::diff_dirs(bdir.string(), cdir.string());
   EXPECT_EQ(diff::exit_status(r), 1);
   write(cdir / "BENCH_bench_fig4.json", doc);
   write(cdir / "BENCH_bench_fig5.json", doc);
-  r = diff::diff_dirs(bdir.string(), cdir.string(), Options{});
+  r = diff::diff_dirs(bdir.string(), cdir.string());
   EXPECT_EQ(diff::exit_status(r), 1);
 
   // The delta table renders without crashing (smoke, to a scratch file).
