@@ -303,16 +303,19 @@ BENCHMARK(BM_SuperstepHandOff)
 
 // The flight recorder is always on in DistFramework, so its per-event cost
 // is a budget item: one ring-slot write per rank per superstep must stay in
-// the tens of nanoseconds for "always on" to be defensible. Rotating the
-// rank spreads writes across the per-rank rings like the engines do.
+// the tens of nanoseconds for "always on" to be defensible. Each event goes
+// through record_rank_step, the call the engines make after every rank
+// step; rotating the rank spreads writes across the per-rank rings like
+// the engines do.
 void BM_ScopeRecorderEvent(benchmark::State& state) {
   const Rank P = static_cast<Rank>(state.range(0));
   obs::FlightRecorder rec(P);
-  auto handles = rec.handles();
+  rt::StepCounters counters;
   std::int64_t step = 0;
   for (auto _ : state) {
-    const auto r = static_cast<std::size_t>(step % P);
-    handles[r].record_event(static_cast<int>(step), /*ticks=*/step);
+    counters.compute_units = step;
+    rec.record_rank_step(static_cast<int>(step), static_cast<Rank>(step % P),
+                         counters, /*wall_ns=*/0);
     ++step;
   }
   benchmark::DoNotOptimize(rec.events_recorded(0));
@@ -331,12 +334,12 @@ std::string write_scope_report() {
   constexpr std::int64_t kEventsPerRank = 1000;  // > capacity: ring wraps
 
   obs::FlightRecorder rec(kRanks, kCapacity);
-  auto handles = rec.handles();
+  rt::StepCounters counters;
   const Timer timer;
   for (std::int64_t e = 0; e < kEventsPerRank; ++e) {
+    counters.compute_units = e;
     for (Rank r = 0; r < kRanks; ++r) {
-      handles[static_cast<std::size_t>(r)].record_event(
-          static_cast<int>(e), /*ticks=*/e);
+      rec.record_rank_step(static_cast<int>(e), r, counters, /*wall_ns=*/0);
     }
   }
   const double total_s = timer.seconds();

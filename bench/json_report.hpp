@@ -11,7 +11,7 @@
 //     "bench":  "bench_distributed",
 //     "runs": [
 //       { "case": "box8", "P": 8,
-//         "metrics": { "wall_s": ..., "imbalance": [1.3, 1.05, ...], ... },
+//         "metrics": { "wall_s": ..., "edge_cut": [412, 398, ...], ... },
 //         "phases":  [ { "name": "solve", "wall_s": ..., "modeled_s": ...,
 //                        "supersteps": ..., ... }, ... ],
 //         "critical_path": {...}, "gate_audit": [...], "heap": {...},
@@ -25,7 +25,7 @@
 // its own scalars and, where P is small, "comm_matrix".
 //
 // The output directory defaults to the working directory and is overridden
-// by PLUM_BENCH_JSON_DIR. tools/check_bench_json validates the files in CI
+// by PLUM_BENCH_JSON_DIR. tools/plum-report validates the files in CI
 // with the same obs::validate_bench_report the unit tests use.
 
 #include <cstdio>

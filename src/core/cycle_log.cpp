@@ -2,10 +2,8 @@
 
 #include <algorithm>
 
-#include "obs/critical_path.hpp"
 #include "partition/quality.hpp"
 #include "util/assert.hpp"
-#include "util/rss.hpp"
 
 namespace plum::core {
 
@@ -19,10 +17,7 @@ CycleLog::CycleLog(const FrameworkOptions& opt)
 
 void CycleLog::gauges(const graph::Csr& dual, const partition::PartVec& owner,
                       const remap::RemapVolume& volume) {
-  const auto q = partition::evaluate_quality(dual, owner, nranks_);
-  imbalance_ = q.imbalance;
-  metrics_.add_sample("imbalance", q.imbalance);
-  metrics_.add_sample_int("edge_cut", q.edge_cut);
+  metrics_.add_sample_int("edge_cut", partition::edge_cut(dual, owner));
   for (const auto& [name, value] : remap::volume_fields(volume)) {
     metrics_.add_sample_int(name, value);
   }
@@ -39,17 +34,7 @@ void CycleLog::end(const CycleReport& rep, obs::GateRecord gate,
   const auto P = static_cast<std::size_t>(nranks_);
   const auto& steps = trace.supersteps();
   const std::size_t step_lo = step_cursor_;
-
-  // Per-cycle fixed-bound histograms (obs/critical_path.hpp): per-rank
-  // step wall seconds + counter-sourced wait fractions for every superstep
-  // this cycle ran, plus the wall seconds of every phase that closed.
-  obs::record_step_histograms(metrics_, trace, &step_cursor_);
-  obs::record_phase_histograms(metrics_, trace, &hist_phase_cursor_);
-
-  // --- coordinator RSS gauges (wall-class) ---------------------------------
-  const util::RssSample rss = util::read_rss();
-  metrics_.add_wall_sample_int("vm_rss_bytes", rss.vm_rss_bytes);
-  metrics_.add_wall_sample_int("vm_hwm_bytes", rss.vm_hwm_bytes);
+  step_cursor_ = steps.size();
 
   // --- one plum-scope/1 stream record ----------------------------------------
   if (stream_ != nullptr) {
@@ -67,6 +52,9 @@ void CycleLog::end(const CycleReport& rep, obs::GateRecord gate,
         wait[r] += step_max - cs[r].compute_units;
       }
     }
+    // The imbalance of the partition in force after the gate.
+    const double imbalance =
+        gate.accepted ? gate.imbalance_new : gate.imbalance_old;
     obs::Json rec = obs::Json::object();
     rec.set("schema", obs::Json::str("plum-scope/1"))
         .set("name", obs::Json::str(name_))
@@ -74,7 +62,7 @@ void CycleLog::end(const CycleReport& rep, obs::GateRecord gate,
         .set("supersteps", obs::Json::integer(
                                static_cast<std::int64_t>(steps.size() - step_lo)))
         .set("elements", obs::Json::integer(rep.elements_after))
-        .set("imbalance", obs::Json::number(imbalance_))
+        .set("imbalance", obs::Json::number(imbalance))
         .set("wall_s", obs::Json::number(wall_s));
     obs::Json gate_json = obs::Json::object();
     gate_json.set("evaluated", obs::Json::boolean(rep.evaluated_repartition))

@@ -1,9 +1,8 @@
 #pragma once
 // Everything both drivers record about a Fig. 1 cycle once it has run:
-// the gate record, the live paper-metric gauges, the per-cycle histograms,
-// the coordinator RSS gauges, and the plum-scope/1 stream record. A driver
-// calls gauges() after the gate and end() last; the log finds the cycle's
-// phases and supersteps in the driver's TraceRecorder.
+// the gate record, the live paper-metric gauges and the plum-scope/1
+// stream record. A driver calls gauges() after the gate and end() last;
+// the log finds the cycle's supersteps in the driver's TraceRecorder.
 
 #include <memory>
 
@@ -26,14 +25,14 @@ class CycleLog {
   /// Index of the cycle in progress (the number completed so far).
   [[nodiscard]] int cycle() const { return cycle_; }
 
-  /// One sample per series: "imbalance" and "edge_cut" of the partition in
-  /// force after the gate (under the predicted weights), and the
-  /// remap::volume_fields() breakdown (zero when the gate did not fire).
+  /// One sample per series: "edge_cut" of the partition in force after the
+  /// gate (under the predicted weights), and the remap::volume_fields()
+  /// breakdown (zero when the gate did not fire).
   void gauges(const graph::Csr& dual, const partition::PartVec& owner,
               const remap::RemapVolume& volume);
 
   /// Closes the cycle: the gate record (with its predicted-vs-measured
-  /// drift), the step/phase histograms, RSS gauges, and one stream record.
+  /// drift) and one stream record.
   void end(const CycleReport& rep, obs::GateRecord gate,
            obs::TraceRecorder& trace, const obs::MemoryTracker& mem,
            double wall_s);
@@ -49,11 +48,7 @@ class CycleLog {
   obs::MetricsRegistry metrics_;
   std::unique_ptr<obs::ScopeStreamWriter> stream_;  ///< opt.scope_stream
   int cycle_ = 0;
-  double imbalance_ = 0;  ///< the "imbalance" gauge, for the stream record
-  // First superstep/phase not yet sampled into the histograms (and, for
-  // supersteps, not yet folded into a stream record).
-  std::size_t step_cursor_ = 0;
-  std::size_t hist_phase_cursor_ = 0;
+  std::size_t step_cursor_ = 0;  ///< first superstep not yet in a record
 };
 
 }  // namespace plum::core

@@ -28,12 +28,9 @@ class Driver {
   [[nodiscard]] obs::TraceRecorder& trace() { return trace_; }
   [[nodiscard]] const obs::TraceRecorder& trace() const { return trace_; }
 
-  /// Live paper-metric gauges, one sample per cycle per series ("imbalance",
-  /// "edge_cut", remap_* volume breakdown), plus the per-cycle fixed-bound
-  /// histograms "rank_step_seconds" (wall-clock; omitted from the
-  /// registry's deterministic view), "rank_wait_fraction" (counter-sourced,
-  /// deterministic), and "phase_wall_seconds" (see core::CycleLog and
-  /// obs/critical_path.hpp). Host-side only; see obs/metrics.hpp.
+  /// Live paper-metric gauges, one sample per cycle per series ("edge_cut"
+  /// and the remap_* volume breakdown; see core::CycleLog). Host-side
+  /// only; see obs/metrics.hpp.
   [[nodiscard]] obs::MetricsRegistry& metrics() { return log_.metrics(); }
   [[nodiscard]] const obs::MetricsRegistry& metrics() const {
     return log_.metrics();

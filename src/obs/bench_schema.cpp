@@ -98,78 +98,6 @@ std::string check_gate_audit(const Json& ga, std::size_t i) {
   return "";
 }
 
-/// Histogram metric objects, as rendered by MetricsRegistry::to_json().
-std::string check_histogram(const Json& h, std::size_t i,
-                            const std::string& name) {
-  const auto bad = [&](const std::string& what) {
-    return run_error(i, "histogram metric \"" + name + "\" " + what);
-  };
-  const Json* marker = h.find("histogram");
-  if (!marker || marker->kind() != Json::Kind::kBool || !marker->as_bool()) {
-    return bad("must carry \"histogram\": true");
-  }
-  const Json* wall = h.find("wall");
-  if (!wall || wall->kind() != Json::Kind::kBool) {
-    return bad("missing bool field \"wall\"");
-  }
-  const Json* count = h.find("count");
-  if (!count || count->kind() != Json::Kind::kInt || count->as_int() < 0) {
-    return bad("field \"count\" must be an int >= 0");
-  }
-  for (const char* field : {"max", "p50", "p95"}) {
-    const Json* v = h.find(field);
-    if (!v || !v->is_number()) {
-      return bad("missing numeric field \"" + std::string(field) + "\"");
-    }
-  }
-  const Json* bounds = h.find("bounds");
-  if (!bounds || !bounds->is_array() || bounds->size() == 0) {
-    return bad("missing non-empty array field \"bounds\"");
-  }
-  for (std::size_t k = 0; k < bounds->size(); ++k) {
-    if (!bounds->at(k).is_number()) return bad("has a non-number bound");
-  }
-  const Json* counts = h.find("counts");
-  if (!counts || !counts->is_array() ||
-      counts->size() != bounds->size() + 1) {
-    return bad("field \"counts\" must be an array of bounds+1 buckets");
-  }
-  for (std::size_t k = 0; k < counts->size(); ++k) {
-    if (counts->at(k).kind() != Json::Kind::kInt ||
-        counts->at(k).as_int() < 0) {
-      return bad("has a bucket count that is not an int >= 0");
-    }
-  }
-  return "";
-}
-
-/// Wall-marked series objects, as rendered by MetricsRegistry::to_json()
-/// for add_wall_sample() gauges.
-std::string check_series_object(const Json& s, std::size_t i,
-                                const std::string& name) {
-  const auto bad = [&](const std::string& what) {
-    return run_error(i, "series metric \"" + name + "\" " + what);
-  };
-  const Json* marker = s.find("series");
-  if (!marker || marker->kind() != Json::Kind::kBool || !marker->as_bool()) {
-    return bad("must carry \"series\": true");
-  }
-  const Json* wall = s.find("wall");
-  if (!wall || wall->kind() != Json::Kind::kBool) {
-    return bad("missing bool field \"wall\"");
-  }
-  const Json* samples = s.find("samples");
-  if (!samples || !samples->is_array()) {
-    return bad("missing array field \"samples\"");
-  }
-  for (std::size_t k = 0; k < samples->size(); ++k) {
-    if (!samples->at(k).is_number()) {
-      return bad("contains a non-number sample");
-    }
-  }
-  return "";
-}
-
 /// Per-run critical-path section (obs::CriticalPathAnalysis::to_json()).
 std::string check_critical_path(const Json& cp, std::size_t i) {
   if (!cp.is_object()) {
@@ -230,24 +158,16 @@ std::string check_run(const Json& run, std::size_t i) {
   for (const auto& [name, value] : metrics->items()) {
     if (value.is_number()) continue;
     // Gauge series: arrays of numbers.
-    if (value.is_array()) {
-      for (std::size_t k = 0; k < value.size(); ++k) {
-        if (!value.at(k).is_number()) {
-          return run_error(i, "metric \"" + name +
-                                  "\" series contains a non-number sample");
-        }
+    if (!value.is_array()) {
+      return run_error(i, "metric \"" + name +
+                              "\" is neither a number nor a series");
+    }
+    for (std::size_t k = 0; k < value.size(); ++k) {
+      if (!value.at(k).is_number()) {
+        return run_error(i, "metric \"" + name +
+                                "\" series contains a non-number sample");
       }
-      continue;
     }
-    // Fixed-bound histogram objects and wall-marked series objects.
-    if (value.is_object()) {
-      const std::string err = value.find("series") != nullptr
-                                  ? check_series_object(value, i, name)
-                                  : check_histogram(value, i, name);
-      if (!err.empty()) return err;
-      continue;
-    }
-    return run_error(i, "metric \"" + name + "\" is not a number");
   }
 
   const Json* phases = run.find("phases");

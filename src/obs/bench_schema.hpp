@@ -1,7 +1,7 @@
 #pragma once
 // Schema validator for BENCH_<bench>.json, the one document a bench run
-// writes (schema "plum-bench/3"). Shared by tools/check_bench_json, plum-diff,
-// plum-report and tests/test_obs.cpp so they can never drift apart.
+// writes (schema "plum-bench/3"). Shared by plum-report, plum-diff and
+// tests/test_obs.cpp so they can never drift apart.
 //
 // Expected shape:
 //   {
@@ -11,8 +11,7 @@
 //       {
 //         "case": "<mesh/workload id>",
 //         "P": <int >= 1>,
-//         "metrics": { "<name>": <number> | [<number>, ...] |
-//                      <histogram object> | <wall series object>, ... },
+//         "metrics": { "<name>": <number> | [<number>, ...], ... },
 //         "phases": [
 //           { "name": "<phase>", "wall_s": <number>,
 //             "modeled_s": <number>, "supersteps": <int>, ... }

@@ -7,14 +7,6 @@ namespace plum::obs {
 
 namespace {
 
-constexpr double kSecondsBounds[] = {1e-6, 1e-5, 1e-4, 1e-3,
-                                     1e-2, 0.1,  1.0,  10.0};
-constexpr double kFractionBounds[] = {0.01, 0.02, 0.05, 0.1, 0.2, 0.5, 1.0};
-
-std::vector<double> bounds_vec(const double* first, std::size_t n) {
-  return std::vector<double>(first, first + n);
-}
-
 double step_value(const SuperstepRecord& st, std::size_t r) {
   return static_cast<double>(st.counters[r].compute_units);
 }
@@ -158,48 +150,6 @@ Json CriticalPathAnalysis::to_json() const {
   }
   doc.set("steps", std::move(step_arr));
   return doc;
-}
-
-void record_step_histograms(MetricsRegistry& m, const TraceRecorder& rec,
-                            std::size_t* cursor) {
-  m.define_histogram(kRankStepSecondsHist,
-                     bounds_vec(kSecondsBounds, std::size(kSecondsBounds)),
-                     /*wall_clock=*/true);
-  m.define_histogram(kRankWaitFractionHist,
-                     bounds_vec(kFractionBounds, std::size(kFractionBounds)),
-                     /*wall_clock=*/false);
-  const auto& steps = rec.supersteps();
-  for (std::size_t i = *cursor; i < steps.size(); ++i) {
-    const SuperstepRecord& st = steps[i];
-    const std::size_t p = st.counters.size();
-    double crit_units = 0;
-    for (std::size_t r = 0; r < p; ++r) {
-      crit_units = std::max(
-          crit_units, static_cast<double>(st.counters[r].compute_units));
-    }
-    for (std::size_t r = 0; r < p; ++r) {
-      if (r < st.rank_seconds.size()) {
-        m.add_hist_sample(kRankStepSecondsHist, st.rank_seconds[r]);
-      }
-      const double own = static_cast<double>(st.counters[r].compute_units);
-      const double frac =
-          crit_units > 0 ? (crit_units - own) / crit_units : 0.0;
-      m.add_hist_sample(kRankWaitFractionHist, frac);
-    }
-  }
-  *cursor = steps.size();
-}
-
-void record_phase_histograms(MetricsRegistry& m, const TraceRecorder& rec,
-                             std::size_t* cursor) {
-  m.define_histogram(kPhaseSecondsHist,
-                     bounds_vec(kSecondsBounds, std::size(kSecondsBounds)),
-                     /*wall_clock=*/true);
-  const auto& phases = rec.phases();
-  while (*cursor < phases.size() && phases[*cursor].closed) {
-    m.add_hist_sample(kPhaseSecondsHist, phases[*cursor].wall_s);
-    ++(*cursor);
-  }
 }
 
 }  // namespace plum::obs

@@ -18,18 +18,11 @@
 // across Engine/ParallelEngine, thread counts and transports, so the
 // decomposition sits inside the run entry's cross-engine byte-identity
 // contract (asserted in test_parallel_engine.cpp).
-//
-// record_step_histograms()/record_phase_histograms() sample per-cycle
-// MetricsRegistry fixed-bound histograms once per Framework/DistFramework
-// cycle: measured per-rank step seconds (wall-clock, out of the registry's
-// deterministic view) and the counter-sourced wait fractions (inside it).
 
-#include <cstddef>
 #include <string>
 #include <vector>
 
 #include "obs/json.hpp"
-#include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "util/types.hpp"
 
@@ -88,29 +81,5 @@ struct CriticalPathAnalysis {
 /// Decomposes every recorded superstep by its per-rank compute units.
 [[nodiscard]] CriticalPathAnalysis analyze_critical_path(
     const TraceRecorder& rec);
-
-// --- per-cycle histogram recording -----------------------------------------
-
-/// Histogram names recorded by the frameworks (see obs/metrics.hpp for the
-/// fixed-bound histogram semantics).
-inline constexpr const char* kRankStepSecondsHist = "rank_step_seconds";
-inline constexpr const char* kRankWaitFractionHist = "rank_wait_fraction";
-inline constexpr const char* kPhaseSecondsHist = "phase_wall_seconds";
-
-/// Samples every superstep at index >= *cursor into two histograms and
-/// advances *cursor: per-rank step wall seconds (kRankStepSecondsHist,
-/// wall-clock — excluded from MetricsRegistry::deterministic_json()) and
-/// per-rank wait fractions from the counter decomposition
-/// (kRankWaitFractionHist, deterministic). Call once per cycle from the
-/// coordinating thread, never from inside a superstep lambda.
-void record_step_histograms(MetricsRegistry& m, const TraceRecorder& rec,
-                            std::size_t* cursor);
-
-/// Samples the wall seconds of every *closed* phase at index >= *cursor
-/// into kPhaseSecondsHist (wall-clock) and advances *cursor past the
-/// leading run of closed phases. A still-open phase stops the scan; it is
-/// picked up on the next call, after it closes.
-void record_phase_histograms(MetricsRegistry& m, const TraceRecorder& rec,
-                             std::size_t* cursor);
 
 }  // namespace plum::obs

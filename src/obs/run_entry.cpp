@@ -101,7 +101,7 @@ Json run_entry(const TraceRecorder& trace, const MetricsRegistry& metrics,
   }
 
   Json entry = Json::object();
-  entry.set("metrics", wall ? metrics.to_json() : metrics.deterministic_json())
+  entry.set("metrics", metrics.to_json())
       .set("phases", std::move(phases))
       .set("critical_path", analyze_critical_path(trace).to_json())
       .set("gate_audit", gate_audit_json(trace.gate_records()))

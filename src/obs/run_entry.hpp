@@ -5,8 +5,7 @@
 // there is one, the engine's ledger:
 //
 //   {
-//     "metrics":       MetricsRegistry::to_json(), or deterministic_json()
-//                      in the wall-free form,
+//     "metrics":       MetricsRegistry::to_json() (scalars and series),
 //     "phases":        [{"name", "wall_s"*, "superstep_s"*, "modeled_s",
 //                        "supersteps", "depth", "compute_units",
 //                        "msgs_sent", "bytes_sent"}, ...]

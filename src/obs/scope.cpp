@@ -31,13 +31,6 @@ bool write_text(int fd, const std::string& text) {
 
 }  // namespace
 
-// --- ScopeRecorder ------------------------------------------------------------
-
-void ScopeRecorder::record_event(int step, std::int64_t ticks,
-                                 std::int64_t wall_ns) {
-  if (rec_ != nullptr) rec_->record_into(rank_, step, ticks, wall_ns);
-}
-
 // --- FlightRecorder -----------------------------------------------------------
 
 FlightRecorder::FlightRecorder(Rank nranks, int capacity)
@@ -51,8 +44,9 @@ FlightRecorder::FlightRecorder(Rank nranks, int capacity)
   }
 }
 
-void FlightRecorder::record_into(Rank rank, int step, std::int64_t ticks,
-                                 std::int64_t wall_ns) {
+void FlightRecorder::record_rank_step(int step, Rank rank,
+                                      const rt::StepCounters& counters,
+                                      std::int64_t wall_ns) {
   PLUM_ASSERT(rank >= 0 && rank < nranks_);
   RankRing& ring = rings_[static_cast<std::size_t>(rank)];
   ScopeEvent& slot =
@@ -60,22 +54,9 @@ void FlightRecorder::record_into(Rank rank, int step, std::int64_t ticks,
   slot.step = static_cast<std::int32_t>(step);
   slot.phase = current_phase_;
   slot.rank = rank;
-  slot.ticks = ticks;
+  slot.ticks = counters.compute_units;
   slot.wall_ns = wall_ns;
   ++ring.written;
-}
-
-void FlightRecorder::record_rank_step(int step, Rank rank,
-                                      const rt::StepCounters& counters,
-                                      std::int64_t wall_ns) {
-  record_into(rank, step, counters.compute_units, wall_ns);
-}
-
-std::vector<ScopeRecorder> FlightRecorder::handles() {
-  std::vector<ScopeRecorder> out;
-  out.reserve(static_cast<std::size_t>(nranks_));
-  for (Rank r = 0; r < nranks_; ++r) out.emplace_back(this, r);
-  return out;
 }
 
 void FlightRecorder::set_phase(const std::string& name) {

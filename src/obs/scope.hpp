@@ -12,8 +12,7 @@
 //                       events are overwritten, and recording costs a few
 //                       ns per event — cheap enough to leave on always.
 //                       Wall-clock fields are excluded from
-//                       deterministic_json() exactly like the registry's
-//                       wall histograms, so the Engine/ParallelEngine
+//                       deterministic_json(), so the Engine/ParallelEngine
 //                       byte-identity contract survives the recorder.
 //   ScopeStreamWriter — an EINTR/short-write-safe NDJSON appender; the
 //                       frameworks emit one "plum-scope/1" record per
@@ -27,10 +26,11 @@
 //                       POSTMORTEM_<name>.json (schema
 //                       "plum-postmortem/1") before aborting.
 //
-// Rank-safety: superstep lambdas must record through the rank-bound
-// ScopeRecorder handle (handles()[r].record_event(...)), never by calling
-// into a shared FlightRecorder — plum-lint's shared-accumulator check
-// flags naive record_event() calls on captured objects.
+// Rank-safety: the engine is the only writer. The thread that claimed rank
+// r calls record_rank_step() for r right after r's step function returns,
+// so each ring has one writer per superstep. Superstep lambdas never
+// record into a captured recorder (plum-lint's shared-accumulator check
+// flags record_event() calls on captured objects).
 
 #include <cstdint>
 #include <string>
@@ -56,26 +56,6 @@ struct ScopeEvent {
 static_assert(std::is_trivially_copyable_v<ScopeEvent>,
               "ScopeEvent must stay a POD ring slot");
 
-class FlightRecorder;
-
-/// Rank-bound recording handle for superstep lambdas. Each handle writes
-/// only its own rank's ring, so capturing `handles` (one per rank, from
-/// FlightRecorder::handles()) and calling `handles[r].record_event(...)`
-/// is rank-safe; capturing a single handle and calling it from every rank
-/// is the shared-accumulator bug plum-lint flags.
-class ScopeRecorder {
- public:
-  ScopeRecorder() = default;
-  ScopeRecorder(FlightRecorder* rec, Rank rank) : rec_(rec), rank_(rank) {}
-
-  /// Records one event into the bound rank's ring (overwrite-oldest).
-  void record_event(int step, std::int64_t ticks, std::int64_t wall_ns = 0);
-
- private:
-  FlightRecorder* rec_ = nullptr;
-  Rank rank_ = 0;
-};
-
 /// Fixed-capacity per-rank binary flight recorder (see the header comment).
 class FlightRecorder final : public rt::RankScopeSink {
  public:
@@ -87,10 +67,6 @@ class FlightRecorder final : public rt::RankScopeSink {
   // immediately after rank `rank`'s step function returns.
   void record_rank_step(int step, Rank rank, const rt::StepCounters& counters,
                         std::int64_t wall_ns) override;
-
-  /// One rank-bound handle per rank, for superstep lambdas that want to
-  /// record extra events (rank-indexed, hence rank-safe to capture).
-  [[nodiscard]] std::vector<ScopeRecorder> handles();
 
   /// Sets the phase id stamped on subsequently recorded events (interning
   /// `name` on first use). Host-side only: call between supersteps (the
@@ -125,15 +101,11 @@ class FlightRecorder final : public rt::RankScopeSink {
   [[nodiscard]] Json deterministic_json() const;
 
  private:
-  friend class ScopeRecorder;
-
   struct RankRing {
     std::vector<ScopeEvent> slots;  ///< capacity-sized, overwrite-oldest
     std::uint64_t written = 0;
   };
 
-  void record_into(Rank rank, int step, std::int64_t ticks,
-                   std::int64_t wall_ns);
   [[nodiscard]] Json to_json_impl(bool include_wall) const;
 
   Rank nranks_;
@@ -189,8 +161,8 @@ void uninstall_postmortem(const FlightRecorder* owner);
                                    int line, const char* msg);
 
 /// Returns "" when `doc` is a valid plum-postmortem/1 document, else a
-/// description of the first violation (the check_bench_json gate and the
-/// unit tests share this validator).
+/// description of the first violation (plum-report and the unit tests
+/// share this validator).
 [[nodiscard]] std::string validate_postmortem(const Json& doc);
 
 /// Returns "" when `line` parses as one valid plum-scope/1 NDJSON record,

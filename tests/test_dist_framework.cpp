@@ -12,6 +12,7 @@
 #include <memory>
 #include <set>
 #include <sstream>
+#include <string>
 #include <vector>
 
 #include "core/dist_framework.hpp"
@@ -268,16 +269,22 @@ TEST(DistFramework, ObservabilityCommMatrixGaugesAndGateAudit) {
   EXPECT_EQ(class_msgs, cm.total_msgs());
   EXPECT_EQ(class_bytes, cm.total_bytes());
 
-  // --- per-cycle gauges ----------------------------------------------------
+  // --- per-cycle gauges: exactly edge_cut and the seven remap_* series,
+  //     one sample per cycle; every other number has its own section -------
   const obs::MetricsRegistry& m = fw.metrics();
-  for (const char* gauge : {"imbalance", "edge_cut", "remap_total_elems",
-                            "remap_max_sent_or_recv"}) {
-    ASSERT_TRUE(m.contains(gauge)) << gauge;
-    ASSERT_TRUE(m.is_series(gauge)) << gauge;
-    EXPECT_EQ(m.series(gauge).size(), static_cast<std::size_t>(cycles))
-        << gauge;
+  const obs::Json gauges = m.to_json();
+  std::vector<std::string> names;
+  for (const auto& [name, value] : gauges.items()) {
+    names.push_back(name);
+    ASSERT_TRUE(m.is_series(name)) << name;
+    EXPECT_EQ(m.series(name).size(), static_cast<std::size_t>(cycles))
+        << name;
   }
-  for (const double v : m.series("imbalance")) EXPECT_GE(v, 1.0);
+  EXPECT_EQ(names, (std::vector<std::string>{
+                       "edge_cut", "remap_bottleneck_elems",
+                       "remap_bottleneck_sets", "remap_max_recv",
+                       "remap_max_sent", "remap_max_sent_or_recv",
+                       "remap_total_elems", "remap_total_sets"}));
 
   // --- gate audit ----------------------------------------------------------
   const auto& gates = fw.trace().gate_records();
@@ -316,6 +323,7 @@ TEST(DistFramework, ScopeStreamWritesOneValidatedRecordPerCycle) {
   opt.scope_stream = stream;
   const int cycles = 3;
   std::string scope_det;
+  std::vector<obs::GateRecord> gates;
   {
     auto fw = make_dist(opt, 4);
     for (int i = 0; i < cycles; ++i) fw.cycle();
@@ -328,6 +336,7 @@ TEST(DistFramework, ScopeStreamWritesOneValidatedRecordPerCycle) {
     }
     EXPECT_FALSE(fw.scope().phase_names().empty());
     scope_det = fw.scope().deterministic_json().dump();
+    gates = fw.trace().gate_records();
   }
 
   std::ifstream in(stream);
@@ -342,6 +351,12 @@ TEST(DistFramework, ScopeStreamWritesOneValidatedRecordPerCycle) {
     ASSERT_EQ(obs::validate_scope_record(rec), "") << line;
     EXPECT_EQ(rec.find("name")->as_string(), "stream_unit");
     EXPECT_EQ(rec.find("cycle")->as_int(), n);
+    // The imbalance of the partition in force after this cycle's gate.
+    ASSERT_LT(static_cast<std::size_t>(n), gates.size());
+    const obs::GateRecord& g = gates[static_cast<std::size_t>(n)];
+    EXPECT_EQ(rec.find("imbalance")->as_double(),
+              g.accepted ? g.imbalance_new : g.imbalance_old)
+        << "cycle " << n;
     const obs::Json* ranks = rec.find("ranks");
     ASSERT_EQ(ranks->size(), static_cast<std::size_t>(opt.nranks));
     for (std::size_t r = 0; r < ranks->size(); ++r) {

@@ -449,61 +449,6 @@ TEST(Metrics, GaugeSeriesAppendAndRender) {
             R"({"edge_cut":[40,36],"imbalance":[1.5,1.25],"speedup":2})");
 }
 
-TEST(Metrics, HistogramCountsQuantilesAndOverflow) {
-  obs::MetricsRegistry m;
-  m.define_histogram("lat", {0.1, 1.0, 10.0});
-  EXPECT_TRUE(m.is_histogram("lat"));
-  EXPECT_FALSE(m.is_series("lat"));
-  EXPECT_EQ(m.hist_count("lat"), 0);
-  EXPECT_EQ(m.hist_quantile("lat", 0.5), 0.0);  // empty -> 0
-
-  for (const double v : {0.05, 0.07, 0.5, 2.0, 3.0, 4.0}) {
-    m.add_hist_sample("lat", v);
-  }
-  EXPECT_EQ(m.hist_count("lat"), 6);
-  EXPECT_EQ(m.hist_max("lat"), 4.0);
-  // Buckets: (<=0.1)=2, (<=1)=1, (<=10)=3, overflow=0. Quantiles render as
-  // bucket upper bounds: the 3rd of 6 samples sits in the <=1.0 bucket.
-  EXPECT_EQ(m.hist_quantile("lat", 0.5), 1.0);
-  EXPECT_EQ(m.hist_quantile("lat", 0.95), 10.0);
-  EXPECT_EQ(m.hist_quantile("lat", 0.01), 0.1);
-
-  // Overflow samples report the tracked max, not a bound.
-  m.add_hist_sample("lat", 1000.0);
-  EXPECT_EQ(m.hist_quantile("lat", 1.0), 1000.0);
-  EXPECT_EQ(m.hist_max("lat"), 1000.0);
-
-  // Redefinition is a no-op: bounds and samples survive. With 7 samples
-  // the 4th now sits in the <=10.0 bucket.
-  m.define_histogram("lat", {99.0});
-  EXPECT_EQ(m.hist_count("lat"), 7);
-  EXPECT_EQ(m.hist_quantile("lat", 0.5), 10.0);
-}
-
-TEST(Metrics, HistogramJsonAndDeterministicView) {
-  obs::MetricsRegistry m;
-  m.set("speedup", 2.0);
-  m.define_histogram("work", {1.0, 2.0});
-  m.add_hist_sample("work", 1.5);
-  m.define_histogram("step_s", {0.5}, /*wall_clock=*/true);
-  m.add_hist_sample("step_s", 0.25);
-
-  const std::string full = m.to_json().dump();
-  EXPECT_NE(full.find("\"work\":{\"histogram\":true,\"wall\":false"),
-            std::string::npos)
-      << full;
-  EXPECT_NE(full.find("\"step_s\":{\"histogram\":true,\"wall\":true"),
-            std::string::npos)
-      << full;
-  EXPECT_NE(full.find("\"counts\":[0,1,0]"), std::string::npos) << full;
-
-  // The deterministic view drops wall-clock histograms and nothing else.
-  const std::string det = m.deterministic_json().dump();
-  EXPECT_EQ(det.find("step_s"), std::string::npos) << det;
-  EXPECT_NE(det.find("\"work\""), std::string::npos);
-  EXPECT_NE(det.find("\"speedup\""), std::string::npos);
-}
-
 Json valid_report() {
   Json phase = Json::object();
   phase.set("name", Json::str("solve"))
@@ -680,9 +625,9 @@ TEST(BenchSchema, V2RejectsMalformedCommMatrixAndGateAudit) {
   }
 }
 
-TEST(BenchSchema, V2AcceptsHistogramsAndCriticalPath) {
-  // Build the document the real producers build: a registry histogram and
-  // a run entry's critical path, heap and tag-class traffic, both through
+TEST(BenchSchema, V2AcceptsRunEntrySections) {
+  // Build the document the real producers build: a registry gauge and a
+  // run entry's critical path, heap and tag-class traffic, both through
   // JsonReport.
   rt::Engine eng(2);
   obs::TraceRecorder rec;
@@ -690,8 +635,7 @@ TEST(BenchSchema, V2AcceptsHistogramsAndCriticalPath) {
   eng.run(tick);
 
   obs::MetricsRegistry m;
-  m.define_histogram("rank_wait_fraction", {0.1, 0.5, 1.0});
-  m.add_hist_sample("rank_wait_fraction", 0.25);
+  m.add_sample_int("edge_cut", 12);
   const obs::MemoryTracker mem(2);
 
   bench::JsonReport report("unit");
@@ -705,30 +649,37 @@ TEST(BenchSchema, V2AcceptsHistogramsAndCriticalPath) {
        {"critical_path", "gate_audit", "heap", "comm_by_class"}) {
     EXPECT_NE(run.find(section), nullptr) << section;
   }
-  EXPECT_NE(run.find("metrics")->find("rank_wait_fraction"), nullptr);
+  EXPECT_NE(run.find("metrics")->find("edge_cut"), nullptr);
 }
 
-TEST(BenchSchema, V2RejectsMalformedHistogramAndCriticalPath) {
-  {
-    // counts must have bounds+1 buckets.
+TEST(BenchSchema, V2RejectsObjectMetricAndMalformedCriticalPath) {
+  // A metric is a number or an array of numbers, so even well-formed
+  // histogram and wall-series objects are rejected.
+  Json hist = Json::object();
+  hist.set("histogram", Json::boolean(true))
+      .set("wall", Json::boolean(false))
+      .set("count", Json::integer(1))
+      .set("max", Json::number(1.0))
+      .set("p50", Json::number(1.0))
+      .set("p95", Json::number(1.0))
+      .set("bounds", Json::array().push(Json::number(1.0)))
+      .set("counts",
+           Json::array().push(Json::integer(1)).push(Json::integer(0)));
+  Json wall_series = Json::object();
+  wall_series.set("series", Json::boolean(true))
+      .set("wall", Json::boolean(true))
+      .set("samples",
+           Json::array().push(Json::integer(100)).push(Json::integer(250)));
+  for (Json* object : {&hist, &wall_series}) {
     Json doc = valid_v2_report();
     Json run = doc.find("runs")->at(0);
-    Json h = Json::object();
-    h.set("histogram", Json::boolean(true))
-        .set("wall", Json::boolean(false))
-        .set("count", Json::integer(1))
-        .set("max", Json::number(1.0))
-        .set("p50", Json::number(1.0))
-        .set("p95", Json::number(1.0))
-        .set("bounds", Json::array().push(Json::number(1.0)))
-        .set("counts", Json::array().push(Json::integer(1)));  // needs 2
     Json metrics = *run.find("metrics");
-    metrics.set("bad_hist", std::move(h));
+    metrics.set("object_metric", *object);
     run.set("metrics", std::move(metrics));
     doc.set("runs", Json::array().push(std::move(run)));
     const std::string err = obs::validate_bench_report(doc);
-    EXPECT_NE(err, "");
-    EXPECT_NE(err.find("bad_hist"), std::string::npos) << err;
+    EXPECT_NE(err.find("object_metric"), std::string::npos)
+        << object->dump() << ": " << err;
   }
   {
     // critical_path must carry its totals and section arrays.
@@ -837,12 +788,18 @@ TEST(JsonReport, RefusesToWriteInvalidReport) {
 
 // --- plum-scope: flight recorder, live stream records, postmortems ----------
 
+/// Records one event for `rank` the way the engines do after its step.
+void record(obs::FlightRecorder& rec, Rank rank, int step, std::int64_t ticks,
+            std::int64_t wall_ns = 0) {
+  rt::StepCounters counters;
+  counters.compute_units = ticks;
+  rec.record_rank_step(step, rank, counters, wall_ns);
+}
+
 TEST(FlightRecorder, RingOverwritesOldestKeepingNewestEvents) {
   obs::FlightRecorder rec(2, /*capacity=*/4);
-  auto handles = rec.handles();
-  ASSERT_EQ(handles.size(), 2u);
-  for (int i = 0; i < 10; ++i) handles[0].record_event(i, i * 100);
-  handles[1].record_event(7, 42);
+  for (int i = 0; i < 10; ++i) record(rec, 0, i, i * 100);
+  record(rec, 1, 7, 42);
 
   EXPECT_EQ(rec.events_recorded(0), 10u);
   EXPECT_EQ(rec.events_recorded(1), 1u);
@@ -864,16 +821,15 @@ TEST(FlightRecorder, RingOverwritesOldestKeepingNewestEvents) {
 
 TEST(FlightRecorder, PhaseStampingInternsNamesOnce) {
   obs::FlightRecorder rec(1, 8);
-  auto h = rec.handles();
-  h[0].record_event(0, 1);  // outside any phase
+  record(rec, 0, 0, 1);  // outside any phase
   rec.set_phase("solve");
-  h[0].record_event(1, 1);
+  record(rec, 0, 1, 1);
   rec.set_phase("mark");
-  h[0].record_event(2, 1);
+  record(rec, 0, 2, 1);
   rec.set_phase("solve");  // re-entering reuses the interned id
-  h[0].record_event(3, 1);
+  record(rec, 0, 3, 1);
   rec.clear_phase();
-  h[0].record_event(4, 1);
+  record(rec, 0, 4, 1);
 
   const auto ev = rec.last_events(0);
   ASSERT_EQ(ev.size(), 5u);
@@ -890,10 +846,9 @@ TEST(FlightRecorder, PhaseStampingInternsNamesOnce) {
 TEST(FlightRecorder, DeterministicJsonExcludesWallClock) {
   auto fill = [](std::int64_t wall) {
     obs::FlightRecorder rec(2, 4);
-    auto h = rec.handles();
     rec.set_phase("solve");
-    h[0].record_event(0, 10, wall);
-    h[1].record_event(0, 20, wall * 3);
+    record(rec, 0, 0, 10, wall);
+    record(rec, 1, 0, 20, wall * 3);
     return rec;
   };
   const obs::FlightRecorder fast = fill(1);
@@ -1003,9 +958,8 @@ TEST(ScopeStreamWriter, AppendsOneValidatedLinePerRecord) {
 
 TEST(Postmortem, BuilderEmitsValidatedDocumentWithCrashNotes) {
   obs::FlightRecorder rec(2, 4);
-  auto h = rec.handles();
-  h[0].record_event(0, 5, 123);
-  h[1].record_event(0, 7, 456);
+  record(rec, 0, 0, 5, 123);
+  record(rec, 1, 0, 7, 456);
 
   obs::PostmortemConfig cfg;
   cfg.name = "unit";
@@ -1038,45 +992,6 @@ TEST(Postmortem, BuilderEmitsValidatedDocumentWithCrashNotes) {
     bad.set("scope", Json::object());  // capacity/nranks/ranks missing
     EXPECT_NE(obs::validate_postmortem(bad), "");
   }
-}
-
-TEST(Metrics, WallSeriesMarkedAndExcludedFromDeterministicView) {
-  obs::MetricsRegistry m;
-  m.add_sample("imbalance", 1.5);
-  m.add_wall_sample_int("barrier_stall_ns", 100);
-  m.add_wall_sample_int("barrier_stall_ns", 250);
-  m.add_wall_sample("pool_occupancy", 0.5);
-
-  const Json full = m.to_json();
-  const Json* wall = full.find("barrier_stall_ns");
-  ASSERT_NE(wall, nullptr);
-  ASSERT_TRUE(wall->is_object());
-  EXPECT_TRUE(wall->find("series")->as_bool());
-  EXPECT_TRUE(wall->find("wall")->as_bool());
-  ASSERT_EQ(wall->find("samples")->size(), 2u);
-  EXPECT_EQ(wall->find("samples")->at(1).as_int(), 250);
-
-  // Deterministic view drops every wall-marked series, nothing else.
-  const Json det = m.deterministic_json();
-  EXPECT_EQ(det.find("barrier_stall_ns"), nullptr);
-  EXPECT_EQ(det.find("pool_occupancy"), nullptr);
-  ASSERT_NE(det.find("imbalance"), nullptr);
-}
-
-TEST(BenchSchema, V2AcceptsWallSeriesObjects) {
-  Json doc = valid_v2_report();
-  Json run = doc.find("runs")->at(0);
-  Json metrics = *run.find("metrics");
-  metrics.set("barrier_stall_ns",
-              Json::object()
-                  .set("series", Json::boolean(true))
-                  .set("wall", Json::boolean(true))
-                  .set("samples", Json::array()
-                                      .push(Json::integer(100))
-                                      .push(Json::integer(250))));
-  run.set("metrics", std::move(metrics));
-  doc.set("runs", Json::array().push(std::move(run)));
-  EXPECT_EQ(obs::validate_bench_report(doc), "");
 }
 
 // --------------------------------------------------------------- plum-mem

@@ -1,8 +1,9 @@
 // plum-diff, the bench regression gate: a report self-diffs clean (exit
 // status 0), any deterministic perturbation breaches (exit status 1), wall
 // values never gate but a one-sided key always does, heap and comm_by_class
-// stay ungated, an invalid report is an error (exit status 2), and the
-// directory mode pairs BENCH_*.json files and flags missing ones.
+// stay ungated, an invalid report is an error (exit status 2), the delta
+// column is signed against the baseline, and the directory mode pairs
+// BENCH_*.json files and flags missing ones.
 
 #include <gtest/gtest.h>
 
@@ -21,41 +22,15 @@ using diff::DiffResult;
 using obs::Json;
 
 /// A plum-bench/3 report with one run carrying every section:
-/// scalar/int/series/histogram metrics, phases, comm matrix, gate audit,
-/// the critical-path document, and the ungated heap and comm_by_class.
+/// scalar/int/series metrics, phases, comm matrix, gate audit, the
+/// critical-path document, and the ungated heap and comm_by_class.
 Json report() {
-  Json hist = Json::object();
-  hist.set("histogram", Json::boolean(true))
-      .set("wall", Json::boolean(false))
-      .set("count", Json::integer(4))
-      .set("max", Json::number(0.5))
-      .set("p50", Json::number(0.1))
-      .set("p95", Json::number(0.5))
-      .set("bounds", Json::array().push(Json::number(0.1)).push(
-                         Json::number(1.0)))
-      .set("counts", Json::array()
-                         .push(Json::integer(3))
-                         .push(Json::integer(1))
-                         .push(Json::integer(0)));
-  Json wall_hist = Json::object();
-  wall_hist.set("histogram", Json::boolean(true))
-      .set("wall", Json::boolean(true))
-      .set("count", Json::integer(2))
-      .set("max", Json::number(0.25))
-      .set("p50", Json::number(0.01))
-      .set("p95", Json::number(0.1))
-      .set("bounds", Json::array().push(Json::number(0.1)))
-      .set("counts",
-           Json::array().push(Json::integer(1)).push(Json::integer(1)));
-
   Json metrics = Json::object();
   metrics.set("imbalance_new", Json::number(1.05))
       .set("msgs_sent", Json::integer(1234))
       .set("wall_s", Json::number(0.125))
       .set("imbalance", Json::array().push(Json::number(1.5)).push(
-                            Json::number(1.05)))
-      .set("rank_wait_fraction", std::move(hist))
-      .set("rank_step_seconds", std::move(wall_hist));
+                            Json::number(1.05)));
 
   Json phase = Json::object();
   phase.set("name", Json::str("solve"))
@@ -201,18 +176,58 @@ TEST(PlumDiff, DeterministicDoubleUsesRelativeTolerance) {
 
 TEST(PlumDiff, WallClockMetricsNeverGate) {
   const Json base = report();
-  // wall_s doubles; the wall histogram's count changes: both report-only.
-  Json cur = with_metric(base, "wall_s", Json::number(0.25));
-  Json wall_hist = *cur.find("runs")->at(0).find("metrics")->find(
-      "rank_step_seconds");
-  wall_hist.set("count", Json::integer(99)).set("max", Json::number(9.0));
-  cur = with_metric(std::move(cur), "rank_step_seconds",
-                    std::move(wall_hist));
+  // wall_s doubles: report-only.
+  const Json cur = with_metric(base, "wall_s", Json::number(0.25));
   const DiffResult r = diff::diff_reports(base, cur);
   EXPECT_EQ(r.breaches, 0);
   EXPECT_EQ(diff::exit_status(r), 0);
-  EXPECT_GE(r.deltas.size(), 2u);  // the drifts still show in the table
-  for (const auto& d : r.deltas) EXPECT_TRUE(d.wall) << d.where;
+  ASSERT_EQ(r.deltas.size(), 1u);  // the drift still shows in the table
+  EXPECT_TRUE(r.deltas[0].wall);
+}
+
+/// The delta table as print_delta_table writes it.
+std::string rendered_table(const DiffResult& r) {
+  std::FILE* f = std::tmpfile();
+  if (f == nullptr) return "";
+  diff::print_delta_table(r, f);
+  std::rewind(f);
+  std::string text;
+  for (int c; (c = std::fgetc(f)) != EOF;) text += static_cast<char>(c);
+  std::fclose(f);
+  return text;
+}
+
+/// The table line naming `where`, or "" when there is none.
+std::string table_row(const std::string& table, const std::string& where) {
+  std::size_t start = 0;
+  while (start < table.size()) {
+    std::size_t end = table.find('\n', start);
+    if (end == std::string::npos) end = table.size();
+    const std::string line = table.substr(start, end - start);
+    if (line.find(" " + where + " ") != std::string::npos) return line;
+    start = end + 1;
+  }
+  return "";
+}
+
+TEST(PlumDiff, DeltaColumnIsSigned) {
+  // The delta is the signed change against the baseline: a drop reads
+  // negative, a rise positive, and a one-sided row has no percentage.
+  const Json base = with_metric(report(), "wall_s", Json::number(0.015578135));
+  Json cur = with_metric(base, "wall_s", Json::number(0.013088048));
+  cur = with_metric(std::move(cur), "msgs_sent", Json::integer(1235));
+  cur = without_metric(std::move(cur), "imbalance_new");
+  const std::string table = rendered_table(diff::diff_reports(base, cur));
+
+  const std::string fell = table_row(table, "run[box8,P=4].metrics.wall_s");
+  EXPECT_NE(fell.find("-15.98"), std::string::npos) << table;
+  const std::string grew =
+      table_row(table, "run[box8,P=4].metrics.msgs_sent");
+  EXPECT_NE(grew.find("+0.081%"), std::string::npos) << table;
+  const std::string missing =
+      table_row(table, "run[box8,P=4].metrics.imbalance_new");
+  ASSERT_NE(missing.find("MISSING"), std::string::npos) << table;
+  EXPECT_EQ(missing.find('%'), std::string::npos) << missing;
 }
 
 TEST(PlumDiff, PhaseSuperstepSecondsAreReportOnly) {

@@ -38,13 +38,6 @@ bool is_wall_name(const std::string& name) {
   return name.find("wall") != std::string::npos;
 }
 
-/// Histograms and series objects carry an explicit "wall" flag instead of
-/// relying on the name.
-bool wall_flagged(const Json& v) {
-  const Json* w = v.find("wall");
-  return w != nullptr && w->kind() == Json::Kind::kBool && w->as_bool();
-}
-
 /// A leaf renders as itself; a container only by its presence.
 std::string render(const Json& v) {
   return v.is_object() || v.is_array() ? "present" : v.dump();
@@ -108,8 +101,7 @@ class Differ {
   void walk(const Json& b, const Json& c, const std::string& where,
             bool wall) {
     if (b.is_object() && c.is_object()) {
-      walk_object(b, c, where, wall || (wall_flagged(b) && wall_flagged(c)),
-                  /*run=*/false);
+      walk_object(b, c, where, wall, /*run=*/false);
     } else if (b.is_array() && c.is_array()) {
       if (b.size() != c.size()) {
         breach(out_, where + ".len", std::to_string(b.size()),
@@ -152,9 +144,12 @@ class Differ {
       const double bv = b.as_double();
       const double cv = c.as_double();
       if (ints ? b.as_int() == c.as_int() : bv == cv) return;
-      d.rel = std::abs(cv - bv) / std::max(std::abs(bv), std::abs(cv));
+      // Symmetric, so the tolerance does not depend on the direction.
+      const double rel =
+          std::abs(cv - bv) / std::max(std::abs(bv), std::abs(cv));
+      if (bv != 0) d.change = (cv - bv) / std::abs(bv);
       d.wall = wall;
-      d.breach = !wall && (ints || d.rel > kRelTol);
+      d.breach = !wall && (ints || rel > kRelTol);
     } else {
       if (d.baseline == d.current) return;
       // A value of another kind is a shape change: it breaches under wall
@@ -280,9 +275,10 @@ void print_delta_table(const DiffResult& result, std::FILE* out) {
                  "baseline", "current", "delta");
     for (const Delta& d : result.deltas) {
       const char* status = d.breach ? "BREACH" : (d.wall ? "wall" : "ok");
-      std::fprintf(out, "%-8s %-58s %16s %16s %+9.3f%%\n", status,
-                   d.where.c_str(), d.baseline.c_str(), d.current.c_str(),
-                   100.0 * d.rel);
+      std::fprintf(out, "%-8s %-58s %16s %16s", status, d.where.c_str(),
+                   d.baseline.c_str(), d.current.c_str());
+      if (d.change) std::fprintf(out, " %+9.3f%%", 100.0 * *d.change);
+      std::fprintf(out, "\n");
     }
   }
   std::fprintf(out,

@@ -12,17 +12,17 @@
 //     element present on one side only, an array of a different length or
 //     a value of a different kind is a breach. Integers, strings and
 //     booleans must match exactly; doubles must agree within a relative
-//     1e-9.
+//     1e-9 of the larger magnitude.
 //   - A value is REPORT-ONLY (its delta appears in the table but never
 //     breaches) when its key or an enclosing key is a wall name (wall_s,
 //     superstep_s, a *_seconds name without "modeled", any name containing
-//     "wall"), or when it sits inside an object both sides flag
-//     "wall": true. A shape change breaches even there.
+//     "wall"). A shape change breaches even there.
 //
 // Exit-status mapping (exit_status): 0 = no breach, 1 = any breach,
 // 2 = usage / IO / parse / validation error.
 
 #include <cstdio>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -36,7 +36,9 @@ struct Delta {
   std::string where;     ///< e.g. "run[box8,P=4].metrics.msgs_sent"
   std::string baseline;  ///< rendered baseline value
   std::string current;   ///< rendered current value
-  double rel = 0;        ///< relative delta (0 when not meaningful)
+  /// Signed change against the baseline, (current - baseline) / |baseline|;
+  /// empty when either side is not a number or the baseline is 0.
+  std::optional<double> change = std::nullopt;
   bool wall = false;     ///< report-only wall-clock entry
   bool breach = false;
 };

@@ -8,9 +8,9 @@
 //
 // Deterministic integers, strings and booleans must match exactly and
 // doubles within a relative 1e-9; a key, element or run present on one
-// side only breaches. Wall-clock values (wall_s, superstep_s, *_seconds,
-// objects flagged "wall": true) are shown in the table but never gate —
-// see diff.hpp for the full contract.
+// side only breaches. Wall-clock values (wall_s, superstep_s, *_seconds)
+// are shown in the table but never gate — see diff.hpp for the full
+// contract. The delta column is the signed change against the baseline.
 //
 // Exit status: 0 = no breach, 1 = breach, 2 = usage/IO/parse error.
 

@@ -1,22 +1,28 @@
-// plum-report: renders plum observability JSON into a human-readable run
-// report. Accepts any mix of the three kinds a run leaves behind:
+// plum-report: validates plum observability JSON and renders it into a
+// human-readable run report. Accepts any mix of the three kinds a run
+// leaves behind, each checked by its src/obs validator before it renders:
 //
-//   BENCH_*.json      — "plum-bench/3" run documents (obs/bench_schema.hpp),
-//   SCOPE streams     — "plum-scope/1" NDJSON live-run streams (one record
-//                       per cycle; rendered as a cycle timeline),
-//   POSTMORTEM_*.json — "plum-postmortem/1" crash dumps (reason, last-N
-//                       ring events per rank).
+//   BENCH_*.json      — "plum-bench/3" run documents
+//                       (obs::validate_bench_report),
+//   SCOPE streams     — "plum-scope/1" NDJSON live-run streams, one record
+//                       per cycle, every line validated
+//                       (obs::validate_scope_record); rendered as a cycle
+//                       timeline,
+//   POSTMORTEM_*.json — "plum-postmortem/1" crash dumps
+//                       (obs::validate_postmortem): reason, last-N ring
+//                       events per rank.
 //
 // For each run of a document it prints the metrics and gauge timelines
-// (imbalance / edge cut / remap volumes, histograms), the per-phase table,
-// the counter-sourced critical path, the P x P comm matrix with row/column
-// sums, the gate history with predicted-vs-measured drift, the heap table
-// and the per-tag-class traffic.
+// (edge cut / remap volumes), the per-phase table, the counter-sourced
+// critical path, the P x P comm matrix with row/column sums, the gate
+// history with predicted-vs-measured drift, the heap table and the
+// per-tag-class traffic.
 //
 //   plum-report bench-json/BENCH_*.json bench-json/scope_weak.ndjson
 //
-// Exit status: 0 on success, 1 when any input fails to parse or has none of
-// the recognized shapes, 2 on usage/IO errors.
+// Exit status: 0 when every input is valid, 1 when any input fails to
+// parse or validate (or has none of the recognized shapes), 2 on
+// usage/IO errors. CI's bench-smoke job uses it as the document gate.
 
 #include <algorithm>
 #include <cstdio>
@@ -134,18 +140,6 @@ void print_metrics(const Json& metrics) {
   if (!metrics.is_object() || metrics.size() == 0) return;
   std::printf("\nMetrics:\n");
   for (const auto& [name, v] : metrics.items()) {
-    if (v.is_object()) {
-      // Fixed-bound histogram (MetricsRegistry::to_json() rendering).
-      const Json* wall = v.find("wall");
-      const bool is_wall =
-          wall && wall->kind() == Json::Kind::kBool && wall->as_bool();
-      std::printf("  %-26s hist n=%-6lld p50=%-10.6g p95=%-10.6g max=%-10.6g%s\n",
-                  name.c_str(),
-                  static_cast<long long>(int_or(v.find("count"), 0)),
-                  num_or(v.find("p50"), 0), num_or(v.find("p95"), 0),
-                  num_or(v.find("max"), 0), is_wall ? "  (wall)" : "");
-      continue;
-    }
     if (v.is_array()) {
       std::printf("  %-26s [", name.c_str());
       for (std::size_t i = 0; i < v.size(); ++i) {

@@ -9,11 +9,16 @@
 # machine by construction; plum-diff treats them as report-only, so the
 # committed values are only illustrative.
 #
-# The benches write into a temporary directory. Before the fresh reports
-# replace the committed ones, the script prints the non-wall rows of
-# `plum-diff <committed> <fresh>`: exactly the gated values that moved, to
-# paste into the change description. A breach does not stop the script,
-# since moving the baselines is what it is for.
+# The benches write into a temporary directory. The script first prints
+# the non-wall rows of `plum-diff <committed> <fresh>`: exactly the gated
+# values that moved, to paste into the change description. A breach does
+# not stop the script, since moving the baselines is what it is for. It
+# then replaces only what moved: a fresh report is copied when no baseline
+# of that name is committed or when plum-diff finds a breach (exit 1) or
+# cannot compare the two (exit 2, e.g. after a schema change). A report
+# whose only changes are wall-clock values keeps its committed file, so a
+# baseline diff carries no wall noise. Committed baselines that no bench
+# writes any more are removed.
 #
 # Usage: tools/regen_baselines.sh [build-dir]   (default: build-baselines)
 
@@ -55,8 +60,21 @@ echo "gated values that moved (plum-diff committed -> fresh, wall rows omitted):
   | grep -v '^wall ' || true
 
 mkdir -p "${out_dir}"
-rm -f "${out_dir}"/BENCH_*.json
-cp "${fresh_dir}"/BENCH_*.json "${out_dir}/"
+for committed in "${out_dir}"/BENCH_*.json; do
+  [[ -e "${committed}" ]] || continue
+  name="$(basename "${committed}")"
+  [[ -e "${fresh_dir}/${name}" ]] || rm -v "${committed}"
+done
+for fresh in "${fresh_dir}"/BENCH_*.json; do
+  name="$(basename "${fresh}")"
+  if [[ -e "${out_dir}/${name}" ]] &&
+     "${build_dir}/tools/plum-diff/plum-diff" "${out_dir}/${name}" "${fresh}" \
+       > /dev/null 2>&1; then
+    echo "kept (no gated change): ${name}"
+  else
+    cp -v "${fresh}" "${out_dir}/${name}"
+  fi
+done
 
 echo "baselines:"
 ls -l "${out_dir}"
