@@ -106,10 +106,10 @@ int main(int argc, char** argv) {
   const bool small = small_env && small_env[0] == '1';
 
   // --leak-check N: the steady-state memory gate. Run the full adaption
-  // cycle repeatedly on one framework; after a warm-up (arena chunks and
-  // interned phases settle) the tracked live bytes at every cycle boundary
-  // must not grow — scratch dies with the cycle (DESIGN.md's scratch-memory
-  // contract). On failure the run entry's heap section goes to stderr.
+  // cycle repeatedly on one framework: the arenas' live bytes must read
+  // zero at every cycle boundary — scratch dies with the cycle (DESIGN.md's
+  // scratch-memory contract), and each cycle's reset_arenas() aborts the
+  // run if a container outlived the previous one.
   if (cli.leak_check > 0) {
     core::FrameworkOptions opt;
     opt.nranks = 8;
@@ -129,37 +129,32 @@ int main(int argc, char** argv) {
 
     constexpr int kWarmup = 2;
     for (int c = 0; c < kWarmup; ++c) fw.cycle();
-    const std::int64_t baseline = fw.memory().total_live_bytes();
     const std::int64_t reserved0 =
-        fw.memory().host_arena().reserved_bytes();
+        fw.memory().host_scratch()->reserved_bytes();
 
     bool ok = true;
     for (int c = 0; c < cli.leak_check; ++c) {
       fw.cycle();
       const std::int64_t live = fw.memory().total_live_bytes();
-      std::printf("leak-check cycle %d: live %lld B (baseline %lld B)\n",
-                  kWarmup + c, static_cast<long long>(live),
-                  static_cast<long long>(baseline));
-      if (live > baseline) ok = false;
+      std::printf("leak-check cycle %d: live %lld B\n", kWarmup + c,
+                  static_cast<long long>(live));
+      if (live != 0) ok = false;
     }
     fw.dist_mesh().validate();
 
+    const std::int64_t reserved = fw.memory().host_scratch()->reserved_bytes();
     std::printf("host arena reserved %lld -> %lld B\n",
                 static_cast<long long>(reserved0),
-                static_cast<long long>(
-                    fw.memory().host_arena().reserved_bytes()));
+                static_cast<long long>(reserved));
     if (!ok) {
-      const obs::Json entry =
-          obs::run_entry(fw.trace(), fw.metrics(), fw.memory(),
-                         &fw.engine().ledger(), /*wall=*/true);
       std::fprintf(stderr,
-                   "leak-check FAILED: tracked live bytes grew across "
-                   "steady-state cycles; heap section:\n%s\n",
-                   entry.find("heap")->dump(2).c_str());
+                   "leak-check FAILED: live scratch bytes at a cycle "
+                   "boundary\n");
       return 1;
     }
-    std::printf("leak-check ok: %d cycles, live bytes flat at %lld B\n",
-                cli.leak_check, static_cast<long long>(baseline));
+    std::printf("leak-check ok: %d cycles, zero live bytes at every cycle "
+                "boundary\n",
+                cli.leak_check);
     return 0;
   }
 
@@ -314,7 +309,7 @@ int main(int argc, char** argv) {
         .metric_int("accepted", rep.accepted ? 1 : 0)
         .metric("gate_drift_mean_abs_static",
                 naccepted > 0 ? drift_static / naccepted : 0.0)
-        .entry(obs::run_entry(fw.trace(), fw.metrics(), fw.memory(),
+        .entry(obs::run_entry(fw.trace(), fw.metrics(),
                               &fw.engine().ledger(), /*wall=*/true));
     // The dense P x P comm matrix is ~P^2 JSON rows — fine at the strong
     // sweep's P<=32, but 65k rows per run at P=256 would bloat the weak

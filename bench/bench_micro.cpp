@@ -36,7 +36,6 @@
 #include "partition/multilevel.hpp"
 #include "partition/refine_kway.hpp"
 #include "pmesh/dist_mesh.hpp"
-#include "pmesh/migrate.hpp"
 #include "pmesh/parallel_solver.hpp"
 #include "remap/mapping.hpp"
 #include "runtime/engine.hpp"
@@ -397,129 +396,22 @@ void BM_ArenaHeapBaseline(benchmark::State& state) {
 }
 BENCHMARK(BM_ArenaHeapBaseline);
 
-// TrackedVec growth through the counting allocator: Arg(1) arena-backed,
-// Arg(0) plain heap (tap still counting). The delta between the two is the
-// arena's win; the delta against a raw std::vector is the tap's cost.
+// TrackedVec growth through the allocator adapter: Arg(1) arena-backed,
+// Arg(0) plain heap. The delta between the two is the arena's win.
 void BM_ArenaTrackedVecGrow(benchmark::State& state) {
   const bool use_arena = state.range(0) != 0;
   obs::MemoryTracker mem(1);
   constexpr int kElems = 4096;
   for (auto _ : state) {
     mem.reset_arenas();
-    obs::MemScratch s = mem.scratch(0);
-    if (!use_arena) s.arena = nullptr;
-    obs::TrackedVec<std::int64_t> v{obs::TrackingAllocator<std::int64_t>{s}};
+    obs::TrackedVec<std::int64_t> v{obs::TrackingAllocator<std::int64_t>{
+        use_arena ? mem.scratch(0) : nullptr}};
     for (int i = 0; i < kElems; ++i) v.push_back(i);
     benchmark::DoNotOptimize(v.data());
   }
   state.SetItemsProcessed(state.iterations() * kElems);
 }
 BENCHMARK(BM_ArenaTrackedVecGrow)->Arg(0)->Arg(1);
-
-// Deterministic allocation-churn report for the plum-diff gate: fixed
-// workloads for the three converted hot phases (HEM matching, KL-FM
-// refinement, remap pack staging) run under a MemoryTracker. The
-// alloc/byte counts are pure functions of the inputs — committed as
-// bench/baselines/BENCH_bench_micro_mem.json, so a drift means the scratch
-// structures changed shape and the baseline must be regenerated
-// deliberately. The measured arena overhead rides along as a wall-named
-// (report-only) metric. Written on every invocation, like the scope report.
-std::string write_mem_report() {
-  constexpr Rank kRanks = 16;
-  obs::MemoryTracker mem(kRanks);
-
-  struct Churn {
-    std::int64_t allocs = 0;
-    std::int64_t bytes = 0;
-  };
-  const auto phase_churn = [&mem](const std::string& name) {
-    Churn c;
-    const auto& names = mem.phase_names();
-    for (std::size_t i = 0; i < names.size(); ++i) {
-      if (names[i] != name) continue;
-      for (int row = 0; row <= kRanks; ++row) {
-        const auto s = mem.stats(row, static_cast<std::int32_t>(i));
-        c.allocs += s.allocs;
-        c.bytes += s.bytes_requested;
-      }
-    }
-    return c;
-  };
-
-  // HEM matching on the fixed box-8 dual (host row: serial phase).
-  const auto mesh8 = mesh::make_box_mesh(mesh::small_box(8));
-  const auto dual8 = mesh8.build_initial_dual();
-  mem.set_phase("hem_match");
-  {
-    Rng rng(7);
-    benchmark::DoNotOptimize(
-        partition::coarsen_hem(dual8, rng, mem.host_scratch()));
-  }
-
-  // KL-FM refinement of a multilevel 16-way split of the box-10 dual.
-  const auto mesh10 = mesh::make_box_mesh(mesh::small_box(10));
-  const auto dual10 = mesh10.build_initial_dual();
-  partition::MultilevelOptions popt;
-  popt.nparts = kRanks;
-  auto part = partition::partition(dual10, popt).part;
-  mem.set_phase("klfm_refine");
-  {
-    Rng rng(3);
-    partition::RefineOptions ropt;
-    benchmark::DoNotOptimize(
-        partition::refine_kway(dual10, part, kRanks, ropt, rng,
-                               mem.host_scratch()));
-  }
-
-  // Remap pack staging: rotate every root one rank forward and migrate.
-  // Each rank's pack and unpack tables land on its own row — all
-  // attributed to this phase.
-  auto global = mesh::make_box_mesh(mesh::small_box(8));
-  const auto gdual = global.build_initial_dual();
-  partition::MultilevelOptions gpopt;
-  gpopt.nparts = kRanks;
-  const auto gpart = partition::partition(gdual, gpopt).part;
-  pmesh::DistMesh dm(global, gpart, kRanks);
-  rt::Engine eng(kRanks);
-  partition::PartVec new_part(gpart.size());
-  for (std::size_t v = 0; v < gpart.size(); ++v) {
-    new_part[v] = (gpart[v] + 1) % kRanks;
-  }
-  mem.set_phase("remap_pack");
-  pmesh::migrate(dm, eng, new_part, nullptr, &mem);
-  mem.clear_phase();
-
-  const Churn hem = phase_churn("hem_match");
-  const Churn klfm = phase_churn("klfm_refine");
-  const Churn remap = phase_churn("remap_pack");
-
-  // Measured bump cost — wall-named so plum-diff reports it without gating.
-  double arena_ns = 0;
-  {
-    obs::Arena arena;
-    constexpr int kProbe = 1 << 16;
-    const Timer timer;
-    for (int i = 0; i < kProbe; ++i) {
-      benchmark::DoNotOptimize(arena.allocate(64, 8));
-    }
-    arena_ns = timer.seconds() * 1e9 / kProbe;
-  }
-
-  bench::JsonReport report("bench_micro_mem");
-  report.add_run("mem16", kRanks)
-      .metric_int("hem_match_allocs", hem.allocs)
-      .metric_int("hem_match_bytes", hem.bytes)
-      .metric_int("klfm_refine_allocs", klfm.allocs)
-      .metric_int("klfm_refine_bytes", klfm.bytes)
-      .metric_int("remap_pack_allocs", remap.allocs)
-      .metric_int("remap_pack_bytes", remap.bytes)
-      // Every scratch container above is destroyed by now, so tracked live
-      // bytes must read zero — the invariant the steady-state leak check
-      // gates at cycle granularity.
-      .metric_int("live_bytes_after", mem.total_live_bytes())
-      .metric("arena_alloc_wall_ns", arena_ns);
-  return report.write();
-}
 
 void BM_Subdivision(benchmark::State& state) {
   // Mesh + marks rebuilt each iteration (refine mutates); time is dominated
@@ -566,9 +458,8 @@ int main(int argc, char** argv) {
   }
   benchmark::RunSpecifiedBenchmarks();
   benchmark::Shutdown();
-  // Always emit the deterministic scope-recorder and allocation-churn
-  // reports (plum-diff gates their counters against bench/baselines/).
+  // Always emit the deterministic scope-recorder report (plum-diff gates
+  // its counters against bench/baselines/).
   if (write_scope_report().empty()) return 1;
-  if (write_mem_report().empty()) return 1;
   return 0;
 }

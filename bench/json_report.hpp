@@ -14,15 +14,15 @@
 //         "metrics": { "wall_s": ..., "edge_cut": [412, 398, ...], ... },
 //         "phases":  [ { "name": "solve", "wall_s": ..., "modeled_s": ...,
 //                        "supersteps": ..., ... }, ... ],
-//         "critical_path": {...}, "gate_audit": [...], "heap": {...},
+//         "critical_path": {...}, "gate_audit": [...],
 //         "comm_by_class": {...}, "comm_matrix": {...} },
 //       ...
 //     ]
 //   }
 //
-// A framework run gets its metrics, phases, critical path, gate audit, heap
-// and tag-class traffic from obs::run_entry (Run::entry); the bench adds
-// its own scalars and, where P is small, "comm_matrix".
+// A framework run gets its metrics, phases, critical path, gate audit and
+// tag-class traffic from obs::run_entry (Run::entry); the bench adds its
+// own scalars and, where P is small, "comm_matrix".
 //
 // The output directory defaults to the working directory and is overridden
 // by PLUM_BENCH_JSON_DIR. tools/plum-report validates the files in CI

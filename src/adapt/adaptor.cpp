@@ -37,7 +37,7 @@ PredictedWeights MeshAdaptor::predicted_weights() const {
   return w;
 }
 
-RefineStats MeshAdaptor::refine(const obs::MemScratch& scratch) {
+RefineStats MeshAdaptor::refine(obs::Arena* scratch) {
   PLUM_ASSERT_MSG(has_marks_, "refine requires a pending mark()");
   refine_timer.begin();
   const RefineStats stats = refine_mesh(*mesh_, marks_, scratch);

@@ -42,8 +42,8 @@ class MeshAdaptor {
   [[nodiscard]] PredictedWeights predicted_weights() const;
 
   /// Subdivision phase for the pending marks. `scratch` arena-backs the
-  /// pass-local leaf snapshot (plum-mem); default = plain heap, uncounted.
-  RefineStats refine(const obs::MemScratch& scratch = {});
+  /// pass-local leaf snapshot (plum-mem); default = plain heap.
+  RefineStats refine(obs::Arena* scratch = nullptr);
 
   /// Coarsening (invalidates any pending marking — ids change). The hook
   /// semantics are those of coarsen_mesh's on_compaction.

@@ -130,7 +130,7 @@ Index subdivide_bface(TetMesh& m, Index f) {
 }  // namespace
 
 RefineStats refine_mesh(mesh::TetMesh& mesh, const MarkingResult& marks,
-                        const obs::MemScratch& scratch) {
+                        obs::Arena* scratch) {
   RefineStats stats;
 
   // 1. Bisect every marked edge (once, globally shared).

@@ -20,8 +20,8 @@ struct RefineStats {
 };
 
 /// `scratch` (optional) arena-backs the subdivision pass's leaf-id
-/// snapshot and attributes its churn (plum-mem).
+/// snapshot (plum-mem).
 RefineStats refine_mesh(mesh::TetMesh& mesh, const MarkingResult& marks,
-                        const obs::MemScratch& scratch = {});
+                        obs::Arena* scratch = nullptr);
 
 }  // namespace plum::adapt

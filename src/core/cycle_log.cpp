@@ -4,6 +4,7 @@
 
 #include "partition/quality.hpp"
 #include "util/assert.hpp"
+#include "util/rss.hpp"
 
 namespace plum::core {
 
@@ -24,8 +25,7 @@ void CycleLog::gauges(const graph::Csr& dual, const partition::PartVec& owner,
 }
 
 void CycleLog::end(const CycleReport& rep, obs::GateRecord gate,
-                   obs::TraceRecorder& trace, const obs::MemoryTracker& mem,
-                   double wall_s) {
+                   obs::TraceRecorder& trace, double wall_s) {
   if (gate.accepted) {
     gate.drift =
         obs::gate_drift(gate.predicted_move_bytes, gate.measured_move_bytes);
@@ -73,14 +73,16 @@ void CycleLog::end(const CycleReport& rep, obs::GateRecord gate,
       obs::Json rj = obs::Json::object();
       rj.set("rank", obs::Json::integer(static_cast<std::int64_t>(r)))
           .set("busy", obs::Json::integer(busy[r]))
-          .set("wait", obs::Json::integer(wait[r]))
-          .set("live_bytes",
-               obs::Json::integer(mem.live_bytes(static_cast<int>(r))));
+          .set("wait", obs::Json::integer(wait[r]));
       ranks.push(std::move(rj));
     }
     rec.set("ranks", std::move(ranks));
-    // Coordinator RSS for plum-top's live memory column (wall-class).
-    rec.set("rss", obs::rss_json());
+    // Coordinator RSS for plum-top's memory readout (wall-class).
+    const util::RssSample rss = util::read_rss();
+    obs::Json rss_obj = obs::Json::object();
+    rss_obj.set("vm_rss_bytes", obs::Json::integer(rss.vm_rss_bytes))
+        .set("vm_hwm_bytes", obs::Json::integer(rss.vm_hwm_bytes));
+    rec.set("rss", std::move(rss_obj));
     const bool written = stream_->append(rec);
     PLUM_ASSERT_MSG(written, "scope stream write failed");
   }

@@ -34,8 +34,7 @@ class CycleLog {
   /// Closes the cycle: the gate record (with its predicted-vs-measured
   /// drift) and one stream record.
   void end(const CycleReport& rep, obs::GateRecord gate,
-           obs::TraceRecorder& trace, const obs::MemoryTracker& mem,
-           double wall_s);
+           obs::TraceRecorder& trace, double wall_s);
 
   [[nodiscard]] obs::MetricsRegistry& metrics() { return metrics_; }
   [[nodiscard]] const obs::MetricsRegistry& metrics() const {

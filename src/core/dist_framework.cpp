@@ -259,7 +259,7 @@ CycleReport DistFramework::cycle() {
   solver_->rebind();
   rep.elements_after = dm_->total_active_elements();
 
-  log_.end(rep, gate, trace_, mem_, cycle_timer.seconds());
+  log_.end(rep, gate, trace_, cycle_timer.seconds());
   return rep;
 }
 

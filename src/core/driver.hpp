@@ -1,6 +1,6 @@
 #pragma once
 // What both Fig. 1 drivers are made of besides their mesh, solver and data
-// movement: the options, the plum-trace recorder, the plum-mem tracker,
+// movement: the options, the plum-trace recorder, the plum-mem arenas,
 // the cycle log and the balancer — and the accessors over them.
 
 #include <utility>
@@ -36,12 +36,10 @@ class Driver {
     return log_.metrics();
   }
 
-  /// plum-mem tracker: per-rank/per-phase allocation counters and the
-  /// per-row scratch arenas the hot phases allocate through (HEM match and
-  /// KL-FM refine on the host row; mark/migrate/refine staging on the rank
-  /// rows, written by the claiming worker). stats(row, phase) is
-  /// byte-identical across engines, thread counts and transports;
-  /// obs::run_entry folds it into the run's "heap" section.
+  /// plum-mem: the per-row scratch arenas the hot phases allocate through
+  /// (HEM match and KL-FM refine on the host row; mark/migrate/refine
+  /// staging on the rank rows, by the claiming worker). Every row's live
+  /// bytes are zero between cycles; begin_cycle() asserts it.
   [[nodiscard]] obs::MemoryTracker& memory() { return mem_; }
   [[nodiscard]] const obs::MemoryTracker& memory() const { return mem_; }
 
@@ -50,14 +48,11 @@ class Driver {
       : opt_(std::move(opt)),
         mem_(opt_.nranks, opt_.arena_chunk_bytes),
         log_(opt_),
-        balancer_(initial, opt_, mem_) {
-    // Phase stamps follow the trace scopes.
-    trace_.set_memory_tracker(&mem_);
-  }
+        balancer_(initial, opt_, mem_) {}
 
   /// Top of cycle(): phase scratch never outlives a cycle, so rewinding
   /// the arenas here makes steady-state cycles reuse-only (zero chunk
-  /// traffic).
+  /// traffic), and a container still alive here aborts the run.
   void begin_cycle() { mem_.reset_arenas(); }
 
   FrameworkOptions opt_;

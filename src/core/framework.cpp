@@ -125,7 +125,7 @@ CycleReport Framework::cycle() {
   }
   rep.elements_after = mesh_->num_active_elements();
 
-  log_.end(rep, gate, trace_, mem_, cycle_timer.seconds());
+  log_.end(rep, gate, trace_, cycle_timer.seconds());
   return rep;
 }
 

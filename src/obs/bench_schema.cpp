@@ -3,8 +3,6 @@
 #include <map>
 #include <utility>
 
-#include "obs/memory.hpp"
-
 namespace plum::obs {
 
 namespace {
@@ -213,10 +211,6 @@ std::string check_run(const Json& run, std::size_t i) {
   if (const Json* cp = run.find("critical_path")) {
     const std::string err = check_critical_path(*cp, i);
     if (!err.empty()) return err;
-  }
-  if (const Json* heap = run.find("heap")) {
-    const std::string err = validate_heap_section(*heap);
-    if (!err.empty()) return run_error(i, err);
   }
   if (const Json* bc = run.find("comm_by_class")) {
     const std::string err = check_comm_by_class(*bc, i);

@@ -26,7 +26,6 @@
 //             "cost_s": <number>, "predicted_move_bytes": <int >= 0>,
 //             "measured_move_bytes": <int >= 0>, "drift": <number> }, ...
 //         ],
-//         "heap"*:          obs::validate_heap_section (obs/memory.hpp),
 //         "comm_by_class"*: { "<tag class>": { "msgs": <int >= 0>,
 //                                              "bytes": <int >= 0> }, ... },
 //         "comm_matrix"*: { "nranks": <int >= 1>,
@@ -36,7 +35,7 @@
 //     ]
 //   }
 // Starred sections are optional per run: framework runs carry the first
-// four through obs::run_entry (obs/run_entry.hpp); benches that model
+// three through obs::run_entry (obs/run_entry.hpp); benches that model
 // phases without running the BSP loop carry none. "phases" may be an empty
 // array; every non-starred field above is required. No two runs share a
 // (case, P).

@@ -1,10 +1,8 @@
 #include "obs/run_entry.hpp"
 
-#include <algorithm>
 #include <map>
 
 #include "obs/critical_path.hpp"
-#include "obs/memory.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "runtime/collectives.hpp"
@@ -12,46 +10,6 @@
 namespace plum::obs {
 
 namespace {
-
-void set_stats(Json& j, const MemStats& s) {
-  j.set("allocs", Json::integer(s.allocs))
-      .set("frees", Json::integer(s.frees))
-      .set("bytes", Json::integer(s.bytes_requested))
-      .set("peak_live", Json::integer(s.peak_live_bytes));
-}
-
-/// One phase's counters over every row (ranks and host); rows peak
-/// independently, so the peak is the largest row peak.
-MemStats phase_total(const MemoryTracker& mem, std::int32_t phase) {
-  MemStats t;
-  for (int row = 0; row <= static_cast<int>(mem.nranks()); ++row) {
-    const MemStats s = mem.stats(row, phase);
-    t.allocs += s.allocs;
-    t.frees += s.frees;
-    t.bytes_requested += s.bytes_requested;
-    t.peak_live_bytes = std::max(t.peak_live_bytes, s.peak_live_bytes);
-  }
-  return t;
-}
-
-Json heap_json(const MemoryTracker& mem, bool wall) {
-  Json phases = Json::array();
-  const auto& names = mem.phase_names();
-  for (std::size_t p = 0; p < names.size(); ++p) {
-    Json ph = Json::object();
-    ph.set("name", Json::str(names[p]));
-    set_stats(ph, phase_total(mem, static_cast<std::int32_t>(p)));
-    phases.push(std::move(ph));
-  }
-  Json unphased = Json::object();
-  set_stats(unphased, phase_total(mem, -1));
-  Json heap = Json::object();
-  heap.set("phases", std::move(phases))
-      .set("unphased", std::move(unphased))
-      .set("live_bytes", Json::integer(mem.total_live_bytes()));
-  if (wall) heap.set("rss", rss_json());
-  return heap;
-}
 
 Json comm_by_class_json(const rt::Ledger& ledger) {
   struct Totals {
@@ -81,8 +39,7 @@ Json comm_by_class_json(const rt::Ledger& ledger) {
 }  // namespace
 
 Json run_entry(const TraceRecorder& trace, const MetricsRegistry& metrics,
-               const MemoryTracker& mem, const rt::Ledger* ledger,
-               bool wall) {
+               const rt::Ledger* ledger, bool wall) {
   Json phases = Json::array();
   for (const PhaseRecord& ph : trace.phases()) {
     Json p = Json::object();
@@ -104,8 +61,7 @@ Json run_entry(const TraceRecorder& trace, const MetricsRegistry& metrics,
   entry.set("metrics", metrics.to_json())
       .set("phases", std::move(phases))
       .set("critical_path", analyze_critical_path(trace).to_json())
-      .set("gate_audit", gate_audit_json(trace.gate_records()))
-      .set("heap", heap_json(mem, wall));
+      .set("gate_audit", gate_audit_json(trace.gate_records()));
   if (ledger != nullptr) entry.set("comm_by_class", comm_by_class_json(*ledger));
   return entry;
 }

@@ -12,19 +12,14 @@
 //                      (TraceRecorder phases; host time = wall - superstep),
 //     "critical_path": CriticalPathAnalysis::to_json() (compute units),
 //     "gate_audit":    gate_audit_json(trace.gate_records()),
-//     "heap":          {"phases": [{"name", "allocs", "frees", "bytes",
-//                                   "peak_live"}, ...],
-//                       "unphased": {"allocs", ...}, "live_bytes": <int>,
-//                       "rss"*: {"vm_rss_bytes", "vm_hwm_bytes"}},
 //     "comm_by_class"**: {"<tag class>": {"msgs", "bytes"}, ...}
 //   }
 //   * wall form only      ** with a ledger only
 //
-// "heap" sums each phase over every MemoryTracker row (peak_live is the
-// largest row peak), so no section grows with P x phases. The wall-free
-// form is byte-identical across engines, thread counts and transports for
-// deterministic workloads: it is what the determinism tests compare,
-// together with the full ledger and MemoryTracker::stats row by row.
+// The wall-free form is byte-identical across engines, thread counts and
+// transports for deterministic workloads: it is what the determinism tests
+// compare, together with the full ledger and the per-row live scratch
+// bytes.
 
 #include <string>
 
@@ -33,7 +28,6 @@
 
 namespace plum::obs {
 
-class MemoryTracker;
 class MetricsRegistry;
 class TraceRecorder;
 
@@ -41,7 +35,6 @@ class TraceRecorder;
 /// without an engine); `wall` keeps the wall-clock fields.
 [[nodiscard]] Json run_entry(const TraceRecorder& trace,
                              const MetricsRegistry& metrics,
-                             const MemoryTracker& mem,
                              const rt::Ledger* ledger, bool wall);
 
 /// Maps a message tag to its subsystem class for comm_by_class. The values

@@ -93,12 +93,6 @@ std::vector<ScopeEvent> FlightRecorder::last_events(Rank r) const {
   return out;
 }
 
-void FlightRecorder::clear() {
-  for (auto& ring : rings_) {
-    ring.written = 0;
-  }
-}
-
 Json FlightRecorder::to_json_impl(bool include_wall) const {
   Json doc = Json::object();
   doc.set("capacity", Json::integer(capacity_))

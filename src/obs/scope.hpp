@@ -88,9 +88,6 @@ class FlightRecorder final : public rt::RankScopeSink {
     return phase_names_;
   }
 
-  /// Drops all recorded events (capacity and interned phases survive).
-  void clear();
-
   /// {"capacity":..,"nranks":..,"phases":[..],"ranks":[{"rank":r,
   ///  "written":n,"events":[{"step":..,"phase":..,"ticks":..,
   ///  "wall_ns":..},..]},..]} — events oldest first.

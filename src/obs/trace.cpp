@@ -1,6 +1,5 @@
 #include "obs/trace.hpp"
 
-#include "obs/memory.hpp"
 #include "obs/scope.hpp"
 #include "util/assert.hpp"
 
@@ -45,7 +44,6 @@ std::size_t TraceRecorder::begin_phase(const std::string& name) {
   phases_.push_back(std::move(ph));
   open_.push_back(idx);
   if (scope_ != nullptr) scope_->set_phase(name);
-  if (mem_ != nullptr) mem_->set_phase(name);
   return idx;
 }
 
@@ -63,26 +61,11 @@ void TraceRecorder::end_phase(std::size_t idx) {
       scope_->set_phase(phases_[open_.back()].name);
     }
   }
-  if (mem_ != nullptr) {
-    if (open_.empty()) {
-      mem_->clear_phase();
-    } else {
-      mem_->set_phase(phases_[open_.back()].name);
-    }
-  }
 }
 
 void TraceRecorder::set_modeled_seconds(std::size_t idx, double seconds) {
   PLUM_ASSERT(idx < phases_.size());
   phases_[idx].modeled_s = seconds;
-}
-
-void TraceRecorder::clear() {
-  phases_.clear();
-  open_.clear();
-  supersteps_.clear();
-  gates_.clear();
-  epoch_.start();
 }
 
 }  // namespace plum::obs

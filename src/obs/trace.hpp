@@ -85,10 +85,10 @@ class TraceRecorder final : public rt::SuperstepObserver {
   /// phase they happened in. The recorder is borrowed, not owned.
   void set_flight_recorder(FlightRecorder* rec) { scope_ = rec; }
 
-  /// Attaches (or detaches, with nullptr) a plum-mem tracker: phase opens
-  /// and closes keep its phase stamp in sync exactly like the flight
-  /// recorder's. The tracker is borrowed, not owned.
-  void set_memory_tracker(MemoryTracker* mem) { mem_ = mem; }
+  /// Inert stub: the plum-mem tracker keeps no per-phase counters, so
+  /// there is nothing to feed. plum-bench's replica still calls it; it goes
+  /// with the replica (ROADMAP item 1: "Trace the driver, not a replica").
+  void set_memory_tracker(MemoryTracker* /*mem*/) {}
 
   [[nodiscard]] const std::vector<PhaseRecord>& phases() const {
     return phases_;
@@ -100,9 +100,6 @@ class TraceRecorder final : public rt::SuperstepObserver {
     return gates_;
   }
 
-  /// Drops all records and restarts the wall-clock epoch.
-  void clear();
-
  private:
   Timer epoch_;  // steady clock; offsets below are relative to this
   std::vector<PhaseRecord> phases_;
@@ -110,7 +107,6 @@ class TraceRecorder final : public rt::SuperstepObserver {
   std::vector<SuperstepRecord> supersteps_;
   std::vector<GateRecord> gates_;
   FlightRecorder* scope_ = nullptr;  ///< borrowed; phase-stamp feed
-  MemoryTracker* mem_ = nullptr;     ///< borrowed; phase-stamp feed
 };
 
 /// RAII wrapper for TraceRecorder phases:

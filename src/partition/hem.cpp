@@ -7,7 +7,7 @@
 namespace plum::partition {
 
 CoarseLevel coarsen_hem(const graph::Csr& g, Rng& rng,
-                        const obs::MemScratch& scratch) {
+                        obs::Arena* scratch) {
   const Index n = g.num_vertices();
   const obs::TrackingAllocator<Index> alloc{scratch};
   // plum-scale: scratch -- HEM match state is phase-local arena scratch

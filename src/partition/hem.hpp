@@ -21,9 +21,8 @@ struct CoarseLevel {
 /// One HEM pass: visits vertices in a seeded random order; each unmatched
 /// vertex matches its heaviest-edge unmatched neighbor (or stays single).
 /// `scratch` (optional) backs the matching's phase-local buffers with a
-/// plum-mem arena and attributes their churn; the result never aliases
-/// arena memory.
+/// plum-mem arena; the result never aliases arena memory.
 CoarseLevel coarsen_hem(const graph::Csr& g, Rng& rng,
-                        const obs::MemScratch& scratch = {});
+                        obs::Arena* scratch = nullptr);
 
 }  // namespace plum::partition

@@ -28,10 +28,10 @@ struct MultilevelOptions {
   Index coarsen_to_per_part = 15;
   int refine_passes = 8;
   std::uint64_t seed = 12345;
-  /// Optional plum-mem scratch bundle threaded down to coarsen_hem and
-  /// refine_kway so their phase-local buffers are arena-backed and their
-  /// churn is attributed. Empty (the default) means plain heap, uncounted.
-  obs::MemScratch scratch{};
+  /// Optional plum-mem arena threaded down to coarsen_hem and refine_kway
+  /// so their phase-local buffers are arena-backed. nullptr (the default)
+  /// means plain heap.
+  obs::Arena* scratch = nullptr;
 };
 
 struct LevelStat {

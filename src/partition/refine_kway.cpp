@@ -9,7 +9,7 @@ namespace plum::partition {
 
 RefineStats refine_kway(const graph::Csr& g, PartVec& part, Rank nparts,
                         const RefineOptions& opt, Rng& rng,
-                        const obs::MemScratch& scratch) {
+                        obs::Arena* scratch) {
   const Index n = g.num_vertices();
   RefineStats stats;
   stats.cut_before = edge_cut(g, part);

@@ -27,9 +27,9 @@ struct RefineStats {
 
 /// Refines `part` in place. Never empties a part. `scratch` (optional)
 /// backs the KL-FM pass buffers (loads, counts, order, connection/stamp
-/// tables) with a plum-mem arena and attributes their churn.
+/// tables) with a plum-mem arena.
 RefineStats refine_kway(const graph::Csr& g, PartVec& part, Rank nparts,
                         const RefineOptions& opt, Rng& rng,
-                        const obs::MemScratch& scratch = {});
+                        obs::Arena* scratch = nullptr);
 
 }  // namespace plum::partition

@@ -11,7 +11,6 @@ namespace plum::pmesh {
 
 namespace {
 
-using obs::MemScratch;
 using obs::TrackedVec;
 using obs::TrackingAllocator;
 using solver::State;
@@ -174,7 +173,7 @@ Pack decode(const rt::Message& m) {
 void pack_rank(Rank r, const LocalMesh& lm,
                const partition::PartVec& new_root_part,
                const std::vector<State>* su, RankMove& mv, rt::Outbox& out,
-               MemScratch ms) {
+               obs::Arena* ms) {
   const mesh::TetMesh& m = lm.mesh;
   const Index nv = m.num_vertices();
   const Index ne = m.num_edges();
@@ -338,7 +337,7 @@ struct SourceMaps {
 };
 
 void unpack_rank(Rank r, LocalMesh& lm, RankMove& mv, const rt::Inbox& inbox,
-                 std::vector<State>* su, rt::Outbox& out, MemScratch ms) {
+                 std::vector<State>* su, rt::Outbox& out, obs::Arena* ms) {
   const mesh::TetMesh& m = lm.mesh;
   const TrackingAllocator<Index> alloc{ms};
   std::vector<Pack> packs;
@@ -591,7 +590,7 @@ void unpack_rank(Rank r, LocalMesh& lm, RankMove& mv, const rt::Inbox& inbox,
 // --- S2: key owners answer with the holder lists ----------------------------
 
 void answer_directory(Rank r, RankMove& mv, const rt::Inbox& inbox,
-                      rt::Outbox& out, MemScratch ms) {
+                      rt::Outbox& out, obs::Arena* ms) {
   struct Entry {
     Index kind;
     Index key_id;
@@ -680,8 +679,7 @@ MigrateStats migrate(DistMesh& dm, rt::Engine& eng,
     std::vector<State>* su =
         states != nullptr ? &(*states)[static_cast<std::size_t>(r)] : nullptr;
     // The claiming worker stages through its own rank's scratch row.
-    const obs::MemScratch ms =
-        mem != nullptr ? mem->scratch(r) : obs::MemScratch{};
+    obs::Arena* const ms = mem != nullptr ? mem->scratch(r) : nullptr;
     switch (out.step()) {
       case 0:
         pack_rank(r, lm, new_root_part, su, mv, out, ms);

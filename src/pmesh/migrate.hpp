@@ -82,8 +82,7 @@ struct MigrateStats {
 /// per rank (aligned with the old local meshes) and is rewritten to follow
 /// the new distribution — the "all necessary data is appropriately
 /// redistributed" of the paper's Fig. 1. A non-null `mem` arena-backs each
-/// rank's pack/unpack staging tables on that rank's scratch row and
-/// attributes their churn to the open phase.
+/// rank's pack/unpack staging tables on that rank's scratch row.
 MigrateStats migrate(DistMesh& dm, rt::Engine& eng,
                      const partition::PartVec& new_root_part,
                      std::vector<std::vector<solver::State>>* states =

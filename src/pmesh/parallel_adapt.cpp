@@ -123,8 +123,7 @@ ParallelMarkResult parallel_mark(DistMesh& dm, rt::Engine& eng,
 
     // Send newly marked shared-edge copies to their SPL ranks. The
     // claiming worker stages through its own rank's scratch row.
-    const obs::MemScratch ms =
-        mem != nullptr ? mem->scratch(r) : obs::MemScratch{};
+    obs::Arena* const ms = mem != nullptr ? mem->scratch(r) : nullptr;
     PeerBuckets<MarkMsg, obs::TrackingAllocator<MarkMsg>> outgoing(
         obs::TrackingAllocator<MarkMsg>{ms});
     bool sent_any = false;
@@ -190,8 +189,7 @@ ParallelRefineResult parallel_refine(DistMesh& dm, rt::Engine& eng,
     if (outbox.step() == 0) {
       // Rank r subdivides its own mesh (an on_bisect hook may touch only
       // rank-r state), staging through its own scratch row.
-      const obs::MemScratch ms =
-          mem != nullptr ? mem->scratch(r) : obs::MemScratch{};
+      obs::Arena* const ms = mem != nullptr ? mem->scratch(r) : nullptr;
       old_ne[static_cast<std::size_t>(r)] = lm.mesh.num_edges();
       old_edge_spl[static_cast<std::size_t>(r)] = lm.shared_edges;
       auto& stats = out.per_rank[static_cast<std::size_t>(r)];
@@ -246,8 +244,7 @@ ParallelRefineResult parallel_refine(DistMesh& dm, rt::Engine& eng,
     LocalMesh& lm = dm.local(r);
 
     if (outbox.step() == 0) {
-      const obs::MemScratch ms =
-          mem != nullptr ? mem->scratch(r) : obs::MemScratch{};
+      obs::Arena* const ms = mem != nullptr ? mem->scratch(r) : nullptr;
       PeerBuckets<FaceEdgeMsg, obs::TrackingAllocator<FaceEdgeMsg>> outgoing(
           obs::TrackingAllocator<FaceEdgeMsg>{ms});
       for (Index e = old_ne[static_cast<std::size_t>(r)];

@@ -1,8 +1,7 @@
 #pragma once
 // Resident-set-size sampling from /proc/self/status. Lives in util, the
-// bottom layer, so every caller can sample it: the observability layer
-// (host RSS gauges in the trace), the drivers' cycle log and the benchmark
-// driver.
+// bottom layer, so every caller can sample it: the drivers' cycle log (the
+// plum-scope/1 stream record) and the benchmark driver.
 //
 // RSS numbers are wall-class observables: they depend on the allocator,
 // the kernel, and whatever else the process did. Everything here is

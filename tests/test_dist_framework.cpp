@@ -46,8 +46,8 @@ DistFramework make_dist(FrameworkOptions opt, int boxn) {
 // Cross-transport determinism at the framework level: encoding every
 // payload into frames and decoding it back (framed transport) must leave
 // the whole adaption cycle bit-identical — element counts, solution
-// fields, the wall-free run entry, the full ledger and the per-row heap
-// counters — at a strong-scaling size and at P=64 on a small box.
+// fields, the wall-free run entry, the full ledger and the per-row live
+// scratch bytes — at a strong-scaling size and at P=64 on a small box.
 TEST(DistFramework, FramedTransportCyclesIdenticalToInProc) {
   auto run_cycles = [](rt::TransportKind transport, Rank nranks, int boxn) {
     FrameworkOptions opt;
@@ -89,11 +89,7 @@ TEST(DistFramework, FramedTransportCyclesIdenticalToInProc) {
     const test::RunView& vf = std::get<3>(framed);
     EXPECT_EQ(vf.entry, vi.entry);    // wall-free run entry
     EXPECT_EQ(vf.ledger, vi.ledger);  // full ledger
-    // plum-mem: the per-row, per-phase allocation profile is
-    // transport-invariant; the entry carries only its per-phase totals.
-    EXPECT_EQ(vf.heap, vi.heap);
-    EXPECT_EQ(vf.live_bytes, vi.live_bytes);
-    EXPECT_NE(vi.entry.find("\"heap\""), std::string::npos);
+    EXPECT_EQ(vf.live_bytes, vi.live_bytes);  // plum-mem, row by row
     EXPECT_NE(vi.entry.find("\"comm_by_class\""), std::string::npos);
   }
 }
@@ -255,8 +251,8 @@ TEST(DistFramework, ObservabilityCommMatrixGaugesAndGateAudit) {
   EXPECT_GT(ledger.total_bytes(), 0);
   // The run entry's tag-class split is folded from the same ledger cells:
   // its classes partition the matrix's traffic.
-  const obs::Json entry = obs::run_entry(fw.trace(), fw.metrics(),
-                                         fw.memory(), &ledger, true);
+  const obs::Json entry =
+      obs::run_entry(fw.trace(), fw.metrics(), &ledger, true);
   const obs::Json* by_class = entry.find("comm_by_class");
   ASSERT_NE(by_class, nullptr);
   EXPECT_GT(by_class->size(), 0u);

@@ -160,10 +160,6 @@ TEST(TraceRecorder, PhaseAndSuperstepAccounting) {
   ASSERT_EQ(st.counters.size(), 3u);
   EXPECT_EQ(st.counters[2].compute_units, 3);
   ASSERT_EQ(st.rank_seconds.size(), 3u);
-
-  rec.clear();
-  EXPECT_TRUE(rec.phases().empty());
-  EXPECT_TRUE(rec.supersteps().empty());
 }
 
 TEST(TraceRecorder, PhaseSuperstepSecondsSplitHostFromRankTime) {
@@ -186,13 +182,12 @@ TEST(TraceRecorder, PhaseSuperstepSecondsSplitHostFromRankTime) {
 
   // Only the wall form carries it.
   const obs::MetricsRegistry m;
-  const obs::MemoryTracker mem(3);
-  const Json wall = obs::run_entry(rec, m, mem, nullptr, /*wall=*/true);
+  const Json wall = obs::run_entry(rec, m, nullptr, /*wall=*/true);
   const Json& wp = wall.find("phases")->at(0);
   ASSERT_NE(wp.find("superstep_s"), nullptr);
   EXPECT_EQ(wp.find("superstep_s")->as_double(), solve.superstep_s);
   EXPECT_EQ(wall.find("phases")->at(1).find("superstep_s")->as_double(), 0);
-  const Json bare = obs::run_entry(rec, m, mem, nullptr, /*wall=*/false);
+  const Json bare = obs::run_entry(rec, m, nullptr, /*wall=*/false);
   EXPECT_EQ(bare.find("phases")->at(0).find("superstep_s"), nullptr);
   EXPECT_EQ(bare.find("phases")->at(0).find("wall_s"), nullptr);
 }
@@ -211,11 +206,10 @@ TEST(TraceRecorder, DeterministicJsonIdenticalAcrossEngines) {
     for (const auto& st : rec.supersteps()) {
       steps.emplace_back(st.step, st.phase, st.counters);
     }
-    // The wall-free run entry, with empty metrics and heap.
+    // The wall-free run entry, with empty metrics.
     const obs::MetricsRegistry none;
-    const obs::MemoryTracker mem(eng.nranks());
     return std::make_pair(
-        obs::run_entry(rec, none, mem, &eng.ledger(), /*wall=*/false).dump(),
+        obs::run_entry(rec, none, &eng.ledger(), /*wall=*/false).dump(),
         steps);
   };
 
@@ -315,10 +309,9 @@ TEST(CriticalPath, EmbeddedInBothTraceSerializations) {
 
   // Both forms of the run entry carry the same counter-sourced section.
   const obs::MetricsRegistry m;
-  const obs::MemoryTracker mem(2);
   const std::string want = obs::analyze_critical_path(rec).to_json().dump();
   for (const bool wall : {false, true}) {
-    const Json entry = obs::run_entry(rec, m, mem, nullptr, wall);
+    const Json entry = obs::run_entry(rec, m, nullptr, wall);
     ASSERT_NE(entry.find("critical_path"), nullptr) << "wall=" << wall;
     EXPECT_EQ(entry.find("critical_path")->dump(), want) << "wall=" << wall;
   }
@@ -344,9 +337,8 @@ TEST(TraceRecorder, CommMatrixAndTagClassesFromWorkload) {
 
   // The run entry folds the same ledger cells into tag classes.
   const obs::MetricsRegistry m;
-  const obs::MemoryTracker mem(3);
   for (const bool wall : {false, true}) {
-    const Json entry = obs::run_entry(rec, m, mem, &eng.ledger(), wall);
+    const Json entry = obs::run_entry(rec, m, &eng.ledger(), wall);
     const Json* by_class = entry.find("comm_by_class");
     ASSERT_NE(by_class, nullptr);
     ASSERT_EQ(by_class->size(), 1u);
@@ -356,7 +348,7 @@ TEST(TraceRecorder, CommMatrixAndTagClassesFromWorkload) {
     EXPECT_NE(entry.find("gate_audit"), nullptr);
   }
   // Without a ledger there is no traffic to fold.
-  EXPECT_EQ(obs::run_entry(rec, m, mem, nullptr, true).find("comm_by_class"),
+  EXPECT_EQ(obs::run_entry(rec, m, nullptr, true).find("comm_by_class"),
             nullptr);
 }
 
@@ -420,16 +412,13 @@ TEST(GateAudit, DriftAndRecordSerialization) {
   ASSERT_EQ(tr.gate_records().size(), 1u);
   EXPECT_EQ(tr.gate_records()[0], rec);
   const obs::MetricsRegistry m;
-  const obs::MemoryTracker mem(1);
   for (const bool wall : {false, true}) {
-    EXPECT_NE(obs::run_entry(tr, m, mem, nullptr, wall)
+    EXPECT_NE(obs::run_entry(tr, m, nullptr, wall)
                   .find("gate_audit")
                   ->dump()
                   .find("\"predicted_move_bytes\":4096"),
               std::string::npos);
   }
-  tr.clear();
-  EXPECT_TRUE(tr.gate_records().empty());
 }
 
 TEST(Metrics, GaugeSeriesAppendAndRender) {
@@ -614,20 +603,11 @@ TEST(BenchSchema, V2RejectsMalformedCommMatrixAndGateAudit) {
     const std::string err = obs::validate_bench_report(doc);
     EXPECT_NE(err.find("comm_by_class"), std::string::npos) << err;
   }
-  {
-    // The heap section goes through obs::validate_heap_section.
-    Json doc = valid_v2_report();
-    Json run = doc.find("runs")->at(0);
-    run.set("heap", Json::object());
-    doc.set("runs", Json::array().push(std::move(run)));
-    const std::string err = obs::validate_bench_report(doc);
-    EXPECT_NE(err.find("heap"), std::string::npos) << err;
-  }
 }
 
 TEST(BenchSchema, V2AcceptsRunEntrySections) {
   // Build the document the real producers build: a registry gauge and a
-  // run entry's critical path, heap and tag-class traffic, both through
+  // run entry's critical path and tag-class traffic, both through
   // JsonReport.
   rt::Engine eng(2);
   obs::TraceRecorder rec;
@@ -636,19 +616,18 @@ TEST(BenchSchema, V2AcceptsRunEntrySections) {
 
   obs::MetricsRegistry m;
   m.add_sample_int("edge_cut", 12);
-  const obs::MemoryTracker mem(2);
 
   bench::JsonReport report("unit");
   report.add_run("caseA", 2)
       .metric("speedup", 2.0)
-      .entry(obs::run_entry(rec, m, mem, &eng.ledger(), /*wall=*/true));
+      .entry(obs::run_entry(rec, m, &eng.ledger(), /*wall=*/true));
   const Json doc = report.to_json();
   EXPECT_EQ(obs::validate_bench_report(doc), "") << doc.dump(2);
   const Json& run = doc.find("runs")->at(0);
-  for (const char* section :
-       {"critical_path", "gate_audit", "heap", "comm_by_class"}) {
+  for (const char* section : {"critical_path", "gate_audit", "comm_by_class"}) {
     EXPECT_NE(run.find(section), nullptr) << section;
   }
+  EXPECT_EQ(run.find("heap"), nullptr);
   EXPECT_NE(run.find("metrics")->find("edge_cut"), nullptr);
 }
 
@@ -758,13 +737,12 @@ TEST(JsonReport, EntryMetricsOverrideBenchScalarsAndSectionsCopy) {
   { obs::PhaseScope ph(trace, "solve"); }
   obs::MetricsRegistry m;
   m.add_sample_int("edge_cut", 40);
-  const obs::MemoryTracker mem(2);
 
   bench::JsonReport report("unit");
   report.add_run("caseB", 2)
       .metric_int("edge_cut", 1)
       .metric("speedup", 2.5)
-      .entry(obs::run_entry(trace, m, mem, nullptr, /*wall=*/true));
+      .entry(obs::run_entry(trace, m, nullptr, /*wall=*/true));
   const Json doc = report.to_json();
   ASSERT_EQ(obs::validate_bench_report(doc), "") << doc.dump(2);
   const Json& run = doc.find("runs")->at(0);
@@ -777,7 +755,6 @@ TEST(JsonReport, EntryMetricsOverrideBenchScalarsAndSectionsCopy) {
   ASSERT_EQ(run.find("phases")->size(), 1u);
   EXPECT_EQ(run.find("phases")->at(0).find("name")->as_string(), "solve");
   EXPECT_NE(run.find("phases")->at(0).find("wall_s"), nullptr);
-  EXPECT_NE(run.find("heap"), nullptr);
   EXPECT_EQ(run.find("comm_by_class"), nullptr);  // no ledger
 }
 
@@ -812,11 +789,6 @@ TEST(FlightRecorder, RingOverwritesOldestKeepingNewestEvents) {
   }
   ASSERT_EQ(rec.last_events(1).size(), 1u);
   EXPECT_EQ(rec.last_events(1)[0].ticks, 42);
-
-  rec.clear();
-  EXPECT_EQ(rec.events_recorded(0), 0u);
-  EXPECT_TRUE(rec.last_events(0).empty());
-  EXPECT_EQ(rec.capacity(), 4);  // capacity survives a clear
 }
 
 TEST(FlightRecorder, PhaseStampingInternsNamesOnce) {
@@ -1042,27 +1014,41 @@ TEST(TrackingAllocator, CountsThroughTapOnArenaAndHeapPaths) {
     obs::TrackedVec<std::int64_t> v{
         obs::TrackingAllocator<std::int64_t>{mem.scratch(0)}};
     v.reserve(8);
-    EXPECT_EQ(mem.stats(0, -1).allocs, 1);
-    EXPECT_EQ(mem.stats(0, -1).bytes_requested, 64);
     EXPECT_EQ(mem.live_bytes(0), 64);
+    v.reserve(32);  // reallocation: the old block is returned, same size
+    EXPECT_EQ(mem.live_bytes(0), 256);
   }
-  EXPECT_EQ(mem.stats(0, -1).frees, 1);
+  // Every deallocate returned what its allocate counted.
   EXPECT_EQ(mem.live_bytes(0), 0);
-  EXPECT_EQ(mem.arena(0).peak_live_bytes(), 64);
+  EXPECT_EQ(mem.scratch(0)->peak_live_bytes(), 64 + 256);
 
-  // Heap path (no arena bound): identical counting on rank 1's row.
-  obs::MemScratch heap_scratch = mem.scratch(1);
-  heap_scratch.arena = nullptr;
+  // Plain-heap path (no arena bound): no arena is ever touched.
   {
-    obs::TrackedVec<std::int64_t> v{
-        obs::TrackingAllocator<std::int64_t>{heap_scratch}};
+    obs::TrackedVec<std::int64_t> v{obs::TrackingAllocator<std::int64_t>{}};
     v.reserve(8);
-    EXPECT_EQ(mem.stats(1, -1).allocs, 1);
-    EXPECT_EQ(mem.stats(1, -1).bytes_requested, 64);
+    EXPECT_EQ(mem.total_live_bytes(), 0);
   }
-  EXPECT_EQ(mem.stats(1, -1).frees, 1);
-  EXPECT_EQ(mem.live_bytes(1), 0);
-  EXPECT_EQ(mem.arena(1).peak_live_bytes(), 0);  // never touched
+  EXPECT_EQ(mem.total_live_bytes(), 0);
+  EXPECT_EQ(mem.scratch(1)->peak_live_bytes(), 0);
+  EXPECT_EQ(mem.host_scratch()->peak_live_bytes(), 0);
+}
+
+TEST(MemoryTrackerDeathTest, ResetArenasAbortsOnLiveScratch) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  obs::MemoryTracker mem(2);
+  // Dead scratch rewinds quietly, on rank and host rows alike.
+  {
+    obs::TrackedVec<char> v(100, 'x',
+                            obs::TrackingAllocator<char>{mem.scratch(1)});
+    obs::TrackedVec<char> w(40, 'y',
+                            obs::TrackingAllocator<char>{mem.host_scratch()});
+  }
+  mem.reset_arenas();
+  // A container alive across the reset would read memory the next cycle
+  // hands out again: the reset aborts instead.
+  obs::TrackedVec<char> kept(8, 'z',
+                             obs::TrackingAllocator<char>{mem.scratch(1)});
+  EXPECT_DEATH(mem.reset_arenas(), "outlived its cycle");
 }
 
 TEST(TrackingAllocator, RebindSharesSourceAndPropagatesOnMove) {
@@ -1084,131 +1070,6 @@ TEST(TrackingAllocator, RebindSharesSourceAndPropagatesOnMove) {
   EXPECT_TRUE(dst.get_allocator() == a);
   ASSERT_EQ(dst.size(), 16u);
   EXPECT_EQ(dst.back(), 7);
-}
-
-TEST(MemoryTracker, PhaseAttributionHostRowAndClear) {
-  obs::MemoryTracker mem(2);
-  mem.set_phase("alpha");
-  {
-    obs::TrackedVec<char> v(100, 'x',
-                            obs::TrackingAllocator<char>{mem.scratch(0)});
-  }
-  mem.set_phase("beta");
-  {
-    obs::TrackedVec<char> v(40, 'y',
-                            obs::TrackingAllocator<char>{mem.host_scratch()});
-  }
-  mem.clear_phase();
-  {
-    obs::TrackedVec<char> v(8, 'z',
-                            obs::TrackingAllocator<char>{mem.scratch(1)});
-  }
-
-  ASSERT_EQ(mem.phase_names().size(), 2u);
-  EXPECT_EQ(mem.phase_names()[0], "alpha");
-  EXPECT_EQ(mem.stats(0, 0).allocs, 1);
-  EXPECT_EQ(mem.stats(0, 0).bytes_requested, 100);
-  EXPECT_EQ(mem.stats(0, 0).frees, 1);  // freed while alpha was open
-  EXPECT_EQ(mem.stats(0, 0).peak_live_bytes, 100);
-  EXPECT_EQ(mem.stats(2, 1).allocs, 1);  // host row, phase beta
-  EXPECT_EQ(mem.stats(2, 1).bytes_requested, 40);
-  EXPECT_EQ(mem.stats(1, -1).allocs, 1);  // unphased bucket
-  EXPECT_EQ(mem.total_live_bytes(), 0);
-
-  // Re-opening a phase reuses the interned id instead of minting a new one.
-  mem.set_phase("alpha");
-  EXPECT_EQ(mem.phase_names().size(), 2u);
-
-  mem.clear();
-  EXPECT_TRUE(mem.phase_names().empty());
-  EXPECT_EQ(mem.stats(0, 0).allocs, 0);
-}
-
-/// The run entry's heap section for `mem` (no trace, metrics or ledger).
-Json heap_section(const obs::MemoryTracker& mem, bool wall) {
-  const obs::TraceRecorder trace;
-  const obs::MetricsRegistry metrics;
-  return *obs::run_entry(trace, metrics, mem, nullptr, wall).find("heap");
-}
-
-TEST(MemoryTracker, HeapJsonValidatesAndOnlyWallViewCarriesRss) {
-  obs::MemoryTracker mem(2);
-  mem.set_phase("alpha");
-  {
-    obs::TrackedVec<char> v(64, 'x',
-                            obs::TrackingAllocator<char>{mem.scratch(0)});
-    obs::TrackedVec<char> w(32, 'y',
-                            obs::TrackingAllocator<char>{mem.scratch(1)});
-  }
-  mem.clear_phase();
-  {
-    obs::TrackedVec<char> v(8, 'z',
-                            obs::TrackingAllocator<char>{mem.host_scratch()});
-  }
-
-  const Json det = heap_section(mem, false);
-  EXPECT_EQ(obs::validate_heap_section(det), "");
-  EXPECT_EQ(det.find("rss"), nullptr);
-  // One entry per phase, summed over the rows (2 ranks + host): O(phases),
-  // not O(P x phases).
-  ASSERT_EQ(det.find("phases")->size(), 1u);
-  const Json& alpha = det.find("phases")->at(0);
-  EXPECT_EQ(alpha.find("name")->as_string(), "alpha");
-  EXPECT_EQ(alpha.find("allocs")->as_int(), 2);
-  EXPECT_EQ(alpha.find("frees")->as_int(), 2);
-  EXPECT_EQ(alpha.find("bytes")->as_int(), 96);
-  EXPECT_EQ(alpha.find("peak_live")->as_int(), 64);  // largest row peak
-  EXPECT_EQ(det.find("unphased")->find("allocs")->as_int(), 1);
-  EXPECT_EQ(det.find("unphased")->find("bytes")->as_int(), 8);
-  EXPECT_EQ(det.find("live_bytes")->as_int(), 0);
-
-  const Json full = heap_section(mem, true);
-  EXPECT_EQ(obs::validate_heap_section(full), "");
-  ASSERT_NE(full.find("rss"), nullptr);
-  EXPECT_GT(full.find("rss")->find("vm_rss_bytes")->as_int(), 0);
-}
-
-TEST(MemoryTracker, ValidateHeapSectionRejectsViolations) {
-  obs::MemoryTracker mem(1);
-  mem.set_phase("alpha");
-  const Json good = heap_section(mem, false);
-  ASSERT_EQ(obs::validate_heap_section(good), "");
-  ASSERT_EQ(good.find("phases")->size(), 1u);
-  // A copy of `good` whose alpha phase has `key` set to `value`.
-  auto with_alpha = [&](const char* key, Json value) {
-    Json alpha = good.find("phases")->at(0);
-    alpha.set(key, std::move(value));
-    Json bad = good;
-    bad.set("phases", Json::array().push(std::move(alpha)));
-    return bad;
-  };
-  {
-    Json bad = good;
-    bad.set("phases", Json::object());  // must be an array
-    EXPECT_NE(obs::validate_heap_section(bad), "");
-  }
-  EXPECT_NE(obs::validate_heap_section(with_alpha("name", Json::integer(3))),
-            "");
-  // Counts must be integers: neither fractional nor negative.
-  EXPECT_NE(obs::validate_heap_section(with_alpha("allocs", Json::number(1.5))),
-            "");
-  EXPECT_NE(obs::validate_heap_section(with_alpha("frees", Json::number(-0.5))),
-            "");
-  EXPECT_NE(obs::validate_heap_section(with_alpha("bytes", Json::integer(-1))),
-            "");
-  {
-    Json bad = good;
-    Json unphased = *good.find("unphased");
-    unphased.set("allocs", Json::number(1.5));
-    unphased.set("frees", Json::number(-0.5));
-    bad.set("unphased", std::move(unphased));
-    EXPECT_NE(obs::validate_heap_section(bad), "");
-  }
-  {
-    Json bad = good;
-    bad.set("live_bytes", Json::str("none"));
-    EXPECT_NE(obs::validate_heap_section(bad), "");
-  }
 }
 
 TEST(ScopeTail, LatestStreamRecordTriState) {

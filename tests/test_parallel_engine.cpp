@@ -122,14 +122,12 @@ std::pair<std::string, std::vector<std::tuple<int, std::string,
                                               std::vector<rt::StepCounters>>>>
 trace_view(const obs::TraceRecorder& trace, const Engine& eng) {
   const obs::MetricsRegistry no_metrics;
-  const obs::MemoryTracker no_heap(eng.nranks());
   std::vector<std::tuple<int, std::string, std::vector<rt::StepCounters>>>
       steps;
   for (const auto& st : trace.supersteps()) {
     steps.emplace_back(st.step, st.phase, st.counters);
   }
-  return {obs::run_entry(trace, no_metrics, no_heap, &eng.ledger(),
-                         /*wall=*/false)
+  return {obs::run_entry(trace, no_metrics, &eng.ledger(), /*wall=*/false)
               .dump(),
           std::move(steps)};
 }
@@ -417,7 +415,7 @@ TEST(CrossEngine, DistFrameworkCyclesIdentical) {
   const test::RunView& vs = std::get<3>(seq);
   const test::RunView& vp = std::get<3>(par);
   // The wall-free run entry (phases, counter-sourced critical path, gate
-  // audit, heap totals, tag-class traffic and the deterministic metrics) is
+  // audit, tag-class traffic and the deterministic metrics) is
   // byte-identical across engines.
   EXPECT_EQ(vp.entry, vs.entry);
   EXPECT_EQ(vp.ledger, vs.ledger);  // full ledger
@@ -428,24 +426,12 @@ TEST(CrossEngine, DistFrameworkCyclesIdentical) {
   // Live paper-metric gauges are in it.
   EXPECT_NE(vs.entry.find("\"edge_cut\""), std::string::npos);
   EXPECT_NE(vs.entry.find("\"remap_total_elems\""), std::string::npos);
-  // plum-mem: the per-rank, per-phase allocation profile is byte-identical
-  // row by row — rank-bound taps under the claiming-worker rule make
-  // scratch churn engine-invariant. The entry's heap section carries the
-  // per-phase totals and, wall-free, no RSS gauge.
-  EXPECT_EQ(vp.heap, vs.heap);
-  EXPECT_EQ(vp.live_bytes, vs.live_bytes);
-  obs::Json entry;
-  std::string err;
-  ASSERT_TRUE(obs::Json::parse(vs.entry, &entry, &err)) << err;
-  const std::string heap = entry.find("heap")->dump();
-  EXPECT_NE(heap.find("\"repartition\""), std::string::npos);
-  EXPECT_EQ(heap.find("\"rss\""), std::string::npos);
+  EXPECT_EQ(vp.live_bytes, vs.live_bytes);  // plum-mem, row by row
   // Intermediate pool size: same bytes again.
   const auto par2 = run_cycles(2);
   const test::RunView& v2 = std::get<3>(par2);
   EXPECT_EQ(v2.entry, vs.entry);
   EXPECT_EQ(v2.ledger, vs.ledger);
-  EXPECT_EQ(v2.heap, vs.heap);
   EXPECT_EQ(v2.live_bytes, vs.live_bytes);
   // Sanity: the workload actually exercised the remap machinery.
   EXPECT_TRUE(rs[0].evaluated_repartition || rs[1].evaluated_repartition);

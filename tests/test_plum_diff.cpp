@@ -1,15 +1,16 @@
 // plum-diff, the bench regression gate: a report self-diffs clean (exit
 // status 0), any deterministic perturbation breaches (exit status 1), wall
-// values never gate but a one-sided key always does, heap and comm_by_class
-// stay ungated, an invalid report is an error (exit status 2), the delta
-// column is signed against the baseline, and the directory mode pairs
-// BENCH_*.json files and flags missing ones.
+// values never gate but a one-sided key always does, comm_by_class stays
+// ungated, an invalid report is an error (exit status 2), the delta column
+// is signed against the baseline, and the directory mode pairs BENCH_*.json
+// files, flags missing ones and reports every file it cannot compare.
 
 #include <gtest/gtest.h>
 
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <string>
 
 #include "diff.hpp"
@@ -23,7 +24,7 @@ using obs::Json;
 
 /// A plum-bench/3 report with one run carrying every section:
 /// scalar/int/series metrics, phases, comm matrix, gate audit, the
-/// critical-path document, and the ungated heap and comm_by_class.
+/// critical-path document, and the ungated comm_by_class.
 Json report() {
   Json metrics = Json::object();
   metrics.set("imbalance_new", Json::number(1.05))
@@ -76,16 +77,6 @@ Json report() {
       .set("phases", Json::array())
       .set("steps", Json::array());
 
-  Json stats = Json::object();
-  stats.set("allocs", Json::integer(2))
-      .set("frees", Json::integer(2))
-      .set("bytes", Json::integer(64))
-      .set("peak_live", Json::integer(64));
-  Json heap = Json::object();
-  heap.set("phases", Json::array().push(Json(stats).set("name",
-                                                        Json::str("solve"))))
-      .set("unphased", std::move(stats))
-      .set("live_bytes", Json::integer(0));
   Json by_class = Json::object();
   by_class.set("solver", Json::object()
                              .set("msgs", Json::integer(5))
@@ -99,7 +90,6 @@ Json report() {
       .set("comm_matrix", std::move(cm))
       .set("gate_audit", Json::array().push(std::move(gate)))
       .set("critical_path", std::move(cp))
-      .set("heap", std::move(heap))
       .set("comm_by_class", std::move(by_class));
 
   Json doc = Json::object();
@@ -140,7 +130,7 @@ Json without_metric(Json doc, const std::string& name) {
 TEST(PlumDiff, SelfDiffIsCleanAndExitsZero) {
   const Json doc = report();
   const DiffResult r = diff::diff_reports(doc, doc);
-  EXPECT_TRUE(r.error.empty()) << r.error;
+  EXPECT_TRUE(r.errors.empty());
   EXPECT_EQ(r.breaches, 0);
   EXPECT_TRUE(r.deltas.empty());
   EXPECT_GT(r.compared, 10);
@@ -341,18 +331,20 @@ TEST(PlumDiff, OneSidedFieldBreaches) {
 
 TEST(PlumDiff, UngatedSectionsStayUngated) {
   const Json base = report();
-  Json heap = section(base, "heap");
-  heap.set("live_bytes", Json::integer(4096));
   Json by_class = section(base, "comm_by_class");
   by_class.set("solver", Json::object()
                              .set("msgs", Json::integer(6))
                              .set("bytes", Json::integer(48)));
-  const Json cur = with_section(with_section(base, "heap", std::move(heap)),
-                                "comm_by_class", std::move(by_class));
+  const Json cur = with_section(base, "comm_by_class", std::move(by_class));
   const DiffResult r = diff::diff_reports(base, cur);
-  EXPECT_TRUE(r.error.empty()) << r.error;
+  EXPECT_TRUE(r.errors.empty());
   EXPECT_EQ(diff::exit_status(r), 0);
   EXPECT_TRUE(r.deltas.empty());
+
+  // Any other section is gated, whatever its name: a baseline's "heap"
+  // section that the current run no longer writes breaches.
+  const Json old = with_section(base, "heap", Json::object());
+  EXPECT_EQ(diff::exit_status(diff::diff_reports(old, base)), 1);
 }
 
 TEST(PlumDiff, InvalidReportIsAnErrorNotABreach) {
@@ -360,7 +352,7 @@ TEST(PlumDiff, InvalidReportIsAnErrorNotABreach) {
   Json bad = Json::object();
   bad.set("schema", Json::str("plum-bench/3"));  // missing bench/runs
   const DiffResult r = diff::diff_reports(base, bad);
-  EXPECT_FALSE(r.error.empty());
+  EXPECT_EQ(r.errors.size(), 1u);
   EXPECT_EQ(diff::exit_status(r), 2);
 
   // A repeated (case, P): runs pair by that key, so a change to the second
@@ -375,7 +367,9 @@ TEST(PlumDiff, InvalidReportIsAnErrorNotABreach) {
                       .find("runs")
                       ->at(0)));
   const DiffResult dup = diff::diff_reports(doubled, changed);
-  EXPECT_NE(dup.error.find("runs[1]"), std::string::npos) << dup.error;
+  ASSERT_EQ(dup.errors.size(), 1u);
+  EXPECT_NE(dup.errors[0].find("runs[1]"), std::string::npos)
+      << dup.errors[0];
   EXPECT_EQ(diff::exit_status(dup), 2);
 }
 
@@ -402,7 +396,7 @@ TEST(PlumDiff, DirectoryModePairsByFilenameAndFlagsMissing) {
 
   DiffResult r =
       diff::diff_dirs(bdir.string(), cdir.string());
-  EXPECT_TRUE(r.error.empty()) << r.error;
+  EXPECT_TRUE(r.errors.empty());
   EXPECT_EQ(diff::exit_status(r), 0);
 
   // A baseline with no current counterpart breaches; so does the reverse.
@@ -414,13 +408,36 @@ TEST(PlumDiff, DirectoryModePairsByFilenameAndFlagsMissing) {
   r = diff::diff_dirs(bdir.string(), cdir.string());
   EXPECT_EQ(diff::exit_status(r), 1);
 
-  // The delta table renders without crashing (smoke, to a scratch file).
+  // A file that cannot be compared does not hide the others: an invalid
+  // current document and a gated change in a later file are both reported,
+  // and the run is still an error.
+  fs::remove(cdir / "BENCH_bench_fig5.json");
+  write(cdir / "BENCH_bench_distributed.json", Json::object());
+  write(cdir / "BENCH_bench_fig4.json",
+        with_metric(doc, "msgs_sent", Json::integer(1235)));
+  r = diff::diff_dirs(bdir.string(), cdir.string());
+  ASSERT_EQ(r.errors.size(), 1u);
+  EXPECT_NE(r.errors[0].find("BENCH_bench_distributed.json"),
+            std::string::npos)
+      << r.errors[0];
+  const std::string row =
+      "BENCH_bench_fig4.json:run[box8,P=4].metrics.msgs_sent";
+  ASSERT_EQ(r.deltas.size(), 1u);
+  EXPECT_EQ(r.deltas[0].where, row);
+  EXPECT_TRUE(r.deltas[0].breach);
+  EXPECT_EQ(diff::exit_status(r), 2);
+
+  // The table prints the error line and the other file's row.
   const fs::path table = root / "table.txt";
   std::FILE* out = std::fopen(table.string().c_str(), "w");
   ASSERT_NE(out, nullptr);
   diff::print_delta_table(r, out);
   std::fclose(out);
-  EXPECT_GT(fs::file_size(table), 0u);
+  std::ifstream in(table);
+  const std::string text((std::istreambuf_iterator<char>(in)),
+                         std::istreambuf_iterator<char>());
+  EXPECT_NE(text.find("plum-diff: error: "), std::string::npos) << text;
+  EXPECT_NE(text.find(row), std::string::npos) << text;
   fs::remove_all(root);
 }
 

@@ -152,7 +152,7 @@ TEST(ScaleFixtures, DenseRankContainerExactCounts) {
   // 6 rank-count-sized containers, 2 acknowledged by annotations; the
   // verbatim dense CommMatrix idiom contributes the two P*P products.
   EXPECT_EQ(r.count_of("dense-rank-container", true), 6)
-      << plumlint::scale_to_json(r);
+      << plumlint::to_json(r, plumlint::scale_checks());
   EXPECT_EQ(r.count_of("dense-rank-container"), 4);
   EXPECT_EQ(r.count_of("bad-annotation"), 2);
   EXPECT_EQ(r.count_of("unused-annotation"), 1);
@@ -170,7 +170,7 @@ TEST(ScaleFixtures, ReplicatedGlobalStateExactCounts) {
   const LintResult r = plumlint::scale_files({fixture_input(
       "replicated_state.cpp")});
   EXPECT_EQ(r.count_of("replicated-global-state", true), 2)
-      << plumlint::scale_to_json(r);
+      << plumlint::to_json(r, plumlint::scale_checks());
   EXPECT_EQ(r.count_of("replicated-global-state"), 1);
   EXPECT_EQ(r.suppressed_count(), 1);
   // The non-replicated GlobalDirectory must contribute nothing.
@@ -184,7 +184,7 @@ TEST(ScaleFixtures, InterproceduralNeedsTheCrossFileIndex) {
   const LintResult both = plumlint::scale_files(
       {fixture_input("helpers_tu.cpp"), fixture_input("superstep_tu.cpp")});
   EXPECT_EQ(both.count_of("interprocedural-superstep-mutation"), 2)
-      << plumlint::scale_to_json(both);
+      << plumlint::to_json(both, plumlint::scale_checks());
 
   // ...and input order cannot matter (the index is built before checks).
   const LintResult swapped = plumlint::scale_files(
@@ -204,7 +204,7 @@ TEST(ScaleFixtures, ScratchAnnotationExactCounts) {
   // 3 rank-sized containers: one acknowledged by `scratch`, one plain, one
   // next to a justification-less scratch (malformed, so not suppressed).
   EXPECT_EQ(r.count_of("dense-rank-container", true), 3)
-      << plumlint::scale_to_json(r);
+      << plumlint::to_json(r, plumlint::scale_checks());
   EXPECT_EQ(r.count_of("dense-rank-container"), 2);
   EXPECT_EQ(r.count_of("bad-annotation"), 1);
   // scratch is declarative: the marker on the non-diagnostic line in
@@ -220,7 +220,7 @@ TEST(ScaleFixtures, AllRanksSendExactCounts) {
   // broadcast is suppressed by its allow(); the peer-list loops and the
   // host loop outside any superstep lambda stay clean.
   EXPECT_EQ(r.count_of("all-ranks-send", true), 3)
-      << plumlint::scale_to_json(r);
+      << plumlint::to_json(r, plumlint::scale_checks());
   EXPECT_EQ(r.count_of("all-ranks-send"), 2);
   EXPECT_EQ(r.suppressed_count(), 1);
   EXPECT_EQ(r.diagnostics.size(), 3u);
@@ -240,12 +240,13 @@ TEST(ScaleFixtures, WholeDirectoryTotals) {
   EXPECT_EQ(r.count_of("all-ranks-send", true), 3);
   EXPECT_EQ(r.count_of("bad-annotation", true), 3);
   EXPECT_EQ(r.count_of("unused-annotation", true), 1);
-  EXPECT_EQ(r.suppressed_count(), 5) << plumlint::scale_to_json(r);
+  EXPECT_EQ(r.suppressed_count(), 5)
+      << plumlint::to_json(r, plumlint::scale_checks());
 }
 
 TEST(ScaleFixtures, JsonReportCarriesScaleCounts) {
   const LintResult r = plumlint::scale_files(all_fixtures());
-  const std::string json = plumlint::scale_to_json(r);
+  const std::string json = plumlint::to_json(r, plumlint::scale_checks());
   EXPECT_NE(json.find("\"dense-rank-container\": 9"), std::string::npos)
       << json;
   EXPECT_NE(json.find("\"replicated-global-state\": 2"), std::string::npos);

@@ -20,7 +20,7 @@ constexpr double kRelTol = 1e-9;
 
 /// Run sections that are validated but not compared.
 bool ungated(const std::string& section) {
-  return section == "heap" || section == "comm_by_class";
+  return section == "comm_by_class";
 }
 
 /// Wall-clock names are report-only: they vary run to run by construction,
@@ -184,11 +184,11 @@ bool load_json(const std::string& path, Json* out, std::string* err) {
 DiffResult diff_reports(const Json& baseline, const Json& current) {
   DiffResult result;
   if (std::string err = obs::validate_bench_report(baseline); !err.empty()) {
-    result.error = "baseline: " + err;
+    result.errors.push_back("baseline: " + err);
     return result;
   }
   if (std::string err = obs::validate_bench_report(current); !err.empty()) {
-    result.error = "current: " + err;
+    result.errors.push_back("current: " + err);
     return result;
   }
   Differ(&result).compare_reports(baseline, current);
@@ -199,11 +199,15 @@ DiffResult diff_files(const std::string& baseline_path,
                       const std::string& current_path) {
   DiffResult result;
   Json base, cur;
-  if (!load_json(baseline_path, &base, &result.error)) return result;
-  if (!load_json(current_path, &cur, &result.error)) return result;
+  std::string err;
+  if (!load_json(baseline_path, &base, &err) ||
+      !load_json(current_path, &cur, &err)) {
+    result.errors.push_back(std::move(err));
+    return result;
+  }
   result = diff_reports(base, cur);
-  if (!result.error.empty()) {
-    result.error = baseline_path + " vs " + current_path + ": " + result.error;
+  for (std::string& e : result.errors) {
+    e = baseline_path + " vs " + current_path + ": " + e;
   }
   return result;
 }
@@ -223,17 +227,16 @@ DiffResult diff_dirs(const std::string& baseline_dir,
         names.push_back(name);
       }
     }
-    if (ec) result.error = dir + ": " + ec.message();
+    if (ec) result.errors.push_back(dir + ": " + ec.message());
     std::sort(names.begin(), names.end());
     return names;
   };
 
   const std::vector<std::string> base_names = bench_files(baseline_dir);
-  if (!result.error.empty()) return result;
   const std::vector<std::string> cur_names = bench_files(current_dir);
-  if (!result.error.empty()) return result;
+  if (!result.errors.empty()) return result;
   if (base_names.empty()) {
-    result.error = baseline_dir + ": no BENCH_*.json files";
+    result.errors.push_back(baseline_dir + ": no BENCH_*.json files");
     return result;
   }
 
@@ -244,10 +247,7 @@ DiffResult diff_dirs(const std::string& baseline_dir,
     }
     DiffResult one =
         diff_files(baseline_dir + "/" + name, current_dir + "/" + name);
-    if (!one.error.empty()) {
-      result.error = one.error;
-      return result;
-    }
+    for (std::string& e : one.errors) result.errors.push_back(std::move(e));
     for (Delta& d : one.deltas) {
       d.where = name + ":" + d.where;
       result.deltas.push_back(std::move(d));
@@ -266,9 +266,8 @@ DiffResult diff_dirs(const std::string& baseline_dir,
 }
 
 void print_delta_table(const DiffResult& result, std::FILE* out) {
-  if (!result.error.empty()) {
-    std::fprintf(out, "plum-diff: error: %s\n", result.error.c_str());
-    return;
+  for (const std::string& e : result.errors) {
+    std::fprintf(out, "plum-diff: error: %s\n", e.c_str());
   }
   if (!result.deltas.empty()) {
     std::fprintf(out, "%-8s %-58s %16s %16s %10s\n", "status", "metric",
@@ -287,7 +286,7 @@ void print_delta_table(const DiffResult& result, std::FILE* out) {
 }
 
 int exit_status(const DiffResult& result) {
-  if (!result.error.empty()) return 2;
+  if (!result.errors.empty()) return 2;
   return result.breaches > 0 ? 1 : 0;
 }
 

@@ -6,8 +6,8 @@
 // Comparison contract:
 //   - Runs are matched by (case, P), which obs::validate_bench_report makes
 //     unique within a document. A run present on one side only is a breach.
-//   - Every section of a matched run is compared by one rule, except heap
-//     and comm_by_class, which are validated but not compared.
+//   - Every section of a matched run is compared by one rule, except
+//     comm_by_class, which is validated but not compared.
 //   - The rule: objects compare by key and arrays by index. A key or
 //     element present on one side only, an array of a different length or
 //     a value of a different kind is a breach. Integers, strings and
@@ -19,7 +19,9 @@
 //     "wall"). A shape change breaches even there.
 //
 // Exit-status mapping (exit_status): 0 = no breach, 1 = any breach,
-// 2 = usage / IO / parse / validation error.
+// 2 = usage / IO / parse / validation error. In directory mode a file that
+// cannot be compared records its error and the other files are still
+// compared, so one bad file hides no rows of the rest.
 
 #include <cstdio>
 #include <optional>
@@ -47,12 +49,13 @@ struct DiffResult {
   std::vector<Delta> deltas;  ///< changed entries only, in document order
   int compared = 0;           ///< leaf values compared
   int breaches = 0;
-  std::string error;  ///< non-empty on IO/parse/validation failure (status 2)
+  /// IO/parse/validation failures (status 2), one line each.
+  std::vector<std::string> errors;
 };
 
 /// Compares two parsed plum-bench reports. Both documents must pass
 /// obs::validate_bench_report; a validation failure is reported via
-/// DiffResult::error.
+/// DiffResult::errors.
 DiffResult diff_reports(const obs::Json& baseline, const obs::Json& current);
 
 /// Loads and compares two report files.
@@ -61,11 +64,14 @@ DiffResult diff_files(const std::string& baseline_path,
 
 /// Compares every BENCH_*.json in `baseline_dir` against the same filename
 /// in `current_dir` (CI mode). A BENCH_*.json present on one side only is
-/// a breach; other files (streams, postmortems) are ignored.
+/// a breach; a pair that cannot be compared is an error, and the remaining
+/// pairs are compared all the same. Other files (streams, postmortems) are
+/// ignored.
 DiffResult diff_dirs(const std::string& baseline_dir,
                      const std::string& current_dir);
 
-/// Renders the delta table (changed entries + summary line) to `out`.
+/// Renders the errors, the delta table (changed entries) and the summary
+/// line to `out`.
 void print_delta_table(const DiffResult& result, std::FILE* out);
 
 /// 0 = clean, 1 = breaches, 2 = error.

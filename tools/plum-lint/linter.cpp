@@ -574,14 +574,15 @@ LintResult lint_source(const std::string& path, const std::string& content) {
   return lint_files({{path, content}});
 }
 
-std::string to_json(const LintResult& result) {
+std::string to_json(const LintResult& result,
+                    const std::vector<CheckInfo>& check_list) {
   std::ostringstream os;
   os << "{\n  \"files_scanned\": " << result.files_scanned
      << ",\n  \"unsuppressed\": " << result.unsuppressed_count()
      << ",\n  \"suppressed\": " << result.suppressed_count()
      << ",\n  \"counts\": {";
   bool first = true;
-  for (const auto& c : checks()) {
+  for (const auto& c : check_list) {
     if (!first) os << ", ";
     first = false;
     json_escape(os, c.name);

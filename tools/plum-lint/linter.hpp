@@ -94,7 +94,9 @@ LintResult lint_files(const std::vector<FileInput>& files);
 /// Convenience wrapper for one in-memory source (tests, fixtures).
 LintResult lint_source(const std::string& path, const std::string& content);
 
-/// Serializes a result to a JSON document (machine-readable report).
-std::string to_json(const LintResult& result);
+/// Serializes a result to a JSON document (machine-readable report) whose
+/// "counts" object lists `check_list` (plum-scale passes scale_checks()).
+std::string to_json(const LintResult& result,
+                    const std::vector<CheckInfo>& check_list = checks());
 
 }  // namespace plumlint

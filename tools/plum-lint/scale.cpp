@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <map>
-#include <sstream>
 
 #include "lexer.hpp"
 #include "token_util.hpp"
@@ -590,39 +589,6 @@ LintResult scale_files(const std::vector<FileInput>& files) {
 
 LintResult scale_source(const std::string& path, const std::string& content) {
   return scale_files({{path, content}});
-}
-
-std::string scale_to_json(const LintResult& result) {
-  std::ostringstream os;
-  os << "{\n  \"files_scanned\": " << result.files_scanned
-     << ",\n  \"unsuppressed\": " << result.unsuppressed_count()
-     << ",\n  \"suppressed\": " << result.suppressed_count()
-     << ",\n  \"counts\": {";
-  bool first = true;
-  for (const auto& c : scale_checks()) {
-    if (!first) os << ", ";
-    first = false;
-    json_escape(os, c.name);
-    os << ": " << result.count_of(c.name, /*include_suppressed=*/true);
-  }
-  os << "},\n  \"diagnostics\": [";
-  for (std::size_t i = 0; i < result.diagnostics.size(); ++i) {
-    const auto& d = result.diagnostics[i];
-    os << (i ? ",\n    {" : "\n    {") << "\"file\": ";
-    json_escape(os, d.file);
-    os << ", \"line\": " << d.line << ", \"check\": ";
-    json_escape(os, d.check);
-    os << ", \"suppressed\": " << (d.suppressed ? "true" : "false");
-    if (d.suppressed) {
-      os << ", \"justification\": ";
-      json_escape(os, d.justification);
-    }
-    os << ", \"message\": ";
-    json_escape(os, d.message);
-    os << "}";
-  }
-  os << "\n  ]\n}\n";
-  return os.str();
 }
 
 }  // namespace plumlint

@@ -15,8 +15,7 @@
 // For each run of a document it prints the metrics and gauge timelines
 // (edge cut / remap volumes), the per-phase table, the counter-sourced
 // critical path, the P x P comm matrix with row/column sums, the gate
-// history with predicted-vs-measured drift, the heap table and the
-// per-tag-class traffic.
+// history with predicted-vs-measured drift and the per-tag-class traffic.
 //
 //   plum-report bench-json/BENCH_*.json bench-json/scope_weak.ndjson
 //
@@ -248,86 +247,6 @@ void print_gate_audit(const Json& audit) {
   }
 }
 
-// --- plum-mem (heap profile) ------------------------------------------------
-
-/// The run entry's heap section: per-phase allocation totals over every
-/// row, the top-churn ranking, live bytes and (wall form) RSS.
-void print_heap(const Json& heap) {
-  const Json* phases = heap.find("phases");
-  if (!phases || !phases->is_array()) return;
-
-  struct PhaseSum {
-    std::string name;
-    std::int64_t allocs = 0;
-    std::int64_t frees = 0;
-    std::int64_t bytes = 0;
-    std::int64_t peak = 0;  ///< largest row peak
-  };
-  auto read = [](std::string name, const Json& cell) {
-    return PhaseSum{std::move(name), int_or(cell.find("allocs"), 0),
-                    int_or(cell.find("frees"), 0),
-                    int_or(cell.find("bytes"), 0),
-                    int_or(cell.find("peak_live"), 0)};
-  };
-  std::vector<PhaseSum> sums;
-  sums.reserve(phases->size() + 1);
-  for (std::size_t p = 0; p < phases->size(); ++p) {
-    sums.push_back(read(str_or(phases->at(p).find("name"), "?"),
-                        phases->at(p)));
-  }
-  if (const Json* up = heap.find("unphased")) {
-    sums.push_back(read("(unphased)", *up));
-  }
-
-  std::printf("\nHeap profile (all ranks + host):\n");
-  std::printf("  %-14s %10s %10s %14s %14s\n", "phase", "allocs", "frees",
-              "bytes_req", "peak_live_B");
-  for (const PhaseSum& s : sums) {
-    if (s.allocs == 0 && s.frees == 0 && s.bytes == 0) continue;
-    std::printf("  %-14s %10lld %10lld %14lld %14lld\n", s.name.c_str(),
-                static_cast<long long>(s.allocs),
-                static_cast<long long>(s.frees),
-                static_cast<long long>(s.bytes),
-                static_cast<long long>(s.peak));
-  }
-
-  // Top churn: the phases paying the most allocation traffic (by bytes,
-  // allocs as tiebreak) — the first places to point an arena at.
-  std::vector<const PhaseSum*> rank;
-  for (const PhaseSum& s : sums) {
-    if (s.allocs > 0) rank.push_back(&s);
-  }
-  std::sort(rank.begin(), rank.end(),
-            [](const PhaseSum* a, const PhaseSum* b) {
-              if (a->bytes != b->bytes) return a->bytes > b->bytes;
-              if (a->allocs != b->allocs) return a->allocs > b->allocs;
-              return a->name < b->name;
-            });
-  if (!rank.empty()) {
-    std::printf("  top churn:");
-    for (std::size_t i = 0; i < rank.size() && i < 3; ++i) {
-      std::printf("%s %zu. %s (%lld B / %lld allocs)", i ? " " : "", i + 1,
-                  rank[i]->name.c_str(),
-                  static_cast<long long>(rank[i]->bytes),
-                  static_cast<long long>(rank[i]->allocs));
-    }
-    std::printf("\n");
-  }
-
-  const std::int64_t live_total = int_or(heap.find("live_bytes"), 0);
-  if (live_total != 0) {
-    std::printf("  live tracked bytes: %lld\n",
-                static_cast<long long>(live_total));
-  }
-  if (const Json* rss = heap.find("rss")) {
-    std::printf("  rss %.1f MB  hwm %.1f MB  (wall)\n",
-                static_cast<double>(int_or(rss->find("vm_rss_bytes"), 0)) /
-                    1e6,
-                static_cast<double>(int_or(rss->find("vm_hwm_bytes"), 0)) /
-                    1e6);
-  }
-}
-
 // --- plum-scope (flight recorder / stream / postmortem) --------------------
 
 /// One plum-scope/1 record as one timeline row.
@@ -487,7 +406,6 @@ int report_bench_doc(const Json& doc) {
     if (const Json* cp = run.find("critical_path")) print_critical_path(*cp);
     if (const Json* cm = run.find("comm_matrix")) print_comm_matrix(*cm);
     if (const Json* ga = run.find("gate_audit")) print_gate_audit(*ga);
-    if (const Json* heap = run.find("heap")) print_heap(*heap);
     if (const Json* bc = run.find("comm_by_class")) print_comm_by_class(*bc);
   }
   return 0;

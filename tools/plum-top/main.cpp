@@ -134,11 +134,8 @@ void render(const Json& rec, bool ansi) {
 
   const Json* ranks = rec.find("ranks");
   if (ranks && ranks->is_array() && ranks->size() > 0) {
-    // live_B is the rank's tracked scratch bytes (plum-mem); absent in
-    // streams written before the tracker existed.
-    const bool have_live = ranks->at(0).find("live_bytes") != nullptr;
-    std::printf("%6s %12s %12s %6s%s  %s\n", "rank", "busy", "wait", "util",
-                have_live ? "       live_B" : "", "utilization");
+    std::printf("%6s %12s %12s %6s  %s\n", "rank", "busy", "wait", "util",
+                "utilization");
     for (std::size_t r = 0; r < ranks->size(); ++r) {
       const Json& rk = ranks->at(r);
       const std::int64_t busy = int_or(rk.find("busy"), 0);
@@ -147,16 +144,11 @@ void render(const Json& rec, bool ansi) {
           busy + wait > 0
               ? static_cast<double>(busy) / static_cast<double>(busy + wait)
               : 1.0;
-      std::printf("%6lld %12lld %12lld %5.1f%%",
+      std::printf("%6lld %12lld %12lld %5.1f%%  [%s]\n",
                   static_cast<long long>(int_or(rk.find("rank"),
                                                 static_cast<std::int64_t>(r))),
                   static_cast<long long>(busy), static_cast<long long>(wait),
-                  100.0 * util);
-      if (have_live) {
-        std::printf(" %12lld",
-                    static_cast<long long>(int_or(rk.find("live_bytes"), 0)));
-      }
-      std::printf("  [%s]\n", bar(util, 30).c_str());
+                  100.0 * util, bar(util, 30).c_str());
     }
   }
   std::fflush(stdout);

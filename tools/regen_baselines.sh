@@ -39,9 +39,9 @@ cmake --build "${build_dir}" -j --target \
 export PLUM_BENCH_SMALL=1
 export PLUM_BENCH_JSON_DIR="${fresh_dir}"
 # bench_micro writes BENCH_bench_micro_scope.json (flight-recorder ring
-# survival counts are deterministic and gated; ns/event is wall, report-only)
-# and BENCH_bench_micro_mem.json (per-phase allocation churn for HEM match,
-# KL-FM refine, and remap pack; arena overhead is wall, report-only).
+# survival counts are deterministic and gated; ns/event is wall,
+# report-only); its arena benchmarks are wall-clock only and write no
+# report.
 "${build_dir}/bench/bench_micro" --threads 2 \
   --benchmark_filter='ScopeRecorder|Arena' --benchmark_min_time=0.05
 "${build_dir}/bench/bench_fig4"
